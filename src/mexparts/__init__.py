@@ -48,6 +48,7 @@ from .mex import (
     identity_p_2tt,
     identity_p_tt,
     mex_count_oracle,
+    mex_counts_oracle,
     mex_of,
 )
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
@@ -104,6 +105,7 @@ __all__ = [
     "MexParams",
     "mex_of",
     "mex_count_oracle",
+    "mex_counts_oracle",
     "genfun_p_tt",
     "genfun_p_2tt",
     "identity_p_tt",

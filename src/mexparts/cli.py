@@ -20,11 +20,16 @@ import sys
 from typing import Iterable
 
 from .congruences import ProgressionSpec, check_progression
-from .errors import MexpartsError, TruncationTooSmall
-from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
-from .partitions import enumerate_partitions, partition_count
+from .errors import MexpartsError, OracleBoundExceeded, TruncationTooSmall
+from .mex import MEX_ORACLE_BOUND, MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
+from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_count
 from .reports import VerificationReport
-from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
+from .singular import (
+    SINGULAR_ORACLE_BOUND,
+    SingularParams,
+    genfun_singular,
+    singular_overpartition_oracle,
+)
 from .suites import SUITE_NAMES, run_all, run_suite
 
 DEFAULT_TRUNC = 2000
@@ -34,6 +39,15 @@ def _require_trunc(needed: int, trunc: int) -> None:
     if needed > trunc:
         raise TruncationTooSmall(
             f"this command needs series order {needed}; raise --trunc (currently {trunc})"
+        )
+
+
+def _require_oracle_bound(n_max: int, bound: int) -> None:
+    # checked before the first row: an oracle would otherwise enumerate every
+    # n below the bound before refusing
+    if n_max > bound:
+        raise OracleBoundExceeded(
+            f"this enumeration oracle is limited to --n-max <= {bound} (got {n_max})"
         )
 
 
@@ -66,6 +80,7 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
         )
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
+        _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
         return (
             "p_Aa_oracle",
             {"A": args.A, "a": args.a},
@@ -73,6 +88,7 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
         )
     if args.function == "C_ki_oracle":
         params = SingularParams(args.k, args.i)
+        _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
         return (
             "C_ki_oracle",
             {"k": args.k, "i": args.i},
@@ -191,12 +207,14 @@ def cmd_oracle_check(args) -> int:
         raise MexpartsError("--n-max must be non-negative")
     _require_trunc(n_max, args.trunc)
     if args.function == "p":
+        _require_oracle_bound(n_max, ENUMERATION_BOUND)
         name = "p"
         rows = [
             (n, sum(1 for _ in enumerate_partitions(n)), partition_count(n))
             for n in range(n_max + 1)
         ]
     elif args.function in ("p_tt", "p_2tt"):
+        _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
         t = args.t
         if args.function == "p_tt":
             series = genfun_p_tt(t, n_max)
@@ -210,6 +228,7 @@ def cmd_oracle_check(args) -> int:
         ]
     elif args.function == "singular":
         params = SingularParams(args.k, args.i)
+        _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
         series = genfun_singular(params, n_max)
         name = "singular"
         rows = [

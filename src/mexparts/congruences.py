@@ -117,7 +117,17 @@ def is_prime(x: int) -> bool:
 
 
 def smallest_prime_with_symbol(value: int, symbol: int = -1, minimum: int = 5) -> int:
-    """Smallest prime p >= minimum with (value/p) equal to ``symbol``."""
+    """Smallest prime p >= minimum with (value/p) equal to ``symbol``.
+
+    Searches that can never succeed are refused before the first candidate:
+    (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.
+    """
+    if symbol not in (-1, 0, 1):
+        raise ValueError(f"a Legendre symbol is -1, 0 or 1, not {symbol}")
+    if value == 0 and symbol != 0:
+        raise ValueError(f"(0/p) = 0 for every prime p, never {symbol}")
+    if symbol == -1 and value > 0 and math.isqrt(value) ** 2 == value:
+        raise ValueError(f"{value} is a perfect square, so ({value}/p) is never -1")
     p = minimum
     while True:
         if is_prime(p) and p % 2 == 1 and jacobi_symbol(value, p) == symbol:

@@ -3,9 +3,11 @@
 ``mex_of(partition, MexParams(A, a))`` is the smallest positive integer
 congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)`` counts
 partitions of n whose mex lands in the residue a (mod 2A); the enumeration
-oracle computes it definitionally for any (A, a), while the (t, t) and
-(2t, t) families also have a generating-function route and a closed
-expression in ordinary partition numbers:
+oracle computes it definitionally for any (A, a).  ``mex_counts_oracle``
+tallies any number of (A, a) in one pass over the partitions of n, and
+``mex_count_oracle`` is its one-parameter case.  The (t, t) and (2t, t)
+families also have a generating-function route and a closed expression in
+ordinary partition numbers:
 
     sum p_tt(n) q^n  = (1/(q;q)_inf) * sum_{n>=0} (-1)^n q^(t n(n+1)/2)
     sum p_2tt(n) q^n = (1/(q;q)_inf) * sum_{n>=0} (-1)^n q^(t n^2)
@@ -19,6 +21,7 @@ the equivalence.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded
@@ -29,6 +32,7 @@ __all__ = [
     "MexParams",
     "mex_of",
     "mex_count_oracle",
+    "mex_counts_oracle",
     "genfun_p_tt",
     "genfun_p_2tt",
     "identity_p_tt",
@@ -62,22 +66,36 @@ def mex_of(partition: Partition, params: MexParams) -> int:
     return v
 
 
-def mex_count_oracle(n: int, params: MexParams) -> int:
-    """Count partitions of n with mex == a (mod 2A), by full enumeration.
+def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...]:
+    """For each (A, a) in ``params_seq``, count partitions of n with
+    mex == a (mod 2A), in one enumeration of the partitions of n.
 
-    Exponential in n; refuses n beyond the documented bound rather than
-    silently grinding.
+    Exponential in n; refuses n beyond the documented bound before
+    enumerating anything rather than silently grinding.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > MEX_ORACLE_BOUND:
         raise OracleBoundExceeded(
-            f"mex_count_oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
+            f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
         )
-    target = params.a % (2 * params.A)
-    return sum(
-        1 for lam in enumerate_partitions(n) if mex_of(lam, params) % (2 * params.A) == target
-    )
+    # 1 <= a <= A, so a is already the least residue of a (mod 2A)
+    slots = [(j, p.A, p.a, 2 * p.A) for j, p in enumerate(params_seq)]
+    tally = [0] * len(slots)
+    for lam in enumerate_partitions(n):
+        present = set(lam.parts)
+        for j, A, a, period in slots:
+            v = a
+            while v in present:
+                v += A
+            if v % period == a:
+                tally[j] += 1
+    return tuple(tally)
+
+
+def mex_count_oracle(n: int, params: MexParams) -> int:
+    """Count partitions of n with mex == a (mod 2A), by full enumeration."""
+    return mex_counts_oracle(n, (params,))[0]
 
 
 def genfun_p_tt(t: int, order: int) -> TruncatedSeries:

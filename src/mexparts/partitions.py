@@ -6,6 +6,12 @@ geometrically; the table is filled by inverting the Euler product
 big-integer table reaches n around 5*10^4 in seconds.  ``enumerate_partitions``
 is the ground-truth oracle used by the mex and overpartition counters; it
 yields every partition of n exactly once in decreasing lexicographic order.
+It runs Zoghbi and Stojmenovic's ZS1 algorithm (A. Zoghbi, I. Stojmenovic,
+"Fast algorithms for generating integer partitions", Int. J. Comput. Math.
+70, 1998): the parts live in one preallocated list whose tail is all 1's,
+and each step rewrites only the suffix after the last part larger than 1,
+so finding the next partition takes constant amortized time; each yielded
+``Partition`` then copies its parts into a tuple.
 """
 
 from __future__ import annotations
@@ -183,20 +189,37 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n == 0:
         yield Partition._unchecked((), 0)
         return
-    parts = [n]
-    yield Partition._unchecked((n,), n)
-    while parts != [1] * n:
-        rem = 0
-        while parts[-1] == 1:
-            rem += parts.pop()
-        parts[-1] -= 1
-        rem += 1
-        largest = parts[-1]
-        while rem > largest:
-            parts.append(largest)
-            rem -= largest
-        parts.append(rem)
-        yield Partition._unchecked(tuple(parts), n)
+    new = Partition._unchecked
+    # ZS1: x[:m] is the current partition, x[h] its last part above 1, and
+    # every slot after h holds 1; h == -1 once only 1's remain
+    x = [1] * n
+    x[0] = n
+    m = 1
+    h = 0 if n > 1 else -1
+    yield new((n,), n)
+    while h >= 0:
+        if x[h] == 2:
+            # (..., 2, 1, ..., 1) -> (..., 1, 1, ..., 1, 1)
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # lower x[h] by one and refill the rest greedily with parts <= it
+            r = x[h] - 1
+            rest = m - h
+            x[h] = r
+            while rest >= r:
+                h += 1
+                x[h] = r
+                rest -= r
+            if rest == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if rest > 1:
+                    h += 1
+                    x[h] = rest
+        yield new(tuple(x[:m]), n)
 
 
 # ---------------------------------------------------------------------------

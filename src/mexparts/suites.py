@@ -16,7 +16,15 @@ from .congruences import (
     family_catalog,
     smallest_prime_with_symbol,
 )
-from .mex import MexParams, genfun_p_2tt, genfun_p_tt, identity_p_2tt, identity_p_tt, mex_count_oracle
+from .mex import (
+    MexParams,
+    genfun_p_2tt,
+    genfun_p_tt,
+    identity_p_2tt,
+    identity_p_tt,
+    mex_count_oracle,
+    mex_counts_oracle,
+)
 from .reports import VerificationReport
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
@@ -31,6 +39,10 @@ def suite_thm1(t_max: int = 7, n_max: int = 500, oracle_n_max: int = 40) -> list
     partition-number identity, and series coefficients."""
     reports = []
     oracle_n = min(oracle_n_max, n_max)
+    # one enumeration per n serves every t: slot 2(t-1) holds p_{t,t}(n),
+    # slot 2(t-1)+1 holds p_{2t,t}(n)
+    params = [MexParams(A, t) for t in range(1, t_max + 1) for A in (t, 2 * t)]
+    oracle = [mex_counts_oracle(n, params) for n in range(oracle_n + 1)]
     for t in range(1, t_max + 1):
         series_tt = genfun_p_tt(t, n_max)
         series_2tt = genfun_p_2tt(t, n_max)
@@ -48,8 +60,7 @@ def suite_thm1(t_max: int = 7, n_max: int = 500, oracle_n_max: int = 40) -> list
                 report.record_failure(family="p_2tt", n=n, identity=v_2tt, series=series_2tt.coefficient(n))
         for n in range(oracle_n + 1):
             report.checked += 2
-            o_tt = mex_count_oracle(n, MexParams(t, t))
-            o_2tt = mex_count_oracle(n, MexParams(2 * t, t))
+            o_tt, o_2tt = oracle[n][2 * t - 2 : 2 * t]
             if o_tt != identity_p_tt(t, n):
                 report.record_failure(family="p_tt", n=n, oracle=o_tt, identity=identity_p_tt(t, n))
             if o_2tt != identity_p_2tt(t, n):

@@ -1,6 +1,7 @@
 """CLI behaviour: formats, exit codes, precondition errors."""
 
 import json
+import time
 
 import pytest
 
@@ -15,6 +16,12 @@ def run_cli(capsys, *argv):
 
 def json_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def run_cli_timed(capsys, *argv):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    return code, out, err, time.monotonic() - started
 
 
 class TestCompute:
@@ -59,9 +66,18 @@ class TestCompute:
         assert "trunc" in err
 
     def test_oracle_bound_is_a_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "compute", "p_Aa_oracle", "--n-max", "61")
+        code, out, err, elapsed = run_cli_timed(capsys, "compute", "p_Aa_oracle", "--n-max", "61")
         assert code == 2
         assert "60" in err
+        assert out == ""
+        assert elapsed < 1.0
+
+    def test_singular_oracle_bound_fails_fast(self, capsys):
+        code, out, err, elapsed = run_cli_timed(capsys, "compute", "C_ki_oracle", "--n-max", "51")
+        assert code == 2
+        assert "50" in err
+        assert out == ""
+        assert elapsed < 1.0
 
     def test_invalid_singular_params(self, capsys):
         code, _, err = run_cli(
@@ -184,7 +200,22 @@ class TestOracleCheck:
         assert code == 0
 
     def test_oracle_bound_propagates(self, capsys):
-        code, _, err = run_cli(
+        code, _, err, elapsed = run_cli_timed(
             capsys, "oracle-check", "--function", "p_tt", "--n-max", "70"
         )
         assert code == 2
+        assert "60" in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "function, n_max, bound",
+        [("p", 61, 60), ("p_tt", 61, 60), ("p_2tt", 61, 60), ("singular", 51, 50)],
+    )
+    def test_every_oracle_bound_fails_fast(self, capsys, function, n_max, bound):
+        code, out, err, elapsed = run_cli_timed(
+            capsys, "oracle-check", "--function", function, "--n-max", str(n_max)
+        )
+        assert code == 2
+        assert f"<= {bound}" in err
+        assert out == ""
+        assert elapsed < 1.0

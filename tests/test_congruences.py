@@ -1,6 +1,7 @@
 """Number-theoretic helpers, the family catalog, and the sweep checkers."""
 
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,27 @@ class TestPrimes:
         assert smallest_prime_with_symbol(-2) == 5
         assert smallest_prime_with_symbol(-10) == 17
         assert smallest_prime_with_symbol(-21) == 13
+
+    @pytest.mark.parametrize("value", [1, 4, 9])
+    def test_square_never_has_symbol_minus_one(self, value):
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="perfect square"):
+            smallest_prime_with_symbol(value)
+        assert time.monotonic() - started < 0.1
+
+    def test_squares_still_reach_symbol_one_and_zero(self):
+        assert smallest_prime_with_symbol(4, symbol=1) == 5
+        assert smallest_prime_with_symbol(9, symbol=0, minimum=3) == 3
+
+    @pytest.mark.parametrize("symbol", [2, -2])
+    def test_rejects_symbol_outside_legendre_range(self, symbol):
+        with pytest.raises(ValueError, match="-1, 0 or 1"):
+            smallest_prime_with_symbol(-2, symbol=symbol)
+
+    def test_zero_value_only_has_symbol_zero(self):
+        with pytest.raises(ValueError, match=r"\(0/p\) = 0"):
+            smallest_prime_with_symbol(0, symbol=1)
+        assert smallest_prime_with_symbol(0, symbol=0) == 5
 
 
 class TestPredicates:

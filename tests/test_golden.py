@@ -1,0 +1,30 @@
+"""stdout of fixed CLI commands is byte-identical to the captures in
+tests/golden/, so a refactor or speed-up cannot change what is reported.
+
+A change that alters output on purpose re-records the capture, e.g.
+
+    PYTHONPATH=src python -m mexparts.cli verify all --format json > tests/golden/verify_all.jsonl
+"""
+
+from pathlib import Path
+
+import pytest
+
+from mexparts.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "capture, argv",
+    [
+        ("verify_all.jsonl", ["verify", "all", "--format", "json"]),
+        (
+            "oracle_check_singular_k5_i2_n30.jsonl",
+            ["oracle-check", "--function", "singular", "--k", "5", "--i", "2", "--n-max", "30"],
+        ),
+    ],
+)
+def test_stdout_matches_golden_capture(capsys, capture, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / capture).read_bytes()

@@ -1,6 +1,8 @@
 """The mex statistic and the three routes to the (t,t) and (2t,t) counts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexparts.errors import OracleBoundExceeded
 from mexparts.mex import (
@@ -10,6 +12,7 @@ from mexparts.mex import (
     identity_p_2tt,
     identity_p_tt,
     mex_count_oracle,
+    mex_counts_oracle,
     mex_of,
 )
 from mexparts.partitions import Partition, enumerate_partitions, partition_count
@@ -62,6 +65,57 @@ class TestOracle:
     def test_bound_enforced(self):
         with pytest.raises(OracleBoundExceeded):
             mex_count_oracle(61, MexParams(1, 1))
+
+
+@st.composite
+def mex_params(draw):
+    A = draw(st.integers(min_value=1, max_value=9))
+    return MexParams(A, draw(st.integers(min_value=1, max_value=A)))
+
+
+def count_by_definition(n, params):
+    # mex_of spelled out: the least positive v == a (mod A) that is not a
+    # part; one of the first len(parts) + 1 candidates is missing, which
+    # bounds the range
+    A, a = params.A, params.a
+
+    def mex(parts):
+        return min(
+            v for v in range(1, a + A * (len(parts) + 1)) if v % A == a % A and v not in parts
+        )
+
+    return sum(1 for lam in enumerate_partitions(n) if mex(lam.parts) % (2 * A) == a % (2 * A))
+
+
+class TestMultiOracle:
+    def test_empty_parameter_list(self):
+        assert mex_counts_oracle(7, []) == ()
+
+    def test_bound_checked_before_enumerating(self, monkeypatch):
+        def fail(n):
+            raise AssertionError("enumerated past the bound")
+
+        monkeypatch.setattr("mexparts.mex.enumerate_partitions", fail)
+        with pytest.raises(OracleBoundExceeded):
+            mex_counts_oracle(61, [MexParams(1, 1)])
+        with pytest.raises(ValueError):
+            mex_counts_oracle(-1, [MexParams(1, 1)])
+
+    def test_thm1_slots(self):
+        params = [MexParams(A, t) for t in (1, 2, 3) for A in (t, 2 * t)]
+        for n in range(21):
+            counts = mex_counts_oracle(n, params)
+            assert counts[0::2] == tuple(identity_p_tt(t, n) for t in (1, 2, 3))
+            assert counts[1::2] == tuple(identity_p_2tt(t, n) for t in (1, 2, 3))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=18), st.lists(mex_params(), max_size=6))
+    def test_each_slot_matches_single_and_definition(self, n, params):
+        params = params + params[:2]  # repeated parameters get equal, separate slots
+        counts = mex_counts_oracle(n, params)
+        assert len(counts) == len(params)
+        for j, p in enumerate(params):
+            assert counts[j] == mex_count_oracle(n, p) == count_by_definition(n, p)
 
 
 class TestGeneratingFunctions:

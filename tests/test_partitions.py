@@ -1,6 +1,8 @@
 """Partition counting, enumeration order, and restricted counts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexparts.partitions import (
     ALL_PARTS,
@@ -96,6 +98,30 @@ class TestEnumeration:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             list(enumerate_partitions(-1))
+
+
+def reference_partitions(n, largest):
+    """Partitions of n with parts <= largest, first part descending: the
+    decreasing lexicographic order, by plain recursion."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in reference_partitions(n - first, first):
+            yield (first, *rest)
+
+
+class TestEnumerationProperties:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(min_value=0, max_value=22))
+    def test_matches_recursive_reference(self, n):
+        seen = list(enumerate_partitions(n))
+        assert [lam.parts for lam in seen] == list(reference_partitions(n, n))
+        assert len(seen) == partition_count(n)
+        for lam in seen:
+            assert lam.n == sum(lam.parts) == n
+            assert all(v >= 1 for v in lam.parts)
+            assert all(b <= a for a, b in zip(lam.parts, lam.parts[1:]))
 
 
 class TestResidueClassRule:
