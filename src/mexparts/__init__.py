@@ -32,11 +32,13 @@ from .series import (
     neg_pochhammer_inf,
     pochhammer_inf,
     psi,
+    theta_support,
 )
 from .partitions import (
     Partition,
     ResidueClassRule,
     enumerate_partitions,
+    partition_convolution,
     partition_count,
     partition_generating_series,
     restricted_count,
@@ -96,10 +98,12 @@ __all__ = [
     "alternating_triangular",
     "alternating_squares",
     "psi",
+    "theta_support",
     "Partition",
     "ResidueClassRule",
     "partition_count",
     "partition_generating_series",
+    "partition_convolution",
     "enumerate_partitions",
     "restricted_count",
     "MexParams",

@@ -29,7 +29,7 @@ from .errors import (
 from .mex import genfun_p_tt, identity_p_2tt, identity_p_tt
 from .partitions import partition_count
 from .reports import VerificationReport
-from .series import pochhammer_inf
+from .series import pochhammer_inf, theta_support
 from .singular import SingularParams, genfun_singular
 
 __all__ = [
@@ -140,19 +140,9 @@ def smallest_prime_with_symbol(value: int, symbol: int = -1, minimum: int = 5) -
 # ---------------------------------------------------------------------------
 
 def is_k3km1(x: int) -> bool:
-    """True iff x = k(3k - 1) for some integer k (either sign, zero included).
-
-    Solving 3k^2 - k - x = 0 gives k = (1 +- sqrt(12x + 1)) / 6, so x has the
-    form iff 12x + 1 is a perfect square with (1 + r) or (1 - r) divisible
-    by 6 for its root r.
-    """
-    if x < 0:
-        return False
-    disc = 12 * x + 1
-    r = math.isqrt(disc)
-    if r * r != disc:
-        return False
-    return (1 + r) % 6 == 0 or (1 - r) % 6 == 0
+    """True iff x = k(3k - 1) for some integer k (either sign, zero included),
+    that is, x is twice a generalized pentagonal number."""
+    return x % 2 == 0 and is_generalized_pentagonal(x // 2)
 
 
 def is_3np1_square(n: int) -> bool:
@@ -185,18 +175,8 @@ def is_triangular(x: int) -> bool:
 
 
 def _generalized_pentagonals_up_to(limit: int) -> list[int]:
-    vals = [0]
-    k = 1
-    while True:
-        v = k * (3 * k - 1) // 2
-        if v > limit:
-            break
-        vals.append(v)
-        w = k * (3 * k + 1) // 2
-        if w <= limit:
-            vals.append(w)
-        k += 1
-    return sorted(set(vals))
+    # exponents of Euler's (3, 1) theta support: m(3m - 1)/2 over m in Z
+    return [e for e, _ in theta_support(3, 1, limit)]
 
 
 def is_pent_plus_4pent(n: int) -> bool:

@@ -3,7 +3,12 @@
 ``partition_count`` serves p(n) from a process-wide table that grows
 geometrically; the table is filled by inverting the Euler product
 (q;q)_inf, iterating only over its pentagonal-number support so the exact
-big-integer table reaches n around 5*10^4 in seconds.  ``enumerate_partitions``
+big-integer table reaches n around 5*10^4 in seconds.
+``partition_convolution`` reads the same table to divide any sparse theta
+support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
+sum c * p(n - e).  ``partition_generating_series`` stays the independent
+product-inversion route, so tests that compare it with the table compare
+two sources of p(n).  ``enumerate_partitions``
 is the ground-truth oracle used by the mex and overpartition counters; it
 yields every partition of n exactly once in decreasing lexicographic order.
 It runs Zoghbi and Stojmenovic's ZS1 algorithm (A. Zoghbi, I. Stojmenovic,
@@ -19,9 +24,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .series import TruncatedSeries, pochhammer_inf
+from .series import TruncatedSeries, pochhammer_inf, theta_support
 
 __all__ = [
     "Partition",
@@ -30,6 +35,7 @@ __all__ = [
     "enumerate_partitions",
     "restricted_count",
     "partition_generating_series",
+    "partition_convolution",
 ]
 
 
@@ -117,22 +123,9 @@ _p_table: list[int] = [1]
 
 
 def _euler_support(limit: int) -> list[tuple[int, int]]:
-    # nonzero coefficients of (q;q)_inf up to the limit: exponent k(3k+-1)/2
-    # carries sign (-1)^k
-    support = []
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        if e1 > limit:
-            break
-        sign = -1 if k % 2 else 1
-        support.append((e1, sign))
-        e2 = k * (3 * k + 1) // 2
-        if e2 <= limit:
-            support.append((e2, sign))
-        k += 1
-    support.sort()
-    return support
+    # nonzero terms of (q;q)_inf = sum_{m in Z} (-1)^m q^(m(3m-1)/2) up to the
+    # limit, the constant term left out for the recurrence
+    return theta_support(3, 1, limit, alternating=True)[1:]
 
 
 def _grow_p_table(needed: int) -> None:
@@ -140,7 +133,10 @@ def _grow_p_table(needed: int) -> None:
         table = _p_table
         if needed < len(table):
             return
-        target = max(needed, 2 * len(table))
+        # step growth lands on the lengths 2^j - 1 (1, 3, 7, ...), at least
+        # doubling, so one exact-size request (a series of some order) does
+        # not shift every later doubling; a larger request is met exactly
+        target = max(needed, (1 << (2 * len(table) + 1).bit_length()) - 2)
         support = _euler_support(target)
         for n in range(len(table), target + 1):
             s = 0
@@ -167,8 +163,39 @@ def partition_count(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def partition_generating_series(order: int) -> TruncatedSeries:
-    """1/(q;q)_inf truncated: coefficient n is p(n)."""
+    """1/(q;q)_inf truncated: coefficient n is p(n).
+
+    Built by inverting the Euler product, not from the p(n) table, so the
+    table and this series check each other.
+    """
     return pochhammer_inf(1, 1, order).invert()
+
+
+def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
+    """(sum c q^e) / (q;q)_inf truncated at ``order``, for a sparse support of
+    (exponent, coefficient) pairs: coefficient n is sum c * p(n - e).
+
+    Grows the p(n) table once to ``order`` and adds one shifted, scaled copy
+    of it per support term, so the cost is (terms) x (order) additions.
+    Exponents past the order are dropped; repeated exponents add up.
+    """
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+    _grow_p_table(order)
+    p = _p_table
+    out = [0] * (order + 1)
+    for e, c in support:
+        if e < 0:
+            raise ValueError("negative exponent in a power series")
+        if e > order:
+            continue
+        if c == 1:
+            out[e:] = [x + y for x, y in zip(out[e:], p)]
+        elif c == -1:
+            out[e:] = [x - y for x, y in zip(out[e:], p)]
+        else:
+            out[e:] = [x + c * y for x, y in zip(out[e:], p)]
+    return TruncatedSeries(out)
 
 
 # ---------------------------------------------------------------------------

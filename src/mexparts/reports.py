@@ -8,6 +8,18 @@ from typing import Any
 __all__ = ["VerificationReport", "FAILURE_CAP"]
 
 FAILURE_CAP = 25  # keep every report readable; the count still reflects all failures
+JSON_SAFE_INT = 2**53  # larger integers lose precision in IEEE doubles
+
+
+def _json_safe(value: Any) -> Any:
+    # integers past JSON_SAFE_INT become decimal strings, at any depth
+    if isinstance(value, int) and abs(value) > JSON_SAFE_INT:
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
 
 
 @dataclass
@@ -38,16 +50,15 @@ class VerificationReport:
             self.failures.append(dict(fields))
 
     def to_json(self) -> dict[str, Any]:
+        """JSON-ready dict; integers with |v| > 2^53 in ``spec``, ``failures``
+        and ``metadata`` are written as decimal strings."""
         return {
             "label": self.label,
-            "spec": self.spec,
+            "spec": _json_safe(self.spec),
             "checked": self.checked,
             "skipped": self.skipped,
-            "failures": [
-                {k: (str(v) if isinstance(v, int) and abs(v) > 2**53 else v) for k, v in f.items()}
-                for f in self.failures
-            ],
+            "failures": _json_safe(self.failures),
             "failure_count": self.failure_count,
             "passed": self.passed,
-            "metadata": self.metadata,
+            "metadata": _json_safe(self.metadata),
         }

@@ -11,6 +11,16 @@ functions are assembled from:
     alternating_triangular(t, N)  sum_{n>=0} (-1)^n q^(t n(n+1)/2)
     alternating_squares(t, N)     sum_{n>=0} (-1)^n q^(t n^2)
     psi(t, N)                     sum_{n>=0} q^(t n(n+1)/2)
+
+``theta_support(k, i, N)`` lists the nonzero terms of the two-sided theta
+sum of the Jacobi triple product,
+
+    sum_{m in Z} s^m q^(k m(m-1)/2 + i m)
+        = (q^k; q^k)_inf (-s q^i; q^k)_inf (-s q^(k-i); q^k)_inf,   s = +-1,
+
+as sparse (exponent, coefficient) pairs.  With s = -1 and (k, i) = (3, 1) it
+is Euler's pentagonal support of (q; q)_inf; with s = +1 it is the numerator
+of Andrews' singular overpartition series.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "alternating_triangular",
     "alternating_squares",
     "psi",
+    "theta_support",
 ]
 
 
@@ -166,23 +177,19 @@ class TruncatedSeries:
 
 
 def _product_of_binomials(a: int, b: int, order: int, sign: int) -> TruncatedSeries:
-    # prod over e = a, a+b, a+2b, ... <= order of (1 + sign*q^e), built by
-    # repeated in-place multiplication (descending index keeps it exact).
+    # prod over e = a, a+b, a+2b, ... <= order of (1 + sign*q^e); each factor
+    # is one slice update, and the comprehension reads the old coefficients
+    # before the slice is overwritten
     if a < 1 or b < 1:
         raise ValueError("pochhammer parameters must be positive")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    e = a
-    while e <= order:
+    c = [1] + [0] * order
+    for e in range(a, order + 1, b):
         if sign > 0:
-            for v in range(order, e - 1, -1):
-                c[v] += c[v - e]
+            c[e:] = [x + y for x, y in zip(c[e:], c)]
         else:
-            for v in range(order, e - 1, -1):
-                c[v] -= c[v - e]
-        e += b
+            c[e:] = [x - y for x, y in zip(c[e:], c)]
     return TruncatedSeries(c)
 
 
@@ -234,3 +241,21 @@ def psi(t: int, order: int) -> TruncatedSeries:
         terms.append((t * n * (n + 1) // 2, 1))
         n += 1
     return TruncatedSeries.from_terms(terms, order)
+
+
+def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list[tuple[int, int]]:
+    """Terms (exponent, coefficient) of sum_{m in Z} s^m q^(k m(m-1)/2 + i m)
+    with exponent <= limit, sorted by exponent; s = -1 if ``alternating``.
+
+    Both branches m >= 0 and m < 0 increase strictly, so each loop stops at
+    the first exponent past the limit.  Repeated exponents add up: when
+    k = 2i the terms m and -m meet at i m^2, which carries 2 s^m.
+    """
+    if k < 2 or not 0 < i < k:
+        raise ValueError("theta support needs k >= 2 and 0 < i < k")
+    terms: dict[int, int] = {}
+    for m, step in ((0, 1), (-1, -1)):
+        while (e := k * m * (m - 1) // 2 + i * m) <= limit:
+            terms[e] = terms.get(e, 0) + (-1 if alternating and m % 2 else 1)
+            m += step
+    return sorted(terms.items())

@@ -4,7 +4,10 @@ A singular overpartition for parameters (k, i) is an overpartition with no
 part divisible by k in which only parts == +-i (mod k) may be overlined
 (first occurrence of a value only).  The generating function is
 
-    (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf / (q; q)_inf.
+    (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf / (q; q)_inf,
+
+which ``genfun_singular`` evaluates through the Jacobi triple product as a
+sparse theta sum over the p(n) table (see its docstring).
 
 The enumeration oracle mirrors the product factor by factor.  Each of the
 two (-q^.; q^k) factors offers an independent "one overlined copy of this
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSingularParams, OracleBoundExceeded
-from .partitions import enumerate_partitions, partition_generating_series
-from .series import TruncatedSeries, neg_pochhammer_inf, pochhammer_inf
+from .partitions import enumerate_partitions, partition_convolution
+from .series import TruncatedSeries, theta_support
 
 __all__ = [
     "SingularParams",
@@ -91,8 +94,17 @@ def singular_overpartition_oracle(n: int, params: SingularParams) -> int:
 
 
 def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is C(k, i; n)."""
-    k, i = params.k, params.i
-    product = pochhammer_inf(k, k, order) * neg_pochhammer_inf(i, k, order)
-    product = product * neg_pochhammer_inf(k - i, k, order)
-    return product * partition_generating_series(order)
+    """Series whose coefficient of q^n is C(k, i; n), for n <= order.
+
+    By the Jacobi triple product the numerator of the generating function is
+    the sparse theta sum
+
+        (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf
+            = sum_{m in Z} q^(k m(m-1)/2 + i m),
+
+    so C(k, i; n) = sum_m p(n - k m(m-1)/2 - i m), read from the p(n) table.
+    In the self-paired case k = 2i the terms m and -m share the exponent
+    i m^2, which then carries multiplicity 2.  The three-product form is kept
+    in the test suite as an independent reference route.
+    """
+    return partition_convolution(theta_support(params.k, params.i, order), order)

@@ -154,6 +154,13 @@ class TestPredicates:
         for x in range(45):
             assert is_generalized_pentagonal(x) == (x in known)
 
+    def test_generalized_pentagonals_up_to(self):
+        from mexparts.congruences import _generalized_pentagonals_up_to
+
+        for limit in (0, 1, 6, 40, 500):
+            expected = sorted({k * (3 * k - 1) // 2 for k in range(-30, 31)} & set(range(limit + 1)))
+            assert _generalized_pentagonals_up_to(limit) == expected
+
     def test_triangular(self):
         known = {0, 1, 3, 6, 10, 15, 21, 28, 36, 45}
         for x in range(50):

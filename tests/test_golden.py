@@ -23,6 +23,16 @@ GOLDEN = Path(__file__).parent / "golden"
             "oracle_check_singular_k5_i2_n30.jsonl",
             ["oracle-check", "--function", "singular", "--k", "5", "--i", "2", "--n-max", "30"],
         ),
+        (
+            "compute_singular_k12_i3_n600.jsonl",
+            ["compute", "singular", "--k", "12", "--i", "3", "--n-max", "600"],
+        ),
+        (
+            # the self-paired case k = 2i
+            "compute_singular_k4_i2_n300.jsonl",
+            ["compute", "singular", "--k", "4", "--i", "2", "--n-max", "300"],
+        ),
+        ("compute_p_2tt_t2_n600.jsonl", ["compute", "p_2tt", "--t", "2", "--n-max", "600"]),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexparts import partitions
 from mexparts.partitions import (
     ALL_PARTS,
     EVEN_PARTS,
@@ -11,10 +12,12 @@ from mexparts.partitions import (
     Partition,
     ResidueClassRule,
     enumerate_partitions,
+    partition_convolution,
     partition_count,
     partition_generating_series,
     restricted_count,
 )
+from mexparts.series import TruncatedSeries, pochhammer_inf
 
 
 class TestPartitionType:
@@ -57,6 +60,60 @@ class TestPartitionCount:
     def test_known_large_value(self):
         # p(100), a classical table entry
         assert partition_count(100) == 190569292
+
+    def test_generating_series_does_not_read_the_table(self, monkeypatch):
+        # thm1 compares the p(n) table with partition_generating_series; a
+        # corrupted table entry must not reach the series, or the two
+        # routes would share the code path they check
+        partition_count(300)
+        corrupted = list(partitions._p_table)
+        corrupted[100] += 1
+        monkeypatch.setattr(partitions, "_p_table", corrupted)
+        partition_generating_series.cache_clear()
+        try:
+            assert partition_count(100) == 190569293  # the corruption is live
+            assert partition_generating_series(200) == pochhammer_inf(1, 1, 200).invert()
+            assert partition_generating_series(200).coefficient(100) == 190569292
+        finally:
+            partition_generating_series.cache_clear()
+
+
+    def test_table_growth_returns_to_the_doubling_grid(self, monkeypatch):
+        # an exact-size request must not shift later doublings off the
+        # lengths 2^j - 1, or a sweep to 50 000 would build ~98 000 entries
+        monkeypatch.setattr(partitions, "_p_table", [1])
+        partition_convolution([(0, 1)], 4)
+        assert len(partitions._p_table) == 5
+        lengths = set()
+        for n in range(41):
+            partition_count(n)
+            lengths.add(len(partitions._p_table))
+        assert lengths == {5, 15, 31, 63}
+        partition_count(1000)
+        assert len(partitions._p_table) == 1001
+        assert tuple(partitions._p_table[:64]) == partition_generating_series(63).coeffs
+
+
+class TestPartitionConvolution:
+    def test_unit_support_is_the_table(self):
+        assert partition_convolution([(0, 1)], 300) == partition_generating_series(300)
+
+    def test_euler_support_gives_one(self):
+        support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
+        assert partition_convolution(support, 20) == TruncatedSeries.one(20)
+
+    def test_repeated_exponents_add_and_far_exponents_drop(self):
+        order = 30
+        merged = partition_convolution([(3, 5), (10, -2)], order)
+        split = partition_convolution([(3, 2), (10, -1), (3, 3), (10, -1), (31, 7)], order)
+        assert split == merged
+        assert merged.coefficient(12) == 5 * partition_count(9) - 2 * partition_count(2)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            partition_convolution([(0, 1)], -1)
+        with pytest.raises(ValueError):
+            partition_convolution([(-1, 1)], 5)
 
 
 class TestEnumeration:

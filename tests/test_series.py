@@ -1,17 +1,22 @@
 """Truncated series arithmetic and the named products."""
 
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexparts.errors import NonUnitConstantTerm, TruncationTooSmall
 from mexparts.series import (
     TruncatedSeries,
+    _product_of_binomials,
     alternating_squares,
     alternating_triangular,
     neg_pochhammer_inf,
     pochhammer_inf,
     psi,
+    theta_support,
 )
 
 
@@ -162,3 +167,89 @@ class TestEulerInvariants:
             pt = pochhammer_inf(t, t, n)
             eta = (pt * pt) * (pt * inv)
             assert genfun_p_tt(t, n).reduce_mod(2) == eta.reduce_mod(2)
+
+
+class TestThetaSupport:
+    def test_euler_pentagonal_support(self):
+        # (3, 1) with sign (-1)^m: 3m(m-1)/2 + m = m(3m-1)/2
+        n = 300
+        assert TruncatedSeries.from_terms(theta_support(3, 1, n, alternating=True), n) == (
+            pochhammer_inf(1, 1, n)
+        )
+        assert theta_support(3, 1, 7, alternating=True) == [
+            (0, 1), (1, -1), (2, -1), (5, 1), (7, 1)
+        ]
+
+    @pytest.mark.parametrize("k,i", [(3, 1), (4, 1), (4, 2), (5, 2), (7, 3), (12, 3), (12, 6)])
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_jacobi_triple_product(self, k, i, alternating):
+        n = 200
+        s = -1 if alternating else 1
+        product = _product_of_binomials(k, k, n, -1) * _product_of_binomials(i, k, n, s)
+        product = product * _product_of_binomials(k - i, k, n, s)
+        assert TruncatedSeries.from_terms(theta_support(k, i, n, alternating), n) == product
+
+    def test_self_paired_multiplicity(self):
+        assert theta_support(4, 2, 20) == [(0, 1), (2, 2), (8, 2), (18, 2)]
+        assert theta_support(4, 2, 20, alternating=True) == [(0, 1), (2, -2), (8, 2), (18, -2)]
+
+    def test_sorted_and_bounded(self):
+        terms = theta_support(12, 3, 1000)
+        exponents = [e for e, _ in terms]
+        assert exponents == sorted(set(exponents))
+        assert exponents[-1] <= 1000
+        assert theta_support(5, 2, -1) == []
+
+    def test_validation(self):
+        for k, i in ((1, 0), (4, 0), (4, 4), (3, -1)):
+            with pytest.raises(ValueError):
+                theta_support(k, i, 10)
+
+
+def series_of(max_order=10, bound=50):
+    return st.lists(st.integers(-bound, bound), min_size=1, max_size=max_order + 1).map(
+        TruncatedSeries
+    )
+
+
+class TestSeriesProperties:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(series_of(), series_of(), series_of())
+    def test_ring_laws(self, a, b, c):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a * TruncatedSeries.one(a.trunc_order) == a
+        assert a + TruncatedSeries.zero(a.trunc_order) == a
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.sampled_from((1, -1)), st.lists(st.integers(-20, 20), max_size=15))
+    def test_invert_round_trip(self, unit, tail):
+        s = TruncatedSeries([unit, *tail])
+        one = TruncatedSeries.one(s.trunc_order)
+        assert s * s.invert() == one
+        assert s.invert() * s == one
+        assert s.invert().invert() == s
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.integers(-9, 9)), max_size=25),
+        st.integers(0, 20),
+    )
+    def test_from_terms_adds_repeats_and_drops_past_order(self, terms, order):
+        expected = [sum(v for e, v in terms if e == n) for n in range(order + 1)]
+        assert TruncatedSeries.from_terms(terms, order).coeffs == tuple(expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 8), st.integers(1, 8), st.integers(0, 40), st.sampled_from((1, -1))
+    )
+    def test_product_of_binomials_matches_naive_product(self, a, b, order, sign):
+        factors = [
+            TruncatedSeries.from_terms([(0, 1), (e, sign)], order)
+            for e in range(a, order + 1, b)
+        ]
+        naive = reduce(lambda x, y: x * y, factors, TruncatedSeries.one(order))
+        assert _product_of_binomials(a, b, order, sign) == naive

@@ -1,8 +1,11 @@
-"""Singular overpartition counts: enumeration oracle against the series."""
+"""Singular overpartition counts: enumeration oracle against the series,
+and the triple-product series against the three-product reference route."""
 
 import pytest
 
 from mexparts.errors import InvalidSingularParams, OracleBoundExceeded
+from mexparts.partitions import partition_generating_series
+from mexparts.series import neg_pochhammer_inf, pochhammer_inf
 from mexparts.singular import (
     SingularParams,
     genfun_singular,
@@ -82,3 +85,26 @@ def test_self_paired_regression_42():
         assert series.coefficient(n) == singular_overpartition_oracle(n, params)
     # pin the first nontrivial value: 2, 2', 2'' and 1+1
     assert singular_overpartition_oracle(2, params) == 4
+
+
+def product_form_singular(params, order):
+    """Reference route: (q^k;q^k)(-q^i;q^k)(-q^(k-i);q^k) / (q;q) built from
+    three Pochhammer products, dense multiplication and the inverted Euler
+    product, sharing no code with the p(n) table or the theta support."""
+    k, i = params.k, params.i
+    product = pochhammer_inf(k, k, order) * neg_pochhammer_inf(i, k, order)
+    product = product * neg_pochhammer_inf(k - i, k, order)
+    return product * partition_generating_series(order)
+
+
+@pytest.mark.parametrize(
+    "k,i", [(k, i) for k in range(3, 13) for i in range(1, k // 2 + 1)]
+)
+def test_triple_product_matches_product_form_to_600(k, i):
+    params = SingularParams(k, i)
+    assert genfun_singular(params, 600) == product_form_singular(params, 600)
+
+
+def test_series_rejects_negative_order():
+    with pytest.raises(ValueError):
+        genfun_singular(SingularParams(4, 1), -1)
