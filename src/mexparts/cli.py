@@ -30,7 +30,7 @@ from .singular import (
     genfun_singular,
     singular_overpartition_oracle,
 )
-from .suites import SUITE_NAMES, run_all, run_suite
+from .suites import SUITE_NAMES, run_all, run_suite, series_order
 
 DEFAULT_TRUNC = 2000
 
@@ -117,38 +117,6 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_overrides(args) -> dict:
-    overrides = {}
-    suite = args.suite
-    if suite == "thm1":
-        if args.t_max is not None:
-            overrides["t_max"] = args.t_max
-        if args.n_max is not None:
-            overrides["n_max"] = args.n_max
-    elif suite == "ramanujan":
-        if args.k_max is not None:
-            overrides["k_max"] = args.k_max
-        if args.t_max is not None:
-            overrides["t_max"] = args.t_max
-        if args.n_max is not None:
-            overrides["n_max"] = args.n_max
-    elif suite == "thm3":
-        if args.t_max is not None:
-            overrides["t_values"] = tuple(t for t in (1, 2, 3, 5, 7) if t <= args.t_max)
-        if args.n_max is not None:
-            overrides["n_max"] = args.n_max
-    elif suite == "thm6":
-        if args.n_max is not None:
-            overrides["n_max_conditional"] = args.n_max
-    elif suite == "section1":
-        if args.n_max is not None:
-            overrides["n_max"] = args.n_max
-    elif suite in ("thm2", "parity", "thm5", "thm11", "cor1", "thm12", "thm13", "thm14", "final"):
-        if args.n_max is not None:
-            overrides["n_max"] = args.n_max
-    return overrides
-
-
 def _emit_reports(pairs: Iterable[tuple[str, VerificationReport]], fmt: str) -> int:
     all_passed = True
     pairs = list(pairs)
@@ -181,19 +149,20 @@ def cmd_verify(args) -> int:
         n_max = args.n_max if args.n_max is not None else 100
         report = check_progression(spec, n_max, trunc=args.trunc)
         return _emit_reports([("progression", report)], args.format)
+    bounds = {
+        key: getattr(args, key)
+        for key in ("n_max", "t_max", "k_max")
+        if getattr(args, key) is not None
+    }
     if args.suite == "all":
-        _require_trunc(1000, args.trunc)  # largest series order the default run builds
+        if bounds:
+            raise MexpartsError("verify all runs every suite at its default bounds; it takes no bound flags")
+        _require_trunc(max(series_order(name) for name in SUITE_NAMES), args.trunc)
         results = run_all()
         pairs = [(suite, report) for suite, reports in results.items() for report in reports]
         return _emit_reports(pairs, args.format)
-    # series-backed sweeps respect the truncation cap up front
-    if args.suite == "parity":
-        _require_trunc(args.n_max if args.n_max is not None else 1000, args.trunc)
-    elif args.suite == "thm3":
-        _require_trunc(args.n_max if args.n_max is not None else 500, args.trunc)
-    elif args.suite == "thm6":
-        _require_trunc(500, args.trunc)  # the mod-8 sweeps read series coefficients to 500
-    reports = run_suite(args.suite, **_suite_overrides(args))
+    _require_trunc(series_order(args.suite, **bounds), args.trunc)
+    reports = run_suite(args.suite, **bounds)
     return _emit_reports([(args.suite, r) for r in reports], args.format)
 
 

@@ -573,7 +573,7 @@ def family_catalog(family_id: str, **params) -> list[ProgressionSpec]:
 # parity checkers
 # ---------------------------------------------------------------------------
 
-def check_parity_characterization(which: str, n_max: int, trunc: int | None = None) -> VerificationReport:
+def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
     """Parity of the (1,1) or (3,3) function, and of the matching singular
     overpartition family, against its representation predicate:
 
@@ -586,10 +586,6 @@ def check_parity_characterization(which: str, n_max: int, trunc: int | None = No
         raise ValueError("which must be 'p11' or 'p33'")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if trunc is not None and n_max > trunc:
-        raise TruncationTooSmall(
-            f"parity sweep needs coefficient {n_max} but the series order is capped at {trunc}"
-        )
     if which == "p11":
         t, k, i, predicate = 1, 4, 1, is_k3km1
         predicate_name = "n = k(3k-1), k in Z"
@@ -652,17 +648,13 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
     return report
 
 
-def check_parity_bridge(t: int, n_max: int, trunc: int | None = None) -> VerificationReport:
+def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
     """Coefficient-wise mod-2 equality of the (t,t) series and the C(4t,t)
     singular overpartition series over [0, n_max]."""
     if t < 1:
         raise ValueError("t must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if trunc is not None and n_max > trunc:
-        raise TruncationTooSmall(
-            f"bridge sweep needs coefficient {n_max} but the series order is capped at {trunc}"
-        )
     left = genfun_p_tt(t, n_max)
     right = genfun_singular(SingularParams(4 * t, t), n_max)
     report = VerificationReport(

@@ -1,9 +1,19 @@
 """Named verification suites: each bundles the sweeps for one family of
 claims at desk scale.  The CLI's ``verify`` command and the acceptance tests
-both run these, so the bounds here are the authoritative defaults.
+both run these, so this module is the one place that knows each suite's
+bounds.
+
+``_SUITES`` maps a suite name to a plain function.  Its keyword parameters
+are exactly the bounds a caller may set (``n_max``, ``t_max``, ``k_max``),
+and their defaults are the acceptance-scale defaults; every other setting
+is a module constant.  ``suite_bounds`` validates overrides against that
+signature, and ``series_order`` gives the largest series order a run at
+those bounds builds, so the CLI checks ``--trunc`` before any work starts.
 """
 
 from __future__ import annotations
+
+import inspect
 
 from .congruences import (
     ProgressionSpec,
@@ -29,16 +39,42 @@ from .reports import VerificationReport
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_all", "ARG_CAP"]
+__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds", "series_order", "ARG_CAP"]
 
 ARG_CAP = 50_000  # keep progression arguments at desk scale
 
+ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
+N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis
+BRIDGE_T_VALUES = (1, 2, 3, 5, 7)  # thm3: t swept by the parity bridge, up to t_max
+ETA_T, ETA_ORDER = (1, 3), 300  # thm3: the mod-2 eta-form checks
+N_MAX_PART1 = 120  # thm6: the unconditional mod-16 progressions
+MOD8_ARG_MAX = 500  # thm6: largest C(12,3) argument of the mod-8 sweeps
+COR1_PRIME = smallest_prime_with_symbol(-2)  # 5
+THM13_PRIME = smallest_prime_with_symbol(-10)  # 17
+FINAL_PRIME = smallest_prime_with_symbol(-21)  # 13
+P77_ROWS = ({"r": 3}, {"r": 4}, {"r": 6}, {"s": 2}, {"s": 4}, {"s": 5})  # thm14
+P77_BRANCHES = (  # final
+    {"branch": 1, "r": 3}, {"branch": 1, "r": 4}, {"branch": 1, "r": 6},
+    {"branch": 2, "s": 2}, {"branch": 2, "s": 4}, {"branch": 2, "s": 5},
+    {"branch": 3},
+)
 
-def suite_thm1(t_max: int = 7, n_max: int = 500, oracle_n_max: int = 40) -> list[VerificationReport]:
+
+def _progressions(family: str, grid, n_max: int) -> list[VerificationReport]:
+    """One capped sweep per claim of ``family`` at each parameter set of
+    ``grid``, in grid order."""
+    return [
+        check_progression(spec, n_max, arg_cap=ARG_CAP)
+        for params in grid
+        for spec in family_catalog(family, **params)
+    ]
+
+
+def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     """Three-way agreement for both closed identities: enumeration oracle,
     partition-number identity, and series coefficients."""
     reports = []
-    oracle_n = min(oracle_n_max, n_max)
+    oracle_n = min(ORACLE_N_MAX, n_max)
     # one enumeration per n serves every t: slot 2(t-1) holds p_{t,t}(n),
     # slot 2(t-1)+1 holds p_{2t,t}(n)
     params = [MexParams(A, t) for t in range(1, t_max + 1) for A in (t, 2 * t)]
@@ -69,31 +105,24 @@ def suite_thm1(t_max: int = 7, n_max: int = 500, oracle_n_max: int = 40) -> list
     return reports
 
 
-def suite_thm2(n_hypothesis: int = 300, n_max: int = 100, t_values=(1, 2, 3)) -> list[VerificationReport]:
+def suite_thm2(n_max: int = 100) -> list[VerificationReport]:
     """Congruence transfer: verify the ordinary-partition hypothesis, then its
     two family conclusions, for each classical progression."""
     reports = []
     for a, b, m in ((5, 4, 5), (7, 5, 7), (11, 6, 11), (25, 24, 25)):
-        reports.append(check_progression(ProgressionSpec("p", a, b, m), n_hypothesis))
-        for t in t_values:
-            for spec in family_catalog("thm2", a=a, b=b, m=m, t=t):
-                reports.append(check_progression(spec, n_max))
+        reports.append(check_progression(ProgressionSpec("p", a, b, m), N_HYPOTHESIS, arg_cap=ARG_CAP))
+        reports += _progressions("thm2", [dict(a=a, b=b, m=m, t=t) for t in (1, 2, 3)], n_max)
     return reports
 
 
 def suite_ramanujan(k_max: int = 2, t_max: int = 2, n_max: int = 200) -> list[VerificationReport]:
-    reports = []
-    for p in (5, 7, 11):
-        for k in range(1, k_max + 1):
-            for t in range(1, t_max + 1):
-                for spec in family_catalog("ramanujan", p=p, k=k, t=t):
-                    reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
+    grid = [dict(p=p, k=k, t=t) for p in (5, 7, 11) for k in range(1, k_max + 1) for t in range(1, t_max + 1)]
+    return _progressions("ramanujan", grid, n_max)
 
 
-def suite_thm3(t_values=(1, 2, 3, 5, 7), n_max: int = 500, eta_t=(1, 3), eta_order: int = 300) -> list[VerificationReport]:
-    reports = [check_parity_bridge(t, n_max) for t in t_values]
-    reports += [eta_form_mod2_report(t, eta_order) for t in eta_t]
+def suite_thm3(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
+    reports = [check_parity_bridge(t, n_max) for t in BRIDGE_T_VALUES if t <= t_max]
+    reports += [eta_form_mod2_report(t, ETA_ORDER) for t in ETA_T]
     return reports
 
 
@@ -108,93 +137,51 @@ def suite_section1(n_max: int = 35) -> list[VerificationReport]:
     return [verify_section1_identities(n_max)]
 
 
-def suite_thm5(primes=(5, 7, 11), k_values=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    reports = []
-    for p in primes:
-        for k in k_values:
-            for spec in family_catalog("thm5", p=p, k=k):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
+def suite_thm5(n_max: int = 100) -> list[VerificationReport]:
+    return _progressions("thm5", [dict(p=p, k=k) for p in (5, 7, 11) for k in (0, 1)], n_max)
+
+
+def suite_thm11(n_max: int = 100) -> list[VerificationReport]:
+    grid = [dict(p=7, alpha=alpha, j=j) for alpha in (0, 1) for j in range(1, 7)]
+    return _progressions("thm11", grid, n_max)
+
+
+def suite_thm6(n_max: int = 60) -> list[VerificationReport]:
+    """``n_max`` bounds the two conditional sweeps; the mod-16 progressions
+    and the mod-8 singular sweeps run at fixed bounds."""
+    reports = _progressions("thm6", [{}], N_MAX_PART1)
+    reports.append(check_conditional_parity("thm6_part2", n_max))
+    reports.append(check_conditional_parity("thm6_part3", n_max))
+    reports += check_singular_mod8(MOD8_ARG_MAX)
     return reports
 
 
-def suite_thm11(p: int = 7, alphas=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    reports = []
-    for alpha in alphas:
-        for j in range(1, p):
-            for spec in family_catalog("thm11", p=p, alpha=alpha, j=j):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
+def suite_cor1(n_max: int = 100) -> list[VerificationReport]:
+    grid = [dict(p=7, alpha=0, branch=1), dict(p=COR1_PRIME, alpha=0, branch=2)]
+    return _progressions("cor1", grid, n_max)
 
 
-def suite_thm6(n_max_part1: int = 120, n_max_conditional: int = 60, mod8_arg_max: int = 500) -> list[VerificationReport]:
-    reports = [
-        check_progression(spec, n_max_part1, arg_cap=ARG_CAP)
-        for spec in family_catalog("thm6")
+def suite_thm12(n_max: int = 100) -> list[VerificationReport]:
+    return _progressions("thm12", [dict(alpha=a, row=r) for a in (0, 1) for r in (1, 2, 3, 4)], n_max)
+
+
+def suite_thm13(n_max: int = 100) -> list[VerificationReport]:
+    grid = [dict(p=THM13_PRIME, alpha=a, j=j) for a in (0, 1) for j in range(1, THM13_PRIME)]
+    return _progressions("thm13", grid, n_max)
+
+
+def suite_thm14(n_max: int = 100) -> list[VerificationReport]:
+    return _progressions("thm14", [dict(alpha=a, **rs) for a in (0, 1) for rs in P77_ROWS], n_max)
+
+
+def suite_final(n_max: int = 100) -> list[VerificationReport]:
+    grid = [
+        dict(p=FINAL_PRIME, alpha=a, beta=b, **branch)
+        for a in (0, 1)
+        for b in (0, 1)
+        for branch in P77_BRANCHES
     ]
-    reports.append(check_conditional_parity("thm6_part2", n_max_conditional))
-    reports.append(check_conditional_parity("thm6_part3", n_max_conditional))
-    reports += check_singular_mod8(mod8_arg_max)
-    return reports
-
-
-def suite_cor1(alphas=(0,), n_max: int = 100) -> list[VerificationReport]:
-    reports = []
-    p_branch2 = smallest_prime_with_symbol(-2)
-    for alpha in alphas:
-        for spec in family_catalog("cor1", p=7, alpha=alpha, branch=1):
-            reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-        for spec in family_catalog("cor1", p=p_branch2, alpha=alpha, branch=2):
-            reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
-
-
-def suite_thm12(alphas=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    reports = []
-    for alpha in alphas:
-        for row in (1, 2, 3, 4):
-            for spec in family_catalog("thm12", alpha=alpha, row=row):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
-
-
-def suite_thm13(p: int | None = None, alphas=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    if p is None:
-        p = smallest_prime_with_symbol(-10)
-    reports = []
-    for alpha in alphas:
-        for j in range(1, p):
-            for spec in family_catalog("thm13", p=p, alpha=alpha, j=j):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
-
-
-def suite_thm14(alphas=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    reports = []
-    for alpha in alphas:
-        for r in (3, 4, 6):
-            for spec in family_catalog("thm14", alpha=alpha, r=r):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-        for s in (2, 4, 5):
-            for spec in family_catalog("thm14", alpha=alpha, s=s):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
-
-
-def suite_final(p: int | None = None, alphas=(0, 1), betas=(0, 1), n_max: int = 100) -> list[VerificationReport]:
-    if p is None:
-        p = smallest_prime_with_symbol(-21)
-    reports = []
-    for alpha in alphas:
-        for beta in betas:
-            for r in (3, 4, 6):
-                for spec in family_catalog("final", p=p, alpha=alpha, beta=beta, branch=1, r=r):
-                    reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-            for s in (2, 4, 5):
-                for spec in family_catalog("final", p=p, alpha=alpha, beta=beta, branch=2, s=s):
-                    reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-            for spec in family_catalog("final", p=p, alpha=alpha, beta=beta, branch=3):
-                reports.append(check_progression(spec, n_max, arg_cap=ARG_CAP))
-    return reports
+    return _progressions("final", grid, n_max)
 
 
 def worked_examples_report() -> VerificationReport:
@@ -235,11 +222,48 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# largest series order a suite builds at the given bounds; the suites not
+# listed build none (their sweeps read the p(n) table)
+_SERIES_ORDER = {
+    "thm1": lambda t_max, n_max: n_max,
+    "thm3": lambda t_max, n_max: max(n_max, ETA_ORDER),
+    "parity": lambda n_max: n_max,
+    "thm6": lambda n_max: MOD8_ARG_MAX,
+}
 
-def run_suite(name: str, **overrides) -> list[VerificationReport]:
+
+def suite_bounds(name: str, **overrides: int) -> dict[str, int]:
+    """The bounds a run of suite ``name`` uses: its defaults with ``overrides``
+    merged in.  Raises ``ValueError`` for an unknown suite, a bound the suite
+    does not take, ``t_max`` or ``k_max`` below 1 and ``n_max`` below 0."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](**overrides)
+    # read at call time, through any wrapper's __wrapped__
+    params = inspect.signature(_SUITES[name]).parameters.values()
+    bounds = {p.name: p.default for p in params}
+    extra = sorted(set(overrides) - set(bounds))
+    if extra:
+        allowed = ", ".join(f"{key} (default {value})" for key, value in bounds.items())
+        raise ValueError(f"suite {name!r} takes only {allowed}; not {', '.join(extra)}")
+    bounds.update(overrides)
+    for key, value in bounds.items():
+        least = 0 if key == "n_max" else 1
+        if value < least:
+            raise ValueError(f"suite {name!r} needs {key} >= {least} (got {value})")
+    return bounds
+
+
+def series_order(name: str, **overrides: int) -> int:
+    """Largest truncation order of any series suite ``name`` builds at these
+    bounds; 0 when it builds none."""
+    bounds = suite_bounds(name, **overrides)
+    order = _SERIES_ORDER.get(name)
+    return order(**bounds) if order else 0
+
+
+def run_suite(name: str, **overrides: int) -> list[VerificationReport]:
+    bounds = suite_bounds(name, **overrides)  # before the lookup: an unknown name is a ValueError
+    return _SUITES[name](**bounds)
 
 
 def run_all() -> dict[str, list[VerificationReport]]:

@@ -164,6 +164,25 @@ class TestVerify:
         assert code == 2
         assert "trunc" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["thm1", "--n-max", "2500"], "series order 2500"),
+            (["thm3", "--n-max", "100", "--trunc", "200"], "series order 300"),
+            (["all", "--trunc", "999"], "series order 1000"),
+            (["ramanujan", "--k-max", "0"], "k_max >= 1"),
+            (["thm1", "--t-max", "0"], "t_max >= 1"),
+            (["thm12", "--t-max", "3"], "takes only n_max (default 100)"),
+            (["all", "--n-max", "50"], "default bounds"),
+        ],
+    )
+    def test_bad_suite_arguments_fail_fast(self, capsys, argv, message):
+        code, out, err, elapsed = run_cli_timed(capsys, "verify", *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert elapsed < 1.0
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")
         _, second, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")

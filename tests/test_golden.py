@@ -33,6 +33,19 @@ GOLDEN = Path(__file__).parent / "golden"
             ["compute", "singular", "--k", "4", "--i", "2", "--n-max", "300"],
         ),
         ("compute_p_2tt_t2_n600.jsonl", ["compute", "p_2tt", "--t", "2", "--n-max", "600"]),
+        ("compute_p_n300.jsonl", ["compute", "p", "--n-max", "300"]),
+        ("compute_p_tt_t3_n300.jsonl", ["compute", "p_tt", "--t", "3", "--n-max", "300"]),
+        (
+            "verify_ramanujan_k1_t1_n50.jsonl",
+            ["verify", "ramanujan", "--k-max", "1", "--t-max", "1", "--n-max", "50"],
+        ),
+        (
+            "verify_thm3_t3_n200.csv",
+            ["verify", "thm3", "--t-max", "3", "--n-max", "200", "--format", "csv"],
+        ),
+        ("verify_thm6_n30.csv", ["verify", "thm6", "--n-max", "30", "--format", "csv"]),
+        ("verify_thm1_t2_n100.jsonl", ["verify", "thm1", "--t-max", "2", "--n-max", "100"]),
+        ("verify_final_n20.jsonl", ["verify", "final", "--n-max", "20"]),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):
