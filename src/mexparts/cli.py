@@ -103,13 +103,16 @@ def _params_csv(params: dict) -> str:
 
 def cmd_compute(args) -> int:
     name, params, rows = _compute_rows(args)
+    # one writelines call over a generator: a row per write, never the whole
+    # output in one string
+    out = sys.stdout
     if args.format == "json":
-        for n, value in rows:
-            print(json.dumps({"function": name, "params": params, "n": n, "value": str(value)}))
+        head = json.dumps({"function": name, "params": params})[:-1]
+        out.writelines(f'{head}, "n": {n}, "value": "{value}"}}\n' for n, value in rows)
     else:
-        print("function,params,n,value")
-        for n, value in rows:
-            print(f"{name},{_params_csv(params)},{n},{value}")
+        head = f"{name},{_params_csv(params)}"
+        out.write("function,params,n,value\n")
+        out.writelines(f"{head},{n},{value}\n" for n, value in rows)
     return 0
 
 
@@ -134,26 +137,38 @@ def _emit_reports(pairs: Iterable[tuple[str, VerificationReport]], fmt: str) -> 
     return 0 if all_passed else 1
 
 
+# the flags of `verify progression` with their defaults; the parser leaves
+# them None, so a flag given to any other suite can be told from an unset one
+_PROGRESSION_DEFAULTS = {
+    "function": "p",
+    "step": 1,
+    "offset": 0,
+    "modulus": 2,
+    "t": None,
+    "k": None,
+    "i": None,
+    "exclude_prime": None,
+}
+
+
+def _given(args, keys: Iterable[str]) -> dict:
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _reject_flags(suite: str, given: dict) -> None:
+    if given:
+        flags = ", ".join("--" + key.replace("_", "-") for key in given)
+        raise MexpartsError(f"verify {suite} does not take {flags}")
+
+
 def cmd_verify(args) -> int:
+    bounds = _given(args, ("n_max", "t_max", "k_max"))
     if args.suite == "progression":
-        spec = ProgressionSpec(
-            function=args.function,
-            step=args.step,
-            offset=args.offset,
-            modulus=args.modulus,
-            t=args.t,
-            k=args.k,
-            i=args.i,
-            exclude_prime=args.exclude_prime,
-        )
-        n_max = args.n_max if args.n_max is not None else 100
-        report = check_progression(spec, n_max, trunc=args.trunc)
+        _reject_flags("progression", _given(args, ("t_max", "k_max")))
+        spec = ProgressionSpec(**{**_PROGRESSION_DEFAULTS, **_given(args, _PROGRESSION_DEFAULTS)})
+        report = check_progression(spec, bounds.get("n_max", 100), trunc=args.trunc)
         return _emit_reports([("progression", report)], args.format)
-    bounds = {
-        key: getattr(args, key)
-        for key in ("n_max", "t_max", "k_max")
-        if getattr(args, key) is not None
-    }
+    _reject_flags(args.suite, _given(args, _PROGRESSION_DEFAULTS))
     if args.suite == "all":
         if bounds:
             raise MexpartsError("verify all runs every suite at its default bounds; it takes no bound flags")
@@ -269,14 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--t-max", type=int, default=None)
     p_verify.add_argument("--k-max", type=int, default=None)
-    p_verify.add_argument("--function", choices=("p", "p_tt", "p_2tt", "singular"), default="p")
-    p_verify.add_argument("--t", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--i", type=int, default=None)
-    p_verify.add_argument("--step", type=int, default=1, help="progression step a")
-    p_verify.add_argument("--offset", type=int, default=0, help="progression offset b")
-    p_verify.add_argument("--modulus", type=int, default=2, help="progression modulus m")
-    p_verify.add_argument("--exclude-prime", type=int, default=None)
+    # progression flags: default None, the defaults live in _PROGRESSION_DEFAULTS
+    p_verify.add_argument(
+        "--function",
+        choices=("p", "p_tt", "p_2tt", "singular"),
+        help="progression function (default p)",
+    )
+    p_verify.add_argument("--t", type=int)
+    p_verify.add_argument("--k", type=int)
+    p_verify.add_argument("--i", type=int)
+    p_verify.add_argument("--step", type=int, help="progression step a (default 1)")
+    p_verify.add_argument("--offset", type=int, help="progression offset b (default 0)")
+    p_verify.add_argument("--modulus", type=int, help="progression modulus m (default 2)")
+    p_verify.add_argument("--exclude-prime", type=int)
     p_verify.set_defaults(run=cmd_verify)
 
     p_oracle = sub.add_parser(

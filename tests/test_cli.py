@@ -183,6 +183,41 @@ class TestVerify:
         assert out == ""
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a progression flag given to a named suite or to all, even at
+            # its progression default, is an error, never silently dropped
+            (["thm12", "--t", "3", "--step", "7", "--n-max", "5"], "thm12 does not take --step, --t"),
+            (["thm5", "--function", "p"], "thm5 does not take --function"),
+            (["thm5", "--step", "1"], "thm5 does not take --step"),
+            (["thm5", "--offset", "0"], "thm5 does not take --offset"),
+            (["thm5", "--modulus", "2"], "thm5 does not take --modulus"),
+            (["thm1", "--t", "2"], "thm1 does not take --t"),
+            (["ramanujan", "--k", "1"], "ramanujan does not take --k"),
+            (["thm6", "--i", "1"], "thm6 does not take --i"),
+            (["final", "--exclude-prime", "5"], "final does not take --exclude-prime"),
+            (["all", "--function", "p_tt", "--t", "3"], "all does not take --function, --t"),
+            # and a suite bound given to progression
+            (["progression", "--t-max", "0", "--k-max", "0"], "does not take --t-max, --k-max"),
+            (["progression", "--t-max", "1"], "progression does not take --t-max"),
+            (["progression", "--k-max", "2", "--n-max", "10"], "progression does not take --k-max"),
+        ],
+    )
+    def test_flags_of_the_other_kind_of_verify_fail_fast(self, capsys, argv, message):
+        code, out, err, elapsed = run_cli_timed(capsys, "verify", *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert elapsed < 1.0
+
+    def test_progression_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "progression", "--n-max", "3")
+        assert code == 1  # p(n) is not always even
+        (row,) = json_lines(out)
+        assert row["spec"] == {"function": "p", "step": 1, "offset": 0, "modulus": 2}
+        assert row["checked"] == 4
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")
         _, second, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")

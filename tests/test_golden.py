@@ -46,6 +46,16 @@ GOLDEN = Path(__file__).parent / "golden"
         ("verify_thm6_n30.csv", ["verify", "thm6", "--n-max", "30", "--format", "csv"]),
         ("verify_thm1_t2_n100.jsonl", ["verify", "thm1", "--t-max", "2", "--n-max", "100"]),
         ("verify_final_n20.jsonl", ["verify", "final", "--n-max", "20"]),
+        (
+            # past the first block of the p(n) table, through the CSV writer
+            "compute_p_n2500.csv",
+            ["compute", "p", "--n-max", "2500", "--format", "csv"],
+        ),
+        (
+            # one convolution over a table just grown past a block edge
+            "compute_singular_k3_i1_n2100.jsonl",
+            ["compute", "singular", "--k", "3", "--i", "1", "--n-max", "2100", "--trunc", "2100"],
+        ),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):

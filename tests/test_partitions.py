@@ -78,20 +78,75 @@ class TestPartitionCount:
             partition_generating_series.cache_clear()
 
 
-    def test_table_growth_returns_to_the_doubling_grid(self, monkeypatch):
-        # an exact-size request must not shift later doublings off the
-        # lengths 2^j - 1, or a sweep to 50 000 would build ~98 000 entries
-        monkeypatch.setattr(partitions, "_p_table", [1])
-        partition_convolution([(0, 1)], 4)
-        assert len(partitions._p_table) == 5
-        lengths = set()
-        for n in range(41):
+def scalar_p_table(limit):
+    """p(0..limit) by Euler's recurrence one n at a time, the route the block
+    kernel replaced: p(n) = sum_{m >= 1} (-1)^(m+1) (p(n - m(3m-1)/2) + p(n - m(3m+1)/2))."""
+    lags = []
+    m = 1
+    while m * (3 * m - 1) // 2 <= limit:
+        sign = 1 if m % 2 else -1
+        lags += [(m * (3 * m - 1) // 2, sign), (m * (3 * m + 1) // 2, sign)]
+        m += 1
+    table = [1]
+    for n in range(1, limit + 1):
+        table.append(sum(sign * table[n - e] for e, sign in lags if e <= n))
+    return table
+
+
+SCALAR_REFERENCE = scalar_p_table(12_000)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    table = [1]  # growth appends to this list in place
+    monkeypatch.setattr(partitions, "_p_table", table)
+    return table
+
+
+class TestBlockKernel:
+    def test_table_matches_the_scalar_recurrence(self, fresh_table):
+        # 12 000 crosses five block boundaries and ends in a short block
+        assert 12_000 % partitions._P_TABLE_BLOCK != 0
+        partition_count(12_000)
+        assert fresh_table == SCALAR_REFERENCE
+
+    @pytest.mark.parametrize("order", [2047, 2048, 2049])
+    def test_table_matches_series_inversion_at_the_block_edge(self, fresh_table, order):
+        assert partition_convolution([(0, 1)], order) == partition_generating_series(order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(1, 9),
+        requests=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+    )
+    def test_any_request_sequence_gives_the_same_table(self, block, requests):
+        # small blocks put short lags, lag == block length and lags past n
+        # on many block edges; each growth adds at least one block or meets
+        # a larger request exactly
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_p_table", [1])
+            mp.setattr(partitions, "_P_TABLE_BLOCK", block)
+            for needed in requests:
+                before = len(partitions._p_table)
+                partition_count(needed)
+                after = len(partitions._p_table)
+                assert after == (before if needed < before else max(needed + 1, before + block))
+                assert partitions._p_table == SCALAR_REFERENCE[:after]
+
+    def test_growth_adds_blocks_and_meets_larger_requests_exactly(self, fresh_table):
+        block = partitions._P_TABLE_BLOCK
+        lengths = [1]
+        for n in (*range(0, 49_978, 1009), 49_978):
             partition_count(n)
-            lengths.add(len(partitions._p_table))
-        assert lengths == {5, 15, 31, 63}
-        partition_count(1000)
-        assert len(partitions._p_table) == 1001
-        assert tuple(partitions._p_table[:64]) == partition_generating_series(63).coeffs
+            if len(fresh_table) != lengths[-1]:
+                lengths.append(len(fresh_table))
+        assert all(b - a >= block for a, b in zip(lengths, lengths[1:]))
+        # sweeps reaching 49 978 stop within one block of it, not at 65 535
+        assert 49_978 < len(fresh_table) <= 49_978 + block
+
+    def test_exact_request_from_a_fresh_table(self, fresh_table):
+        partition_convolution([(0, 1)], 5000)
+        assert len(fresh_table) == 5001
 
 
 class TestPartitionConvolution:
