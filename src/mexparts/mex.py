@@ -5,7 +5,9 @@ congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)`` counts
 partitions of n whose mex lands in the residue a (mod 2A); the enumeration
 oracle computes it definitionally for any (A, a).  ``mex_counts_oracle``
 tallies any number of (A, a) in one pass over the partitions of n, and
-``mex_count_oracle`` is its one-parameter case.  The (t, t) and (2t, t)
+``mex_count_oracle`` is its one-parameter case.  The pass reads the mex
+from the multiplicity walk of ``partitions``; the tests check it against
+``enumerate_partitions``, a separate enumerator.  The (t, t) and (2t, t)
 families also have a generating-function route and a closed expression in
 ordinary partition numbers:
 
@@ -25,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded
-from .partitions import Partition, enumerate_partitions, partition_count, partition_generating_series
+from .partitions import Partition, _walk_multiplicities, partition_count, partition_generating_series
 from .series import TruncatedSeries, alternating_squares, alternating_triangular
 
 __all__ = [
@@ -68,7 +70,7 @@ def mex_of(partition: Partition, params: MexParams) -> int:
 
 def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...]:
     """For each (A, a) in ``params_seq``, count partitions of n with
-    mex == a (mod 2A), in one enumeration of the partitions of n.
+    mex == a (mod 2A), in one walk over the partitions of n.
 
     Exponential in n; refuses n beyond the documented bound before
     enumerating anything rather than silently grinding.
@@ -82,11 +84,10 @@ def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...
     # 1 <= a <= A, so a is already the least residue of a (mod 2A)
     slots = [(j, p.A, p.a, 2 * p.A) for j, p in enumerate(params_seq)]
     tally = [0] * len(slots)
-    for lam in enumerate_partitions(n):
-        present = set(lam.parts)
+    for mult in _walk_multiplicities(n, range(1, n + 1)):
         for j, A, a, period in slots:
             v = a
-            while v in present:
+            while v <= n and mult[v]:
                 v += A
             if v % period == a:
                 tally[j] += 1

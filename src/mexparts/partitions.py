@@ -11,9 +11,11 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
 sum c * p(n - e).  ``partition_generating_series`` stays the independent
 product-inversion route, so tests that compare it with the table compare
-two sources of p(n).  ``enumerate_partitions``
-is the ground-truth oracle used by the mex and overpartition counters; it
-yields every partition of n exactly once in decreasing lexicographic order.
+two sources of p(n).  The mex and singular oracles visit each partition of
+n once through ``_walk_multiplicities``, which yields one shared list of
+part multiplicities, so they build no tuple or set per partition.
+``enumerate_partitions`` stays the independent reference route that checks
+them; it yields every partition of n once in decreasing lexicographic order.
 It runs Zoghbi and Stojmenovic's ZS1 algorithm (A. Zoghbi, I. Stojmenovic,
 "Fast algorithms for generating integer partitions", Int. J. Comput. Math.
 70, 1998): the parts live in one preallocated list whose tail is all 1's,
@@ -140,14 +142,15 @@ def _grow_p_table(needed: int) -> None:
     # shorter lag reads table[-e] = p(n - e) per n as the table grows.  A
     # block is never longer than n0, so every shorter lag is at most n and
     # blocks ramp up 1, 1, 2, 4, ... to the full length in a fresh table.
-    # Each growth adds at least _P_TABLE_BLOCK entries, and a larger request
-    # is met exactly.
+    # A first request is met exactly; later growths add at least
+    # min(len - 1, _P_TABLE_BLOCK) entries, ramping the length 2^j + 1 onto
+    # the grid 1 + m * _P_TABLE_BLOCK; a larger request is met exactly.
     with _table_lock:
         table = _p_table
         if needed < len(table):
             return
         block = _P_TABLE_BLOCK
-        target = max(needed, len(table) + block - 1)
+        target = max(needed, len(table) + min(block, len(table) - 1) - 1)
         support = _euler_support(target)
         get = table.__getitem__
         while (n0 := len(table)) <= target:
@@ -268,6 +271,42 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
                     h += 1
                     x[h] = rest
         yield new(tuple(x[:m]), n)
+
+
+def _walk_multiplicities(n: int, sizes: Iterable[int]) -> Iterator[list[int]]:
+    # every partition of n with parts in sizes (1 among them) exactly once, as
+    # one shared list mult, mult[v] the multiplicity of v, changed in place
+    # between yields: depth first over the parts above 1 in non-increasing
+    # order with total at most n, and the rest of n is the multiplicity of 1
+    big = sorted({v for v in sizes if 1 < v <= n}, reverse=True) or [n + 1]  # n + 1 never fits
+    fits = [sum(v > rest for v in big) for rest in range(n + 1)]  # first big[j] <= rest
+    last, least = len(big) - 1, big[-1]
+    mult = [0] * (n + 2)  # mult[1] exists for n = 0 too
+    mult[1] = rest = n
+    stack, j = [], 0  # the indices into big of the parts above the least, non-decreasing
+    yield mult
+    while True:
+        if fits[rest] > j:
+            j = fits[rest]
+        if j < last:  # descend by the largest part that fits
+            stack.append(j)
+            mult[big[j]] += 1
+            rest -= big[j]
+            mult[1] = rest
+            yield mult
+            continue
+        if j == last:  # nothing goes after the least part: add it while it fits
+            for c in range(1, rest // least + 1):
+                mult[least] = c
+                mult[1] = rest - c * least
+                yield mult
+            mult[least] = 0
+        if not stack:
+            return
+        j = stack.pop()  # back up to the next smaller part at the deepest level
+        mult[big[j]] -= 1
+        rest += big[j]
+        j += 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,18 @@ factors coincide on the same residue class and the product squares: a value
 occurring once contributes 1 + 2 = 3 (plain, or overlined via either
 factor), and a value occurring at least twice contributes 4 (additionally
 both overline slots used on two copies).  Divisibility by k is a property
-of the underlying value, overlined or not.
+of the underlying value, overlined or not, so the oracle walks only the
+partitions with no part divisible by k, on the multiplicity walk of
+``partitions``; the tests check it against ``enumerate_partitions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InvalidSingularParams, OracleBoundExceeded
-from .partitions import enumerate_partitions, partition_convolution
+from .partitions import _walk_multiplicities, partition_convolution
 from .series import TruncatedSeries, theta_support
 
 __all__ = [
@@ -62,7 +65,7 @@ class SingularParams:
 
 
 def singular_overpartition_oracle(n: int, params: SingularParams) -> int:
-    """Count singular overpartitions of n by enumerating underlying partitions."""
+    """Count singular overpartitions of n by visiting each underlying partition."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > SINGULAR_ORACLE_BOUND:
@@ -70,26 +73,12 @@ def singular_overpartition_oracle(n: int, params: SingularParams) -> int:
             f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
         )
     k = params.k
-    residues = params.overline_residues
-    doubled = params.self_paired
+    overlineable = [v for v in range(1, n + 1) if v % k in params.overline_residues]
+    # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
+    factor = [1, 3] + [4] * n if params.self_paired else [1] + [2] * n
     total = 0
-    for lam in enumerate_partitions(n):
-        if any(v % k == 0 for v in lam.parts):
-            continue
-        weight = 1
-        if doubled:
-            seen_once = set()
-            seen_twice = set()
-            for v in lam.parts:
-                if v % k in residues:
-                    if v in seen_once:
-                        seen_twice.add(v)
-                    seen_once.add(v)
-            weight = 3 ** (len(seen_once) - len(seen_twice)) * 4 ** len(seen_twice)
-        else:
-            distinct = {v for v in lam.parts if v % k in residues}
-            weight = 2 ** len(distinct)
-        total += weight
+    for mult in _walk_multiplicities(n, [v for v in range(1, n + 1) if v % k]):
+        total += prod(map(factor.__getitem__, map(mult.__getitem__, overlineable)))
     return total
 
 

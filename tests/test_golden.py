@@ -56,6 +56,23 @@ GOLDEN = Path(__file__).parent / "golden"
             "compute_singular_k3_i1_n2100.jsonl",
             ["compute", "singular", "--k", "3", "--i", "1", "--n-max", "2100", "--trunc", "2100"],
         ),
+        (
+            "oracle_check_p_tt_t2_n45.jsonl",
+            ["oracle-check", "--function", "p_tt", "--t", "2", "--n-max", "45", "--trunc", "60"],
+        ),
+        (
+            "oracle_check_p_2tt_t1_n40.jsonl",
+            ["oracle-check", "--function", "p_2tt", "--t", "1", "--n-max", "40", "--trunc", "60"],
+        ),
+        (
+            # the singular oracle in the self-paired case k = 2i
+            "oracle_check_singular_k6_i3_n40.jsonl",
+            ["oracle-check", "--function", "singular", "--k", "6", "--i", "3", "--n-max", "40"],
+        ),
+        (
+            "compute_C_ki_oracle_k7_i2_n35.csv",
+            ["compute", "C_ki_oracle", "--k", "7", "--i", "2", "--n-max", "35", "--format", "csv"],
+        ),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexparts import partitions
 from mexparts.errors import OracleBoundExceeded
 from mexparts.mex import (
     MexParams,
@@ -87,15 +88,30 @@ def count_by_definition(n, params):
     return sum(1 for lam in enumerate_partitions(n) if mex(lam.parts) % (2 * A) == a % (2 * A))
 
 
+def reference_mex_counts(n, params_seq):
+    """Reference route for mex_counts_oracle: one set of parts per partition
+    from the ZS1 enumeration, not the multiplicity walk."""
+    tally = [0] * len(params_seq)
+    for lam in enumerate_partitions(n):
+        present = set(lam.parts)
+        for j, p in enumerate(params_seq):
+            v = p.a
+            while v in present:
+                v += p.A
+            if v % (2 * p.A) == p.a:
+                tally[j] += 1
+    return tuple(tally)
+
+
 class TestMultiOracle:
     def test_empty_parameter_list(self):
         assert mex_counts_oracle(7, []) == ()
 
     def test_bound_checked_before_enumerating(self, monkeypatch):
-        def fail(n):
+        def fail(n, sizes):
             raise AssertionError("enumerated past the bound")
 
-        monkeypatch.setattr("mexparts.mex.enumerate_partitions", fail)
+        monkeypatch.setattr("mexparts.mex._walk_multiplicities", fail)
         with pytest.raises(OracleBoundExceeded):
             mex_counts_oracle(61, [MexParams(1, 1)])
         with pytest.raises(ValueError):
@@ -116,6 +132,24 @@ class TestMultiOracle:
         assert len(counts) == len(params)
         for j, p in enumerate(params):
             assert counts[j] == mex_count_oracle(n, p) == count_by_definition(n, p)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=30), st.lists(mex_params(), max_size=8))
+    def test_matches_the_enumeration_reference(self, n, params):
+        assert mex_counts_oracle(n, params) == reference_mex_counts(n, params)
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 30])
+    def test_visits_each_partition_once(self, monkeypatch, n):
+        nodes = []
+
+        def counting_walk(n, sizes):
+            for mult in partitions._walk_multiplicities(n, sizes):
+                nodes.append(None)
+                yield mult
+
+        monkeypatch.setattr("mexparts.mex._walk_multiplicities", counting_walk)
+        mex_counts_oracle(n, [MexParams(1, 1), MexParams(4, 2)])
+        assert len(nodes) == partition_count(n)
 
 
 class TestGeneratingFunctions:

@@ -130,7 +130,8 @@ class TestBlockKernel:
                 before = len(partitions._p_table)
                 partition_count(needed)
                 after = len(partitions._p_table)
-                assert after == (before if needed < before else max(needed + 1, before + block))
+                least = before + min(block, before - 1)  # growth ramps up to a block
+                assert after == (before if needed < before else max(needed + 1, least))
                 assert partitions._p_table == SCALAR_REFERENCE[:after]
 
     def test_growth_adds_blocks_and_meets_larger_requests_exactly(self, fresh_table):
@@ -140,13 +141,31 @@ class TestBlockKernel:
             partition_count(n)
             if len(fresh_table) != lengths[-1]:
                 lengths.append(len(fresh_table))
-        assert all(b - a >= block for a, b in zip(lengths, lengths[1:]))
+        # a fresh table grows to the first request; later growths ramp up
+        # to whole blocks
+        assert lengths[1] == 1010
+        assert all(b - a >= min(block, a - 1) for a, b in zip(lengths, lengths[1:]))
         # sweeps reaching 49 978 stop within one block of it, not at 65 535
         assert 49_978 < len(fresh_table) <= 49_978 + block
 
     def test_exact_request_from_a_fresh_table(self, fresh_table):
         partition_convolution([(0, 1)], 5000)
         assert len(fresh_table) == 5001
+
+    def test_small_first_request_builds_no_block(self, fresh_table):
+        partition_count(45)
+        assert len(fresh_table) == 46
+
+    def test_incremental_requests_ramp_onto_the_block_grid(self, fresh_table, monkeypatch):
+        # compute p asks for 0, 1, 2, ...: lengths 2^j + 1, then 1 + m * block
+        monkeypatch.setattr(partitions, "_P_TABLE_BLOCK", 8)
+        lengths = [1]
+        for n in range(41):
+            partition_count(n)
+            if len(fresh_table) != lengths[-1]:
+                lengths.append(len(fresh_table))
+        assert lengths == [1, 2, 3, 5, 9, 17, 25, 33, 41]
+        assert fresh_table == SCALAR_REFERENCE[:41]
 
 
 class TestPartitionConvolution:
@@ -234,6 +253,32 @@ class TestEnumerationProperties:
             assert lam.n == sum(lam.parts) == n
             assert all(v >= 1 for v in lam.parts)
             assert all(b <= a for a, b in zip(lam.parts, lam.parts[1:]))
+
+
+def parts_of(mult):
+    return tuple(v for v in range(len(mult) - 1, 0, -1) for _ in range(mult[v]))
+
+
+class TestMultiplicityWalk:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.integers(min_value=0, max_value=22), st.sets(st.integers(2, 22)))
+    def test_visits_the_partitions_over_sizes_once(self, n, extra):
+        sizes = {1} | extra
+        seen = [parts_of(mult) for mult in partitions._walk_multiplicities(n, sizes)]
+        expected = [lam.parts for lam in enumerate_partitions(n) if set(lam.parts) <= sizes]
+        assert len(seen) == len(set(seen))
+        assert sorted(seen) == sorted(expected)
+
+    def test_all_sizes_give_p_n_nodes(self):
+        for n in range(41):
+            walk = partitions._walk_multiplicities(n, range(1, n + 1))
+            assert sum(1 for _ in walk) == partition_count(n)
+
+    def test_yields_one_shared_list(self):
+        walk = partitions._walk_multiplicities(5, range(1, 6))
+        first = next(walk)
+        assert first == [0, 5, 0, 0, 0, 0, 0]
+        assert all(mult is first for mult in walk)
 
 
 class TestResidueClassRule:

@@ -3,8 +3,14 @@ and the triple-product series against the three-product reference route."""
 
 import pytest
 
+from mexparts import partitions
 from mexparts.errors import InvalidSingularParams, OracleBoundExceeded
-from mexparts.partitions import partition_generating_series
+from mexparts.partitions import (
+    ResidueClassRule,
+    enumerate_partitions,
+    partition_generating_series,
+    restricted_count,
+)
 from mexparts.series import neg_pochhammer_inf, pochhammer_inf
 from mexparts.singular import (
     SingularParams,
@@ -50,6 +56,29 @@ class TestOracle:
         with pytest.raises(OracleBoundExceeded):
             singular_overpartition_oracle(51, SingularParams(3, 1))
 
+    def test_bound_checked_before_enumerating(self, monkeypatch):
+        def fail(n, sizes):
+            raise AssertionError("enumerated past the bound")
+
+        monkeypatch.setattr("mexparts.singular._walk_multiplicities", fail)
+        with pytest.raises(OracleBoundExceeded):
+            singular_overpartition_oracle(51, SingularParams(3, 1))
+        with pytest.raises(ValueError):
+            singular_overpartition_oracle(-1, SingularParams(3, 1))
+
+    @pytest.mark.parametrize("k,i,n", [(3, 1, 0), (5, 2, 20), (6, 3, 30)])
+    def test_visits_each_partition_without_a_multiple_of_k_once(self, monkeypatch, k, i, n):
+        nodes = []
+
+        def counting_walk(n, sizes):
+            for mult in partitions._walk_multiplicities(n, sizes):
+                nodes.append(None)
+                yield mult
+
+        monkeypatch.setattr("mexparts.singular._walk_multiplicities", counting_walk)
+        singular_overpartition_oracle(n, SingularParams(k, i))
+        assert len(nodes) == restricted_count(n, ResidueClassRule(k, frozenset(range(1, k))))
+
 
 class TestSeries:
     def test_worked_example(self):
@@ -85,6 +114,37 @@ def test_self_paired_regression_42():
         assert series.coefficient(n) == singular_overpartition_oracle(n, params)
     # pin the first nontrivial value: 2, 2', 2'' and 1+1
     assert singular_overpartition_oracle(2, params) == 4
+
+
+def reference_singular_oracle(n, params):
+    """Reference route for the oracle: the ZS1 enumeration of all partitions
+    of n, a multiple of k giving weight 0 and every overlineable value
+    present giving 2, or 3 once and 4 repeated when k = 2i."""
+    k, residues = params.k, params.overline_residues
+    total = 0
+    for lam in enumerate_partitions(n):
+        if any(v % k == 0 for v in lam.parts):
+            continue
+        seen_once, seen_twice = set(), set()
+        for v in lam.parts:
+            if v % k in residues:
+                if v in seen_once:
+                    seen_twice.add(v)
+                seen_once.add(v)
+        if params.self_paired:
+            total += 3 ** (len(seen_once) - len(seen_twice)) * 4 ** len(seen_twice)
+        else:
+            total += 2 ** len(seen_once)
+    return total
+
+
+@pytest.mark.parametrize("k,i", [(k, i) for k in range(3, 9) for i in range(1, k // 2 + 1)])
+def test_oracle_matches_the_enumeration_reference(k, i):
+    # every n <= 30, so a sample is not needed; (4, 2), (6, 3) and (8, 4)
+    # are self-paired
+    params = SingularParams(k, i)
+    for n in range(31):
+        assert singular_overpartition_oracle(n, params) == reference_singular_oracle(n, params)
 
 
 def product_form_singular(params, order):
