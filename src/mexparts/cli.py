@@ -22,8 +22,9 @@ from typing import Iterable
 from .congruences import ProgressionSpec, check_progression
 from .errors import MexpartsError, OracleBoundExceeded, TruncationTooSmall
 from .mex import MEX_ORACLE_BOUND, MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
-from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_count
+from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
+from .series import support_p_2tt, support_p_tt
 from .singular import (
     SINGULAR_ORACLE_BOUND,
     SingularParams,
@@ -61,39 +62,25 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
         raise MexpartsError("--n-max must be non-negative")
     if args.function == "p":
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
-    if args.function == "p_tt":
+    if args.function in ("p_tt", "p_2tt"):
         _require_trunc(n_max, args.trunc)
-        series = genfun_p_tt(args.t, n_max)
-        return "p_tt", {"t": args.t}, [(n, series.coefficient(n)) for n in range(n_max + 1)]
-    if args.function == "p_2tt":
-        _require_trunc(n_max, args.trunc)
-        series = genfun_p_2tt(args.t, n_max)
-        return "p_2tt", {"t": args.t}, [(n, series.coefficient(n)) for n in range(n_max + 1)]
+        support = support_p_tt if args.function == "p_tt" else support_p_2tt
+        series = partition_convolution(support(args.t, n_max), n_max)
+        return args.function, {"t": args.t}, list(enumerate(series.coeffs))
     if args.function == "singular":
         _require_trunc(n_max, args.trunc)
-        params = SingularParams(args.k, args.i)
-        series = genfun_singular(params, n_max)
-        return (
-            "singular",
-            {"k": args.k, "i": args.i},
-            [(n, series.coefficient(n)) for n in range(n_max + 1)],
-        )
+        series = genfun_singular(SingularParams(args.k, args.i), n_max)
+        return "singular", {"k": args.k, "i": args.i}, list(enumerate(series.coeffs))
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
-        return (
-            "p_Aa_oracle",
-            {"A": args.A, "a": args.a},
-            [(n, mex_count_oracle(n, params)) for n in range(n_max + 1)],
-        )
+        rows = [(n, mex_count_oracle(n, params)) for n in range(n_max + 1)]
+        return "p_Aa_oracle", {"A": args.A, "a": args.a}, rows
     if args.function == "C_ki_oracle":
         params = SingularParams(args.k, args.i)
         _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
-        return (
-            "C_ki_oracle",
-            {"k": args.k, "i": args.i},
-            [(n, singular_overpartition_oracle(n, params)) for n in range(n_max + 1)],
-        )
+        rows = [(n, singular_overpartition_oracle(n, params)) for n in range(n_max + 1)]
+        return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
     raise MexpartsError(f"unknown function {args.function!r}")
 
 
@@ -199,13 +186,9 @@ def cmd_oracle_check(args) -> int:
         ]
     elif args.function in ("p_tt", "p_2tt"):
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
-        t = args.t
-        if args.function == "p_tt":
-            series = genfun_p_tt(t, n_max)
-            params = MexParams(t, t)
-        else:
-            series = genfun_p_2tt(t, n_max)
-            params = MexParams(2 * t, t)
+        genfun, A = (genfun_p_tt, 1) if args.function == "p_tt" else (genfun_p_2tt, 2)
+        series = genfun(args.t, n_max)  # checks t before the oracle runs
+        params = MexParams(A * args.t, args.t)
         name = args.function
         rows = [
             (n, mex_count_oracle(n, params), series.coefficient(n)) for n in range(n_max + 1)

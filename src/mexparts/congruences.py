@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 from .errors import (
@@ -274,11 +275,9 @@ def _evaluator(spec: ProgressionSpec, max_argument: int, trunc: int | None) -> C
     if spec.function == "p":
         return partition_count
     if spec.function == "p_tt":
-        t = spec.t
-        return lambda arg: identity_p_tt(t, arg)
+        return partial(identity_p_tt, spec.t)
     if spec.function == "p_2tt":
-        t = spec.t
-        return lambda arg: identity_p_2tt(t, arg)
+        return partial(identity_p_2tt, spec.t)
     # singular: series-backed, bounded by the truncation cap
     if trunc is not None and max_argument > trunc:
         raise TruncationTooSmall(

@@ -17,8 +17,13 @@ ordinary partition numbers:
     p_tt(t, n)  = p(n) + sum_{r>=1} p(n - t r(2r+1)) - sum_{s>=1} p(n - t s(2s-1))
     p_2tt(t, n) = p(n) + sum_{r>=1} p(n - 4t r^2)    - sum_{s>=1} p(n - t(2s-1)^2)
 
-with p(m) = 0 for negative m.  The three routes agree; the test suite pins
-the equivalence.
+with p(m) = 0 for negative m.  ``series.support_p_tt`` and ``support_p_2tt``
+list the two alternating sums as (exponent, +-1) terms.  ``genfun_p_*``
+multiply them by 1/(q;q)_inf built by product inversion, never from the
+p(n) table; ``identity_p_*`` take one signed sum of p(n - e) over the
+support from the table, and ``compute p_tt|p_2tt`` convolves the support
+with the table (``partitions.partition_convolution``).  The routes agree
+with each other and with the enumeration oracle; the test suite pins it.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded
-from .partitions import Partition, _walk_multiplicities, partition_count, partition_generating_series
-from .series import TruncatedSeries, alternating_squares, alternating_triangular
+from .partitions import Partition, _walk_multiplicities, partition_generating_series, partition_support_sum
+from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
 
 __all__ = [
     "MexParams",
@@ -100,46 +105,20 @@ def mex_count_oracle(n: int, params: MexParams) -> int:
 
 
 def genfun_p_tt(t: int, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is p_{t,t}(n)."""
-    return partition_generating_series(order) * alternating_triangular(t, order)
+    """Series whose coefficient of q^n is p_{t,t}(n), by product inversion."""
+    return alternating_triangular(t, order) * partition_generating_series(order)  # t checked first
 
 
 def genfun_p_2tt(t: int, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is p_{2t,t}(n)."""
-    return partition_generating_series(order) * alternating_squares(t, order)
+    """Series whose coefficient of q^n is p_{2t,t}(n), by product inversion."""
+    return alternating_squares(t, order) * partition_generating_series(order)  # t checked first
 
 
 def identity_p_tt(t: int, n: int) -> int:
-    """p_{t,t}(n) from ordinary partition numbers; both sums are finite."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    total = partition_count(n)
-    r = 1
-    while n - t * r * (2 * r + 1) >= 0:
-        total += partition_count(n - t * r * (2 * r + 1))
-        r += 1
-    s = 1
-    while n - t * s * (2 * s - 1) >= 0:
-        total -= partition_count(n - t * s * (2 * s - 1))
-        s += 1
-    return total
+    """p_{t,t}(n) from ordinary partition numbers: a signed sum over the support."""
+    return partition_support_sum(support_p_tt(t, n), n)
 
 
 def identity_p_2tt(t: int, n: int) -> int:
-    """p_{2t,t}(n) from ordinary partition numbers."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    total = partition_count(n)
-    r = 1
-    while n - 4 * t * r * r >= 0:
-        total += partition_count(n - 4 * t * r * r)
-        r += 1
-    s = 1
-    while n - t * (2 * s - 1) ** 2 >= 0:
-        total -= partition_count(n - t * (2 * s - 1) ** 2)
-        s += 1
-    return total
+    """p_{2t,t}(n) from ordinary partition numbers: a signed sum over the support."""
+    return partition_support_sum(support_p_2tt(t, n), n)

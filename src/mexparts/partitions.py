@@ -9,9 +9,9 @@ the few shorter lags run per n.  The exact big-integer table to n = 5*10^4
 costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution`` reads the same table to divide any sparse theta
 support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
-sum c * p(n - e).  ``partition_generating_series`` stays the independent
-product-inversion route, so tests that compare it with the table compare
-two sources of p(n).  The mex and singular oracles visit each partition of
+sum c * p(n - e), and ``partition_support_sum`` takes that sum for one n.
+``partition_generating_series`` stays the independent product-inversion
+route, so tests that compare it with the table compare two sources of p(n).  The mex and singular oracles visit each partition of
 n once through ``_walk_multiplicities``, which yields one shared list of
 part multiplicities, so they build no tuple or set per partition.
 ``enumerate_partitions`` stays the independent reference route that checks
@@ -42,6 +42,7 @@ __all__ = [
     "restricted_count",
     "partition_generating_series",
     "partition_convolution",
+    "partition_support_sum",
 ]
 
 
@@ -220,6 +221,29 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> Tru
         else:
             out[e:] = [x + c * y for x, y in zip(out[e:], p)]
     return TruncatedSeries(out)
+
+
+def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
+    """Coefficient n of (sum s q^e) / (q;q)_inf for (exponent, sign) terms
+    with signs +-1: sum s * p(n - e), one addition or subtraction of a p(n)
+    table entry per term, with no multiply.  Exponents past n are dropped.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n >= len(_p_table):
+        _grow_p_table(n)
+    p = _p_table
+    total = 0
+    for e, s in support:
+        if e > n:
+            continue
+        if s == 1 and e >= 0:
+            total += p[n - e]
+        elif s == -1 and e >= 0:
+            total -= p[n - e]
+        else:
+            raise ValueError("support terms need exponents >= 0 and signs +-1")
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ functions are assembled from:
     alternating_squares(t, N)     sum_{n>=0} (-1)^n q^(t n^2)
     psi(t, N)                     sum_{n>=0} q^(t n(n+1)/2)
 
+``support_p_tt(t, N)`` and ``support_p_2tt(t, N)`` list the nonzero terms
+of the two alternating sums as sparse (exponent, +-1) pairs; the series
+above are built from them, and the mex counts divide them by (q;q)_inf.
+
 ``theta_support(k, i, N)`` lists the nonzero terms of the two-sided theta
 sum of the Jacobi triple product,
 
@@ -25,6 +29,8 @@ of Andrews' singular overpartition series.
 
 from __future__ import annotations
 
+from itertools import accumulate, cycle
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import NonUnitConstantTerm, TruncationTooSmall
@@ -36,6 +42,8 @@ __all__ = [
     "alternating_triangular",
     "alternating_squares",
     "psi",
+    "support_p_tt",
+    "support_p_2tt",
     "theta_support",
 ]
 
@@ -203,28 +211,40 @@ def neg_pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     return _product_of_binomials(a, b, order, +1)
 
 
-def alternating_triangular(t: int, order: int) -> TruncatedSeries:
-    """sum_{n>=0} (-1)^n q^(t*n(n+1)/2) truncated."""
+def _support_length(t: int, limit: int, largest_index) -> int:
+    # the number of terms n = 0, 1, ... whose exponent t * f(n) is at most the
+    # limit, where largest_index(m) is the largest n with f(n) <= m
     if t < 1:
         raise ValueError("t must be positive")
-    terms = []
-    n = 0
-    while t * n * (n + 1) // 2 <= order:
-        terms.append((t * n * (n + 1) // 2, -1 if n % 2 else 1))
-        n += 1
-    return TruncatedSeries.from_terms(terms, order)
+    if limit < 0:
+        raise ValueError("support limit must be non-negative")
+    return largest_index(limit // t) + 1
+
+
+def support_p_tt(t: int, limit: int) -> list[tuple[int, int]]:
+    """Terms (exponent, coefficient) of sum_{n>=0} (-1)^n q^(t n(n+1)/2) with
+    exponent <= limit, sorted by exponent: the numerator of p_{t,t}."""
+    count = _support_length(t, limit, lambda m: (isqrt(8 * m + 1) - 1) // 2)
+    # t n(n+1)/2 is the running sum of t j over j = 0 .. n
+    return list(zip(accumulate(range(0, t * count, t)), cycle((1, -1))))
+
+
+def support_p_2tt(t: int, limit: int) -> list[tuple[int, int]]:
+    """Terms (exponent, coefficient) of sum_{n>=0} (-1)^n q^(t n^2) with
+    exponent <= limit, sorted by exponent: the numerator of p_{2t,t}."""
+    count = _support_length(t, limit, isqrt)
+    # t n^2 is the running sum of t (2j - 1) over j = 1 .. n
+    return list(zip(accumulate(range(t, t * (2 * count - 1), 2 * t), initial=0), cycle((1, -1))))
+
+
+def alternating_triangular(t: int, order: int) -> TruncatedSeries:
+    """sum_{n>=0} (-1)^n q^(t*n(n+1)/2) truncated."""
+    return TruncatedSeries.from_terms(support_p_tt(t, order), order)
 
 
 def alternating_squares(t: int, order: int) -> TruncatedSeries:
     """sum_{n>=0} (-1)^n q^(t*n^2) truncated."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    terms = []
-    n = 0
-    while t * n * n <= order:
-        terms.append((t * n * n, -1 if n % 2 else 1))
-        n += 1
-    return TruncatedSeries.from_terms(terms, order)
+    return TruncatedSeries.from_terms(support_p_2tt(t, order), order)
 
 
 def psi(t: int, order: int) -> TruncatedSeries:
@@ -233,14 +253,7 @@ def psi(t: int, order: int) -> TruncatedSeries:
     Satisfies psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf, which the test suite
     checks coefficient by coefficient.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    terms = []
-    n = 0
-    while t * n * (n + 1) // 2 <= order:
-        terms.append((t * n * (n + 1) // 2, 1))
-        n += 1
-    return TruncatedSeries.from_terms(terms, order)
+    return TruncatedSeries.from_terms(((e, 1) for e, _ in support_p_tt(t, order)), order)
 
 
 def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list[tuple[int, int]]:

@@ -79,6 +79,17 @@ class TestCompute:
         assert out == ""
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("function", ["p_tt", "p_2tt"])
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_bad_t_fails_before_any_series_work(self, capsys, function, t):
+        code, out, err, elapsed = run_cli_timed(
+            capsys, "compute", function, "--t", t, "--n-max", "20000", "--trunc", "20000"
+        )
+        assert code == 2
+        assert "t must be positive" in err
+        assert out == ""
+        assert elapsed < 1.0
+
     def test_invalid_singular_params(self, capsys):
         code, _, err = run_cli(
             capsys, "compute", "C_ki_oracle", "--k", "4", "--i", "3", "--n-max", "5"
@@ -252,6 +263,16 @@ class TestOracleCheck:
     def test_p_agrees(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--function", "p", "--n-max", "25")
         assert code == 0
+
+    @pytest.mark.parametrize("function", ["p_tt", "p_2tt"])
+    def test_bad_t_fails_fast(self, capsys, function):
+        code, out, err, elapsed = run_cli_timed(
+            capsys, "oracle-check", "--function", function, "--t", "0", "--n-max", "60"
+        )
+        assert code == 2
+        assert "t must be positive" in err
+        assert out == ""
+        assert elapsed < 1.0
 
     def test_oracle_bound_propagates(self, capsys):
         code, _, err, elapsed = run_cli_timed(

@@ -73,6 +73,12 @@ GOLDEN = Path(__file__).parent / "golden"
             "compute_C_ki_oracle_k7_i2_n35.csv",
             ["compute", "C_ki_oracle", "--k", "7", "--i", "2", "--n-max", "35", "--format", "csv"],
         ),
+        (
+            # t = 1 puts a support term at every triangular number
+            "compute_p_tt_t1_n1500.csv",
+            ["compute", "p_tt", "--t", "1", "--n-max", "1500", "--format", "csv"],
+        ),
+        ("compute_p_2tt_t3_n1500.jsonl", ["compute", "p_2tt", "--t", "3", "--n-max", "1500"]),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):

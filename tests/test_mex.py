@@ -1,10 +1,13 @@
 """The mex statistic and the three routes to the (t,t) and (2t,t) counts."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mexparts import partitions
+from mexparts.cli import main
 from mexparts.errors import OracleBoundExceeded
 from mexparts.mex import (
     MexParams,
@@ -16,7 +19,20 @@ from mexparts.mex import (
     mex_counts_oracle,
     mex_of,
 )
-from mexparts.partitions import Partition, enumerate_partitions, partition_count
+from mexparts.partitions import (
+    Partition,
+    enumerate_partitions,
+    partition_convolution,
+    partition_count,
+    partition_generating_series,
+)
+from mexparts.series import (
+    alternating_squares,
+    alternating_triangular,
+    pochhammer_inf,
+    support_p_2tt,
+    support_p_tt,
+)
 
 
 class TestMexOf:
@@ -230,3 +246,62 @@ class TestThreeWayEquivalence:
     def test_negative_argument_convention(self):
         # identity sums must drop negative arguments, matching p(n) = 0 there
         assert identity_p_tt(5, 3) == partition_count(3)
+
+
+FAMILIES = [
+    (support_p_tt, genfun_p_tt, identity_p_tt, alternating_triangular),
+    (support_p_2tt, genfun_p_2tt, identity_p_2tt, alternating_squares),
+]
+
+
+class TestSupportRoutes:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 12), st.integers(0, 400), st.data())
+    def test_convolution_and_identity_equal_the_genfun(self, t, order, data):
+        n = data.draw(st.integers(0, order))
+        for support, genfun, identity, _ in FAMILIES:
+            series = genfun(t, order)
+            assert partition_convolution(support(t, order), order) == series
+            assert identity(t, n) == series.coefficient(n)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(-5, 0), st.integers(0, 400))
+    def test_nonpositive_t_raises_on_every_route(self, t, n):
+        for _, genfun, identity, _ in FAMILIES:
+            with pytest.raises(ValueError):
+                genfun(t, n)
+            with pytest.raises(ValueError):
+                identity(t, n)
+
+    def test_genfun_checks_t_before_the_inversion(self, monkeypatch):
+        def refuse(order):
+            raise AssertionError("the product was inverted before t was checked")
+
+        monkeypatch.setattr("mexparts.mex.partition_generating_series", refuse)
+        for _, genfun, _, _ in FAMILIES:
+            with pytest.raises(ValueError, match="t must be positive"):
+                genfun(0, 20_000)
+
+    def test_genfun_does_not_read_the_table(self, monkeypatch, capsys):
+        # thm1, oracle-check, the parity bridge and the eta form compare the
+        # genfun route with the identity and compute routes; a corrupted p(n)
+        # table entry must reach those two and never the genfun, or the three
+        # routes would share the code path they check
+        order, t, bad = 120, 2, 100
+        partition_count(order)
+        corrupted = list(partitions._p_table)
+        corrupted[bad] += 1
+        monkeypatch.setattr(partitions, "_p_table", corrupted)
+        partition_generating_series.cache_clear()
+        try:
+            inverted = pochhammer_inf(1, 1, order).invert()
+            for (_, genfun, identity, numerator), name in zip(FAMILIES, ("p_tt", "p_2tt")):
+                series = genfun(t, order)
+                assert series == inverted * numerator(t, order)
+                # the support's constant term +1 carries the corruption to n = bad
+                assert identity(t, bad) == series.coefficient(bad) + 1
+                assert main(["compute", name, "--t", str(t), "--n-max", str(order)]) == 0
+                row = json.loads(capsys.readouterr().out.splitlines()[bad])
+                assert int(row["value"]) == series.coefficient(bad) + 1
+        finally:
+            partition_generating_series.cache_clear()

@@ -15,6 +15,7 @@ from mexparts.partitions import (
     partition_convolution,
     partition_count,
     partition_generating_series,
+    partition_support_sum,
     restricted_count,
 )
 from mexparts.series import TruncatedSeries, pochhammer_inf
@@ -188,6 +189,31 @@ class TestPartitionConvolution:
             partition_convolution([(0, 1)], -1)
         with pytest.raises(ValueError):
             partition_convolution([(-1, 1)], 5)
+
+
+class TestPartitionSupportSum:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(st.integers(0, 250), st.sampled_from((1, -1))), max_size=20),
+        st.integers(0, 200),
+    )
+    def test_is_one_coefficient_of_the_convolution(self, support, n):
+        # repeated exponents add up and exponents past n drop, as in the convolution
+        assert partition_support_sum(support, n) == partition_convolution(support, n).coefficient(n)
+
+    def test_euler_support_gives_zero_past_the_constant_term(self):
+        support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
+        assert partition_support_sum(support, 0) == 1
+        assert [partition_support_sum(support, n) for n in range(1, 16)] == [0] * 15
+
+    def test_reads_the_table_at_call_time(self, fresh_table):
+        assert partition_support_sum([(0, 1), (3, -1)], 9) == 30 - 11  # p(9) - p(6)
+        assert len(fresh_table) > 9  # it grew the patched table, bound at no import
+
+    def test_rejects_bad_input(self):
+        for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(0, 2)], 5), ([(2, 0)], 5)):
+            with pytest.raises(ValueError):
+                partition_support_sum(support, n)
 
 
 class TestEnumeration:

@@ -16,6 +16,8 @@ from mexparts.series import (
     neg_pochhammer_inf,
     pochhammer_inf,
     psi,
+    support_p_2tt,
+    support_p_tt,
     theta_support,
 )
 
@@ -204,6 +206,63 @@ class TestThetaSupport:
         for k, i in ((1, 0), (4, 0), (4, 4), (3, -1)):
             with pytest.raises(ValueError):
                 theta_support(k, i, 10)
+
+
+def closed_support_p_tt(t, limit):
+    # p_tt(n) = p(n) + sum_{r>=1} p(n - t r(2r+1)) - sum_{s>=1} p(n - t s(2s-1))
+    plus = [t * r * (2 * r + 1) for r in range(1, limit + 1)]
+    minus = [t * s * (2 * s - 1) for s in range(1, limit + 1)]
+    terms = [(0, 1)] + [(e, 1) for e in plus] + [(e, -1) for e in minus]
+    return sorted((e, s) for e, s in terms if e <= limit)
+
+
+def closed_support_p_2tt(t, limit):
+    # p_2tt(n) = p(n) + sum_{r>=1} p(n - 4t r^2) - sum_{s>=1} p(n - t(2s-1)^2)
+    plus = [4 * t * r * r for r in range(1, limit + 1)]
+    minus = [t * (2 * s - 1) ** 2 for s in range(1, limit + 1)]
+    terms = [(0, 1)] + [(e, 1) for e in plus] + [(e, -1) for e in minus]
+    return sorted((e, s) for e, s in terms if e <= limit)
+
+
+class TestMexSupports:
+    def test_small_supports(self):
+        assert support_p_tt(1, 10) == [(0, 1), (1, -1), (3, 1), (6, -1), (10, 1)]
+        assert support_p_tt(3, 8) == [(0, 1), (3, -1)]
+        assert support_p_2tt(1, 9) == [(0, 1), (1, -1), (4, 1), (9, -1)]
+        assert support_p_2tt(2, 7) == [(0, 1), (2, -1)]
+        assert support_p_tt(5, 0) == support_p_2tt(5, 4) == [(0, 1)]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 12), st.integers(0, 400))
+    def test_equal_the_closed_sums(self, t, limit):
+        for support, closed in (
+            (support_p_tt(t, limit), closed_support_p_tt(t, limit)),
+            (support_p_2tt(t, limit), closed_support_p_2tt(t, limit)),
+        ):
+            assert support == closed
+            exponents = [e for e, _ in support]
+            assert exponents == sorted(set(exponents))
+            assert exponents[-1] <= limit
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.integers(1, 12), st.integers(0, 400))
+    def test_series_are_the_supports(self, t, order):
+        pairs = ((alternating_triangular, support_p_tt), (alternating_squares, support_p_2tt))
+        for series, support in pairs:
+            assert series(t, order) == TruncatedSeries.from_terms(support(t, order), order)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(-5, 0), st.integers(-5, 400)),
+            st.tuples(st.integers(1, 12), st.integers(-400, -1)),
+        )
+    )
+    def test_bad_arguments_raise(self, args):
+        t, limit = args
+        for support in (support_p_tt, support_p_2tt):
+            with pytest.raises(ValueError):
+                support(t, limit)
 
 
 def series_of(max_order=10, bound=50):
