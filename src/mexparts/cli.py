@@ -31,7 +31,7 @@ from .singular import (
     genfun_singular,
     singular_overpartition_oracle,
 )
-from .suites import SUITE_NAMES, run_all, run_suite, series_order
+from .suites import ARG_CAP, SUITE_NAMES, run_all, run_suite, series_order
 
 DEFAULT_TRUNC = 2000
 
@@ -153,7 +153,11 @@ def cmd_verify(args) -> int:
     if args.suite == "progression":
         _reject_flags("progression", _given(args, ("t_max", "k_max")))
         spec = ProgressionSpec(**{**_PROGRESSION_DEFAULTS, **_given(args, _PROGRESSION_DEFAULTS)})
-        report = check_progression(spec, bounds.get("n_max", 100), trunc=args.trunc)
+        report = check_progression(spec, bounds.get("n_max", 100), arg_cap=ARG_CAP)
+        if report.metadata.get("n_max_effective", 0) < 0:
+            raise MexpartsError(f"--offset {spec.offset} is past the argument cap {ARG_CAP}")
+        if not report.checked:
+            raise MexpartsError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
         return _emit_reports([("progression", report)], args.format)
     _reject_flags(args.suite, _given(args, _PROGRESSION_DEFAULTS))
     if args.suite == "all":

@@ -3,34 +3,34 @@
 The checkers here sweep arithmetic-progression claims of the form
 f(a*n + b) == 0 (mod m) over n = 0, 1, ..., n_max (optionally skipping
 indices divisible by a given prime), and parity characterizations of the
-small mex families.  ``family_catalog`` builds the progression claims for
-each named family, validating every side condition and the exactness of
-every offset division.
+small mex families.
 
-Sweeps are exact: values come from the closed partition-number identities
-(p, p_tt, p_2tt) or from the exact singular-overpartition series, then are
-reduced modulo m.  A report never silently narrows a sweep; whatever was
-skipped (excluded index, argument cap) is counted.
+``family_catalog`` builds the progression claims of each named family.  A
+family is one function of its parameters whose docstring states its step
+and offset formula.  It validates its prime with ``_family_prime`` (prime,
+least value, residue or Jacobi-symbol condition) and its other parameters
+with ``_require``; every parity claim on p_{t,t} is made by ``_parity``,
+which refuses an offset division that is not exact.
+
+Every sweep is a support sum: f is a sparse numerator over (q;q)_inf (1
+for p, the (t,t) and (2t,t) supports, the singular theta support), taken
+once up to the sweep's largest argument, and each value is
+sum c * p(arg - e) from the exact p(n) table, reduced modulo m.  No series
+is built.  A report never silently narrows a sweep; whatever was skipped
+(excluded index, argument cap) is counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
-from .errors import (
-    EvenModulus,
-    InvalidFamilyParams,
-    NonIntegralOffset,
-    NotCoprime,
-    TruncationTooSmall,
-)
-from .mex import genfun_p_tt, identity_p_2tt, identity_p_tt
-from .partitions import partition_count
+from .errors import EvenModulus, InvalidFamilyParams, NonIntegralOffset, NotCoprime
+from .mex import genfun_p_tt, identity_p_tt
+from .partitions import partition_support_sum
 from .reports import VerificationReport
-from .series import pochhammer_inf, theta_support
+from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
 
 __all__ = [
@@ -205,7 +205,14 @@ def is_2pent_plus_3tri(n: int) -> bool:
 # progression claims
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = ("p", "p_tt", "p_2tt", "singular")
+# each function's numerator over (q;q)_inf, as (exponent, coefficient) terms
+# up to a limit; the self-paired singular case k = 2i has coefficients 2
+_SUPPORTS: dict[str, Callable[["ProgressionSpec", int], list[tuple[int, int]]]] = {
+    "p": lambda spec, limit: [(0, 1)],
+    "p_tt": lambda spec, limit: support_p_tt(spec.t, limit),
+    "p_2tt": lambda spec, limit: support_p_2tt(spec.t, limit),
+    "singular": lambda spec, limit: theta_support(spec.k, spec.i, limit),
+}
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ class ProgressionSpec:
     """One claim: function(step*n + offset) == 0 (mod modulus) for all swept n.
 
     ``exclude_prime`` skips sweep indices n divisible by that prime, matching
-    the "p does not divide n" hypothesis of several families.
+    the "p does not divide n" hypothesis of several families; it must be prime.
     """
 
     function: str
@@ -227,7 +234,7 @@ class ProgressionSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.function not in _FUNCTIONS:
+        if self.function not in _SUPPORTS:
             raise ValueError(f"unknown function id {self.function!r}")
         if self.step < 1:
             raise ValueError("progression step must be positive")
@@ -237,8 +244,12 @@ class ProgressionSpec:
             raise ValueError("modulus must be at least 2")
         if self.function in ("p_tt", "p_2tt") and (self.t is None or self.t < 1):
             raise ValueError(f"{self.function} needs a positive t")
-        if self.function == "singular" and (self.k is None or self.i is None):
-            raise ValueError("singular needs k and i")
+        if self.function == "singular":
+            if self.k is None or self.i is None:
+                raise ValueError("singular needs k and i")
+            SingularParams(self.k, self.i)  # raises on k < 3 or i outside [1, k//2]
+        if self.exclude_prime is not None and not is_prime(self.exclude_prime):
+            raise ValueError(f"exclude_prime must be a prime, not {self.exclude_prime}")
 
     def describe(self) -> str:
         if self.label:
@@ -271,33 +282,16 @@ class ProgressionSpec:
         return out
 
 
-def _evaluator(spec: ProgressionSpec, max_argument: int, trunc: int | None) -> Callable[[int], int]:
-    if spec.function == "p":
-        return partition_count
-    if spec.function == "p_tt":
-        return partial(identity_p_tt, spec.t)
-    if spec.function == "p_2tt":
-        return partial(identity_p_2tt, spec.t)
-    # singular: series-backed, bounded by the truncation cap
-    if trunc is not None and max_argument > trunc:
-        raise TruncationTooSmall(
-            f"sweep needs coefficient {max_argument} but the series order is capped at {trunc}"
-        )
-    series = genfun_singular(SingularParams(spec.k, spec.i), max_argument)
-    return series.coefficient
-
-
 def check_progression(
-    spec: ProgressionSpec,
-    n_max: int,
-    arg_cap: int | None = None,
-    trunc: int | None = None,
+    spec: ProgressionSpec, n_max: int, arg_cap: int | None = None
 ) -> VerificationReport:
     """Sweep a progression claim for n in [0, n_max].
 
-    ``arg_cap`` trims the sweep to arguments step*n + offset <= arg_cap (the
-    trimmed-off tail is reported in the metadata, not silently dropped);
-    ``trunc`` caps the order of any series that has to be built.
+    The function's numerator over (q;q)_inf is taken once, as a sparse
+    support up to the sweep's largest argument, and every value is the
+    support sum over the p(n) table; no series is built.  ``arg_cap`` trims
+    the sweep to arguments step*n + offset <= arg_cap (the trimmed-off tail
+    is reported in the metadata, not silently dropped).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -311,13 +305,13 @@ def check_progression(
         report.metadata["argument_cap"] = arg_cap
     if n_eff < 0:
         return report
-    evaluate = _evaluator(spec, spec.step * n_eff + spec.offset, trunc)
+    support = _SUPPORTS[spec.function](spec, spec.step * n_eff + spec.offset)
     for n in range(n_eff + 1):
         if spec.exclude_prime is not None and n % spec.exclude_prime == 0:
             report.skipped += 1
             continue
         arg = spec.step * n + spec.offset
-        residue = evaluate(arg) % spec.modulus
+        residue = partition_support_sum(support, arg) % spec.modulus
         report.checked += 1
         if residue != 0:
             report.record_failure(n=n, argument=arg, value_mod_m=residue)
@@ -335,237 +329,176 @@ def _exact_div(numerator: int, denominator: int, context: str) -> int:
     return q
 
 
-def _require_prime(p: int, context: str) -> None:
-    if not is_prime(p):
-        raise InvalidFamilyParams(f"{context}: {p} is not prime")
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidFamilyParams(message)
 
 
-def transfer_specs(a: int, b: int, m: int, t: int) -> list[ProgressionSpec]:
-    """If p(a*n + b) == 0 (mod m) for all n, the same progression vanishes for
-    the (at, at) and (2at, at) families; emit those two conclusions."""
-    if a < 1 or t < 1 or b < 0 or m < 2:
-        raise InvalidFamilyParams("transfer needs a, t >= 1, b >= 0, m >= 2")
-    return [
-        ProgressionSpec("p_tt", a, b, m, t=a * t),
-        ProgressionSpec("p_2tt", a, b, m, t=a * t),
-    ]
+def _family_prime(p: int, least: int, condition: str, holds: Callable[[int], bool]) -> None:
+    """Validate a family prime: p is prime, p >= ``least``, and ``holds(p)``,
+    the residue or Jacobi-symbol ``condition``, is true."""
+    _require(is_prime(p), f"{p} is not prime")
+    _require(p >= least, f"needs p >= {least}, not p = {p}")
+    _require(holds(p), f"needs {condition}, not p = {p}")
 
 
-def ramanujan_specs(p: int, k: int, t: int) -> list[ProgressionSpec]:
-    """The classical progressions transferred to the mex families: step p^k,
-    offset 24^{-1} mod p^k, modulus p^k (5, 11) or 7^(floor(k/2)+1) (7)."""
-    if p not in (5, 7, 11):
-        raise InvalidFamilyParams("ramanujan families need p in {5, 7, 11}")
-    if k < 1 or t < 1:
-        raise InvalidFamilyParams("ramanujan families need k, t >= 1")
-    step = p**k
-    offset = delta(p, k)
-    modulus = 7 ** (k // 2 + 1) if p == 7 else p**k
-    return [
-        ProgressionSpec("p_tt", step, offset, modulus, t=step * t),
-        ProgressionSpec("p_2tt", step, offset, modulus, t=step * t),
-    ]
+def _symbol_minus_one(d: int) -> tuple[str, Callable[[int], bool]]:
+    return f"({d}/p) = -1", lambda p: jacobi_symbol(d, p) == -1
 
 
-def p11_prime_power_specs(p: int, k: int) -> list[ProgressionSpec]:
-    """Parity family for the (1,1) function at primes p >= 5, p != 1 (mod 12):
+def _parity(t: int, step: int, numerator: int, denominator: int, base: int = 0,
+            exclude_prime: int | None = None) -> ProgressionSpec:
+    # p_{t,t}(step*n + base + numerator/denominator) == 0 (mod 2)
+    offset = base + _exact_div(numerator, denominator, f"p[{t},{t}] offset")
+    return ProgressionSpec("p_tt", step, offset, 2, t=t, exclude_prime=exclude_prime)
+
+
+def _thm2(a: int, b: int, m: int, t: int) -> list[ProgressionSpec]:
+    """Transfer: if p(a*n + b) == 0 (mod m) for all n, the same progression
+    vanishes for the (at, at) and (2at, at) families."""
+    _require(a >= 1 and t >= 1 and b >= 0 and m >= 2, "transfer needs a, t >= 1, b >= 0, m >= 2")
+    return [ProgressionSpec(function, a, b, m, t=a * t) for function in ("p_tt", "p_2tt")]
+
+
+def _ramanujan(p: int, k: int, t: int) -> list[ProgressionSpec]:
+    """The transfer of the classical progressions: step p^k, offset
+    24^{-1} mod p^k, modulus p^k (5, 11) or 7^(floor(k/2)+1) (7)."""
+    _require(p in (5, 7, 11), "ramanujan families need p in {5, 7, 11}")
+    _require(k >= 1 and t >= 1, "ramanujan families need k, t >= 1")
+    return _thm2(p**k, delta(p, k), 7 ** (k // 2 + 1) if p == 7 else p**k, t)
+
+
+def _thm5(p: int, k: int) -> list[ProgressionSpec]:
+    """Parity of the (1,1) function at primes p >= 5, p != 1 (mod 12):
     argument p^(2k+1) n + (p^(2k+2) - 1)/12, skipping n divisible by p."""
-    _require_prime(p, "p11 family")
-    if p < 5:
-        raise InvalidFamilyParams("p11 family needs p >= 5")
-    if p % 12 == 1:
-        raise InvalidFamilyParams("p11 family needs p != 1 (mod 12)")
-    if k < 0:
-        raise InvalidFamilyParams("k must be non-negative")
-    offset = _exact_div(p ** (2 * k + 2) - 1, 12, "p11 family offset")
-    return [ProgressionSpec("p_tt", p ** (2 * k + 1), offset, 2, t=1, exclude_prime=p)]
+    _family_prime(p, 5, "p != 1 (mod 12)", lambda p: p % 12 != 1)
+    _require(k >= 0, "k must be non-negative")
+    return [_parity(1, p ** (2 * k + 1), p ** (2 * k + 2) - 1, 12, exclude_prime=p)]
 
 
-def p22_prime_specs(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
-    """Parity family for the (2,2) function: p prime, p == 3 (mod 4), p >= 7,
+def _thm11(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
+    """Parity of the (2,2) function: p prime, p == 3 (mod 4), p >= 7,
     1 <= j <= p-1; argument p^(2a+1)(pn + j) + 5(p^(2a+2) - 1)/24.
 
     p = 3 satisfies the textual hypothesis but makes the offset division by
     24 non-integral (3^2 != 1 mod 24), so it is rejected.
     """
-    _require_prime(p, "p22 family")
-    if p % 4 != 3:
-        raise InvalidFamilyParams("p22 family needs p == 3 (mod 4)")
-    if p < 7:
-        raise InvalidFamilyParams("p22 family needs p >= 7: the offset is non-integral at p = 3")
-    if alpha < 0:
-        raise InvalidFamilyParams("alpha must be non-negative")
-    if not 1 <= j <= p - 1:
-        raise InvalidFamilyParams("j must satisfy 1 <= j <= p - 1")
-    base = _exact_div(5 * (p ** (2 * (alpha + 1)) - 1), 24, "p22 family offset")
-    step = p ** (2 * alpha + 2)
-    offset = p ** (2 * alpha + 1) * j + base
-    return [ProgressionSpec("p_tt", step, offset, 2, t=2)]
+    _family_prime(p, 7, "p == 3 (mod 4)", lambda p: p % 4 == 3)
+    _require(alpha >= 0, "alpha must be non-negative")
+    _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
+    power = p ** (2 * alpha + 1)
+    return [_parity(2, power * p, 5 * (power * p - 1), 24, base=power * j)]
 
 
-def p33_mod16_specs() -> list[ProgressionSpec]:
+def _thm6() -> list[ProgressionSpec]:
     """The two unconditional parity progressions 16n + 11 and 16n + 15 for the
     (3,3) function."""
-    return [
-        ProgressionSpec("p_tt", 16, 11, 2, t=3),
-        ProgressionSpec("p_tt", 16, 15, 2, t=3),
-    ]
+    return [_parity(3, 16, offset, 1) for offset in (11, 15)]
 
 
-def p33_prime_power_specs(p: int, alpha: int, branch: int) -> list[ProgressionSpec]:
-    """Parity families for the (3,3) function at primes p >= 5 with p not
-    dividing the swept index: branch 1 needs p == 3 (mod 4) and offset
-    (10 p^(2a+2) - 1)/3; branch 2 needs (-2/p) = -1 and offset
-    (22 p^(2a+2) - 1)/3.  Step is 16 p^(2a+1) in both."""
-    _require_prime(p, "p33 prime family")
-    if p < 5:
-        raise InvalidFamilyParams("p33 prime family needs p >= 5")
-    if alpha < 0:
-        raise InvalidFamilyParams("alpha must be non-negative")
-    if branch == 1:
-        if p % 4 != 3:
-            raise InvalidFamilyParams("branch 1 needs p == 3 (mod 4)")
-        offset = _exact_div(10 * p ** (2 * alpha + 2) - 1, 3, "p33 branch 1 offset")
-    elif branch == 2:
-        if jacobi_symbol(-2, p) != -1:
-            raise InvalidFamilyParams("branch 2 needs (-2/p) = -1")
-        offset = _exact_div(22 * p ** (2 * alpha + 2) - 1, 3, "p33 branch 2 offset")
-    else:
-        raise InvalidFamilyParams("branch must be 1 or 2")
-    return [ProgressionSpec("p_tt", 16 * p ** (2 * alpha + 1), offset, 2, t=3, exclude_prime=p)]
+# cor1 branch -> (c, side condition on p)
+_COR1_BRANCHES = {
+    1: (10, "p == 3 (mod 4)", lambda p: p % 4 == 3),
+    2: (22, *_symbol_minus_one(-2)),
+}
 
 
-def p55_specs(alpha: int, row: int) -> list[ProgressionSpec]:
-    """Four parity progressions for the (5,5) function, indexed by row:
+def _cor1(p: int, alpha: int, branch: int) -> list[ProgressionSpec]:
+    """Parity of the (3,3) function at primes p >= 5, skipping n divisible by
+    p: argument 16 p^(2a+1) n + (c p^(2a+2) - 1)/3, where branch 1 needs
+    p == 3 (mod 4) and has c = 10, branch 2 needs (-2/p) = -1 and has c = 22."""
+    c, condition, holds = _COR1_BRANCHES.get(branch, (0, "", lambda p: True))
+    _family_prime(p, 5, f"{condition} on branch {branch}", holds)
+    _require(alpha >= 0, "alpha must be non-negative")
+    _require(c > 0, "branch must be 1 or 2")
+    power = p ** (2 * alpha + 1)
+    return [_parity(3, 16 * power, c * power * p - 1, 3, exclude_prime=p)]
+
+
+# thm12 row -> (c, e)
+_P55_ROWS = {1: (31, 0), 2: (79, 0), 3: (83, 1), 4: (107, 1)}
+
+
+def _thm12(alpha: int, row: int) -> list[ProgressionSpec]:
+    """Four parity progressions for the (5,5) function, indexed by row
+    (``_P55_ROWS`` holds the c and e of the factor c*5^(2a+e) in each offset):
       1: 2*5^(2a+1) n + (31*5^(2a) - 7)/12
       2: 2*5^(2a+1) n + (79*5^(2a) - 7)/12
       3: 2*5^(2a+2) n + (83*5^(2a+1) - 7)/12
       4: 2*5^(2a+2) n + (107*5^(2a+1) - 7)/12
     """
-    if alpha < 0:
-        raise InvalidFamilyParams("alpha must be non-negative")
-    rows = {
-        1: (2 * 5 ** (2 * alpha + 1), 31 * 5 ** (2 * alpha) - 7),
-        2: (2 * 5 ** (2 * alpha + 1), 79 * 5 ** (2 * alpha) - 7),
-        3: (2 * 5 ** (2 * alpha + 2), 83 * 5 ** (2 * alpha + 1) - 7),
-        4: (2 * 5 ** (2 * alpha + 2), 107 * 5 ** (2 * alpha + 1) - 7),
-    }
-    if row not in rows:
-        raise InvalidFamilyParams("row must be 1, 2, 3 or 4")
-    step, numerator = rows[row]
-    return [ProgressionSpec("p_tt", step, _exact_div(numerator, 12, "p55 offset"), 2, t=5)]
+    _require(alpha >= 0, "alpha must be non-negative")
+    _require(row in _P55_ROWS, "row must be 1, 2, 3 or 4")
+    c, e = _P55_ROWS[row]
+    power = 5 ** (2 * alpha + e)
+    return [_parity(5, 10 * power, c * power - 7, 12)]
 
 
-def p55_prime_specs(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
-    """Parity family for the (5,5) function at primes p >= 5 with (-10/p) = -1:
+def _thm13(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
+    """Parity of the (5,5) function at primes p >= 5 with (-10/p) = -1:
     argument 2 p^(2a+1)(pn + j) + 7(p^(2a+2) - 1)/12, 1 <= j <= p-1."""
-    _require_prime(p, "p55 prime family")
-    if p < 5:
-        raise InvalidFamilyParams("p55 prime family needs p >= 5")
-    if jacobi_symbol(-10, p) != -1:
-        raise InvalidFamilyParams("p55 prime family needs (-10/p) = -1")
-    if alpha < 0:
-        raise InvalidFamilyParams("alpha must be non-negative")
-    if not 1 <= j <= p - 1:
-        raise InvalidFamilyParams("j must satisfy 1 <= j <= p - 1")
-    base = _exact_div(7 * (p ** (2 * alpha + 2) - 1), 12, "p55 prime family offset")
-    step = 2 * p ** (2 * alpha + 2)
-    offset = 2 * p ** (2 * alpha + 1) * j + base
-    return [ProgressionSpec("p_tt", step, offset, 2, t=5)]
+    _family_prime(p, 5, *_symbol_minus_one(-10))
+    _require(alpha >= 0, "alpha must be non-negative")
+    _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
+    power = p ** (2 * alpha + 1)
+    return [_parity(5, 2 * power * p, 7 * (power * p - 1), 12, base=2 * power * j)]
 
 
-def p77_specs(alpha: int, r: int | None = None, s: int | None = None) -> list[ProgressionSpec]:
-    """Parity progressions for the (7,7) function:
-      r in {3, 4, 6}: 2*7^(2a+1) n + ((11 + 12r)*49^a - 5)/6
-      s in {2, 4, 5}: 2*49^(a+1) n + ((12s + 5)*7^(2a+1) - 5)/6
-    Exactly one of r, s must be given."""
-    if alpha < 0:
-        raise InvalidFamilyParams("alpha must be non-negative")
-    if (r is None) == (s is None):
-        raise InvalidFamilyParams("give exactly one of r, s")
-    if r is not None:
-        if r not in (3, 4, 6):
-            raise InvalidFamilyParams("r must be in {3, 4, 6}")
-        step = 2 * 7 ** (2 * alpha + 1)
-        offset = _exact_div((11 + 12 * r) * 49**alpha - 5, 6, "p77 r-offset")
-    else:
-        if s not in (2, 4, 5):
-            raise InvalidFamilyParams("s must be in {2, 4, 5}")
-        step = 2 * 49 ** (alpha + 1)
-        offset = _exact_div((12 * s + 5) * 7 ** (2 * alpha + 1) - 5, 6, "p77 s-offset")
-    return [ProgressionSpec("p_tt", step, offset, 2, t=7)]
-
-
-def p77_prime_specs(
-    p: int,
-    alpha: int,
-    beta: int,
-    branch: int,
-    r: int | None = None,
-    s: int | None = None,
-) -> list[ProgressionSpec]:
-    """Parity families for the (7,7) function at primes p >= 5 with (-21/p) = -1:
+def _p77_row(alpha: int, square: int, branch: int, value: int | None) -> list[ProgressionSpec]:
+    """final's branches 1 and 2 with square = p^(2b); thm14 is square = 1:
       branch 1 (r in {3,4,6}): 2*7^(2a+1) p^(2b) n + ((11+12r)*49^a p^(2b) - 5)/6
       branch 2 (s in {2,4,5}): 2*49^(a+1) p^(2b) n + ((5+12s)*7^(2a+1) p^(2b) - 5)/6
+    """
+    if branch == 1:
+        _require(value in (3, 4, 6), "r must be in {3, 4, 6}")
+        c, power = 11 + 12 * value, 7 ** (2 * alpha)
+    else:
+        _require(value in (2, 4, 5), "s must be in {2, 4, 5}")
+        c, power = 5 + 12 * value, 7 ** (2 * alpha + 1)
+    return [_parity(7, 14 * power * square, c * power * square - 5, 6)]
+
+
+def _thm14(alpha: int, r: int | None = None, s: int | None = None) -> list[ProgressionSpec]:
+    """Parity progressions for the (7,7) function: ``_p77_row`` at p^(2b) = 1,
+    branch 1 for r in {3, 4, 6} and branch 2 for s in {2, 4, 5}.  Exactly one
+    of r, s must be given."""
+    _require(alpha >= 0, "alpha must be non-negative")
+    _require((r is None) != (s is None), "give exactly one of r, s")
+    return _p77_row(alpha, 1, 1, r) if s is None else _p77_row(alpha, 1, 2, s)
+
+
+def _final(
+    p: int, alpha: int, beta: int, branch: int, r: int | None = None, s: int | None = None
+) -> list[ProgressionSpec]:
+    """Parity families for the (7,7) function at primes p >= 5 with
+    (-21/p) = -1: branches 1 (r) and 2 (s) are ``_p77_row`` at p^(2b), and
       branch 3 (p not dividing n): 2*49^a p^(2b+1) n + (11*49^a p^(2b+2) - 5)/6
     """
-    _require_prime(p, "p77 prime family")
-    if p < 5:
-        raise InvalidFamilyParams("p77 prime family needs p >= 5")
-    if jacobi_symbol(-21, p) != -1:
-        raise InvalidFamilyParams("p77 prime family needs (-21/p) = -1")
-    if alpha < 0 or beta < 0:
-        raise InvalidFamilyParams("alpha and beta must be non-negative")
-    if branch == 1:
-        if r not in (3, 4, 6):
-            raise InvalidFamilyParams("branch 1 needs r in {3, 4, 6}")
-        step = 2 * 7 ** (2 * alpha + 1) * p ** (2 * beta)
-        offset = _exact_div(
-            (11 + 12 * r) * 49**alpha * p ** (2 * beta) - 5, 6, "p77 branch 1 offset"
-        )
-        return [ProgressionSpec("p_tt", step, offset, 2, t=7)]
-    if branch == 2:
-        if s not in (2, 4, 5):
-            raise InvalidFamilyParams("branch 2 needs s in {2, 4, 5}")
-        step = 2 * 49 ** (alpha + 1) * p ** (2 * beta)
-        offset = _exact_div(
-            (5 + 12 * s) * 7 ** (2 * alpha + 1) * p ** (2 * beta) - 5, 6, "p77 branch 2 offset"
-        )
-        return [ProgressionSpec("p_tt", step, offset, 2, t=7)]
-    if branch == 3:
-        step = 2 * 49**alpha * p ** (2 * beta + 1)
-        offset = _exact_div(
-            11 * 49**alpha * p ** (2 * beta + 2) - 5, 6, "p77 branch 3 offset"
-        )
-        return [ProgressionSpec("p_tt", step, offset, 2, t=7, exclude_prime=p)]
-    raise InvalidFamilyParams("branch must be 1, 2 or 3")
+    _family_prime(p, 5, *_symbol_minus_one(-21))
+    _require(alpha >= 0 and beta >= 0, "alpha and beta must be non-negative")
+    _require(branch in (1, 2, 3), "branch must be 1, 2 or 3")
+    if branch < 3:
+        return _p77_row(alpha, p ** (2 * beta), branch, r if branch == 1 else s)
+    power = 49**alpha * p ** (2 * beta + 1)
+    return [_parity(7, 2 * power, 11 * power * p - 5, 6, exclude_prime=p)]
 
 
-_FAMILY_BUILDERS: dict[str, Callable[..., list[ProgressionSpec]]] = {
-    "thm2": transfer_specs,
-    "ramanujan": ramanujan_specs,
-    "thm5": p11_prime_power_specs,
-    "thm11": p22_prime_specs,
-    "thm6": p33_mod16_specs,
-    "cor1": p33_prime_power_specs,
-    "thm12": p55_specs,
-    "thm13": p55_prime_specs,
-    "thm14": p77_specs,
-    "final": p77_prime_specs,
+_FAMILIES: dict[str, Callable[..., list[ProgressionSpec]]] = {
+    "thm2": _thm2, "ramanujan": _ramanujan, "thm5": _thm5, "thm11": _thm11, "thm6": _thm6,
+    "cor1": _cor1, "thm12": _thm12, "thm13": _thm13, "thm14": _thm14, "final": _final,
 }
 
-FAMILY_IDS = tuple(sorted(_FAMILY_BUILDERS))
+FAMILY_IDS = tuple(sorted(_FAMILIES))
 
 
 def family_catalog(family_id: str, **params) -> list[ProgressionSpec]:
     """Progression claims for a named family; ids match the CLI suite names."""
+    if family_id not in _FAMILIES:
+        raise InvalidFamilyParams(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
     try:
-        builder = _FAMILY_BUILDERS[family_id]
-    except KeyError:
-        raise InvalidFamilyParams(
-            f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}"
-        ) from None
-    return builder(**params)
+        return _FAMILIES[family_id](**params)
+    except InvalidFamilyParams as exc:
+        raise InvalidFamilyParams(f"{family_id}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -224,9 +224,9 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> Tru
 
 
 def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
-    """Coefficient n of (sum s q^e) / (q;q)_inf for (exponent, sign) terms
-    with signs +-1: sum s * p(n - e), one addition or subtraction of a p(n)
-    table entry per term, with no multiply.  Exponents past n are dropped.
+    """Coefficient n of (sum c q^e) / (q;q)_inf for a sparse support of
+    (exponent, coefficient) pairs: sum c * p(n - e), one p(n) table entry
+    per term.  Exponents past n are dropped; repeated exponents add up.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -234,15 +234,11 @@ def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
         _grow_p_table(n)
     p = _p_table
     total = 0
-    for e, s in support:
-        if e > n:
-            continue
-        if s == 1 and e >= 0:
-            total += p[n - e]
-        elif s == -1 and e >= 0:
-            total -= p[n - e]
-        else:
-            raise ValueError("support terms need exponents >= 0 and signs +-1")
+    for e, c in support:
+        if e < 0:
+            raise ValueError("negative exponent in a power series")
+        if e <= n:
+            total += c * p[n - e]
     return total
 
 

@@ -185,6 +185,13 @@ class TestVerify:
             (["thm1", "--t-max", "0"], "t_max >= 1"),
             (["thm12", "--t-max", "3"], "takes only n_max (default 100)"),
             (["all", "--n-max", "50"], "default bounds"),
+            # an ad-hoc sweep: a non-prime exclusion, or one that checks nothing
+            (["progression", "--n-max", "5", "--exclude-prime", "0"], "prime, not 0"),
+            (["progression", "--n-max", "5", "--exclude-prime", "1"], "prime, not 1"),
+            (["progression", "--n-max", "5", "--exclude-prime", "4"], "prime, not 4"),
+            (["progression", "--n-max", "5", "--exclude-prime", "-3"], "prime, not -3"),
+            (["progression", "--offset", "60000", "--n-max", "5"], "argument cap 50000"),
+            (["progression", "--n-max", "0", "--exclude-prime", "5"], "skips every swept index"),
         ],
     )
     def test_bad_suite_arguments_fail_fast(self, capsys, argv, message):
@@ -221,6 +228,16 @@ class TestVerify:
         assert message in err
         assert out == ""
         assert elapsed < 1.0
+
+    def test_progression_is_capped_like_the_suites(self, capsys):
+        code, out, _, elapsed = run_cli_timed(
+            capsys, "verify", "progression", "--function", "p", "--step", "1000000",
+            "--offset", "4", "--modulus", "5", "--n-max", "5",
+        )
+        assert code == 0 and elapsed < 2.0
+        (row,) = json_lines(out)
+        assert row["checked"] == 1
+        assert row["metadata"] == {"n_max": 5, "n_max_effective": 0, "argument_cap": 50000}
 
     def test_progression_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "progression", "--n-max", "3")

@@ -31,10 +31,9 @@ from mexparts.errors import (
     InvalidFamilyParams,
     NonIntegralOffset,
     NotCoprime,
-    TruncationTooSmall,
 )
 from mexparts.mex import MexParams, genfun_p_tt, identity_p_tt, mex_count_oracle
-from mexparts.singular import SingularParams, singular_overpartition_oracle
+from mexparts.singular import SingularParams, genfun_singular, singular_overpartition_oracle
 
 
 class TestJacobi:
@@ -266,10 +265,100 @@ class TestCheckProgression:
         assert report.checked == 0
         assert report.passed
 
-    def test_singular_respects_trunc(self):
-        spec = ProgressionSpec("singular", 16, 11, 8, k=12, i=3)
-        with pytest.raises(TruncationTooSmall):
-            check_progression(spec, 100, trunc=50)
+    @pytest.mark.parametrize("k, i", [(12, 3), (4, 2)])  # (4, 2) is self-paired
+    @pytest.mark.parametrize("step, offset", [(1, 2001), (101, 5)])
+    def test_singular_sweeps_past_order_2000_match_the_series(self, k, i, step, offset):
+        # no series order caps a sweep; with a large modulus every argument
+        # fails and records its value, 25 of them (the failure cap)
+        modulus = 10**9 + 7
+        report = check_progression(ProgressionSpec("singular", step, offset, modulus, k=k, i=i), 24)
+        series = genfun_singular(SingularParams(k, i), step * 24 + offset)
+        expected = [
+            {"n": n, "argument": a, "value_mod_m": series.coefficient(a) % modulus}
+            for n, a in ((n, step * n + offset) for n in range(25))
+            if series.coefficient(a) % modulus
+        ]
+        assert max(e["argument"] for e in expected) > 2000
+        assert report.failures == expected
+        assert report.checked == 25 and report.failure_count == len(expected)
+
+
+# Every side condition of every family, each violated alone, with a pattern
+# naming the condition in the error message.
+_INVALID = InvalidFamilyParams
+_INVALID_FAMILY_PARAMS = [
+    # thm2: the transfer's bounds
+    ("thm2", dict(a=0, b=4, m=5, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
+    ("thm2", dict(a=5, b=4, m=5, t=0), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
+    ("thm2", dict(a=5, b=-1, m=5, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
+    ("thm2", dict(a=5, b=4, m=1, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
+    # ramanujan
+    ("ramanujan", dict(p=13, k=1, t=1), _INVALID, r"p in \{5, 7, 11\}"),
+    ("ramanujan", dict(p=5, k=0, t=1), _INVALID, r"k, t >= 1"),
+    ("ramanujan", dict(p=7, k=1, t=0), _INVALID, r"k, t >= 1"),
+    # thm5
+    ("thm5", dict(p=9, k=0), _INVALID, r"\b9 is not prime"),
+    ("thm5", dict(p=1, k=0), _INVALID, r"\b1 is not prime"),
+    ("thm5", dict(p=3, k=0), _INVALID, r"p >= 5"),
+    ("thm5", dict(p=13, k=0), _INVALID, r"p != 1 \(mod 12\)"),
+    ("thm5", dict(p=37, k=1), _INVALID, r"p != 1 \(mod 12\)"),
+    ("thm5", dict(p=5, k=-1), _INVALID, r"\bk must be non-negative"),
+    ("thm5", dict(p=10**6 + 3, k=0), ValueError, r"bounded at"),
+    # thm11
+    ("thm11", dict(p=15, alpha=0, j=1), _INVALID, r"15 is not prime"),
+    ("thm11", dict(p=3, alpha=0, j=1), _INVALID, r"p >= 7"),
+    ("thm11", dict(p=13, alpha=0, j=1), _INVALID, r"p == 3 \(mod 4\)"),
+    ("thm11", dict(p=17, alpha=1, j=2), _INVALID, r"p == 3 \(mod 4\)"),
+    ("thm11", dict(p=7, alpha=-1, j=1), _INVALID, r"alpha must be non-negative"),
+    ("thm11", dict(p=7, alpha=0, j=0), _INVALID, r"1 <= j <= p - 1"),
+    ("thm11", dict(p=7, alpha=0, j=7), _INVALID, r"1 <= j <= p - 1"),
+    # thm6 takes no parameters
+    ("thm6", dict(alpha=0), TypeError, r"unexpected keyword argument 'alpha'"),
+    # cor1
+    ("cor1", dict(p=9, alpha=0, branch=1), _INVALID, r"9 is not prime"),
+    ("cor1", dict(p=3, alpha=0, branch=1), _INVALID, r"p >= 5"),
+    ("cor1", dict(p=5, alpha=0, branch=1), _INVALID, r"p == 3 \(mod 4\)"),
+    ("cor1", dict(p=13, alpha=1, branch=1), _INVALID, r"p == 3 \(mod 4\)"),
+    ("cor1", dict(p=11, alpha=0, branch=2), _INVALID, r"\(-2/p\) = -1"),
+    ("cor1", dict(p=17, alpha=0, branch=2), _INVALID, r"\(-2/p\) = -1"),
+    ("cor1", dict(p=7, alpha=-1, branch=1), _INVALID, r"alpha must be non-negative"),
+    ("cor1", dict(p=7, alpha=0, branch=3), _INVALID, r"branch must be 1 or 2"),
+    ("cor1", dict(p=5, alpha=0, branch=0), _INVALID, r"branch must be 1 or 2"),
+    # thm12
+    ("thm12", dict(alpha=-1, row=1), _INVALID, r"alpha must be non-negative"),
+    ("thm12", dict(alpha=0, row=0), _INVALID, r"row must be 1, 2, 3 or 4"),
+    ("thm12", dict(alpha=1, row=5), _INVALID, r"row must be 1, 2, 3 or 4"),
+    # thm13
+    ("thm13", dict(p=21, alpha=0, j=1), _INVALID, r"21 is not prime"),
+    ("thm13", dict(p=3, alpha=0, j=1), _INVALID, r"p >= 5"),
+    ("thm13", dict(p=7, alpha=0, j=1), _INVALID, r"\(-10/p\) = -1"),
+    ("thm13", dict(p=13, alpha=1, j=1), _INVALID, r"\(-10/p\) = -1"),
+    ("thm13", dict(p=17, alpha=-1, j=1), _INVALID, r"alpha must be non-negative"),
+    ("thm13", dict(p=17, alpha=0, j=0), _INVALID, r"1 <= j <= p - 1"),
+    ("thm13", dict(p=17, alpha=0, j=17), _INVALID, r"1 <= j <= p - 1"),
+    # thm14
+    ("thm14", dict(alpha=-1, r=3), _INVALID, r"alpha must be non-negative"),
+    ("thm14", dict(alpha=0, r=3, s=2), _INVALID, r"exactly one of r, s"),
+    ("thm14", dict(alpha=0), _INVALID, r"exactly one of r, s"),
+    ("thm14", dict(alpha=0, r=5), _INVALID, r"\br\b.* in \{3, 4, 6\}"),
+    ("thm14", dict(alpha=1, s=3), _INVALID, r"\bs\b.* in \{2, 4, 5\}"),
+    # final
+    ("final", dict(p=15, alpha=0, beta=0, branch=3), _INVALID, r"15 is not prime"),
+    ("final", dict(p=3, alpha=0, beta=0, branch=3), _INVALID, r"p >= 5"),
+    ("final", dict(p=11, alpha=0, beta=0, branch=1, r=3), _INVALID, r"\(-21/p\) = -1"),
+    ("final", dict(p=5, alpha=0, beta=1, branch=3), _INVALID, r"\(-21/p\) = -1"),
+    ("final", dict(p=13, alpha=-1, beta=0, branch=3), _INVALID, r"alpha.* must be non-negative"),
+    ("final", dict(p=13, alpha=0, beta=-1, branch=3), _INVALID, r"beta must be non-negative"),
+    ("final", dict(p=13, alpha=0, beta=0, branch=1, r=5), _INVALID, r"\br\b.* in \{3, 4, 6\}"),
+    ("final", dict(p=13, alpha=0, beta=0, branch=1), _INVALID, r"\br\b.* in \{3, 4, 6\}"),
+    ("final", dict(p=13, alpha=0, beta=0, branch=2, s=3), _INVALID, r"\bs\b.* in \{2, 4, 5\}"),
+    ("final", dict(p=13, alpha=1, beta=0, branch=2, r=3), _INVALID, r"\bs\b.* in \{2, 4, 5\}"),
+    ("final", dict(p=13, alpha=0, beta=0, branch=4), _INVALID, r"branch must be 1, 2 or 3"),
+    ("final", dict(p=13, alpha=0, beta=0, branch=0, r=3), _INVALID, r"branch must be 1, 2 or 3"),
+    # a missing parameter, and an unknown id
+    ("thm5", dict(p=5), TypeError, r"missing 1 required positional argument: 'k'"),
+    ("nope", {}, _INVALID, r"unknown family 'nope'"),
+]
 
 
 class TestFamilyCatalog:
@@ -314,6 +403,12 @@ class TestFamilyCatalog:
             family_catalog("thm14", alpha=0, r=5)
         with pytest.raises(InvalidFamilyParams):
             family_catalog("nope")
+
+    @pytest.mark.parametrize("family, params, error, pattern", _INVALID_FAMILY_PARAMS)
+    def test_every_side_condition_is_named(self, family, params, error, pattern):
+        with pytest.raises(error, match=pattern) as exc:
+            family_catalog(family, **params)
+        assert exc.type is error
 
     def test_offsets_are_nonnegative_integers(self):
         specs = []

@@ -79,6 +79,14 @@ GOLDEN = Path(__file__).parent / "golden"
             ["compute", "p_tt", "--t", "1", "--n-max", "1500", "--format", "csv"],
         ),
         ("compute_p_2tt_t3_n1500.jsonl", ["compute", "p_2tt", "--t", "3", "--n-max", "1500"]),
+        (
+            # an ad-hoc singular sweep up to argument 1931
+            "verify_progression_singular_k12_i3_n120.jsonl",
+            [
+                "verify", "progression", "--function", "singular", "--k", "12", "--i", "3",
+                "--step", "16", "--offset", "11", "--modulus", "8", "--n-max", "120",
+            ],
+        ),
     ],
 )
 def test_stdout_matches_golden_capture(capsys, capture, argv):

@@ -194,11 +194,12 @@ class TestPartitionConvolution:
 class TestPartitionSupportSum:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
-        st.lists(st.tuples(st.integers(0, 250), st.sampled_from((1, -1))), max_size=20),
+        st.lists(st.tuples(st.integers(0, 250), st.integers(-3, 3)), max_size=20),
         st.integers(0, 200),
     )
     def test_is_one_coefficient_of_the_convolution(self, support, n):
-        # repeated exponents add up and exponents past n drop, as in the convolution
+        # any integer coefficient, as in the convolution: repeated exponents
+        # add up and exponents past n drop
         assert partition_support_sum(support, n) == partition_convolution(support, n).coefficient(n)
 
     def test_euler_support_gives_zero_past_the_constant_term(self):
@@ -211,7 +212,7 @@ class TestPartitionSupportSum:
         assert len(fresh_table) > 9  # it grew the patched table, bound at no import
 
     def test_rejects_bad_input(self):
-        for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(0, 2)], 5), ([(2, 0)], 5)):
+        for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(-1, 2)], 5)):
             with pytest.raises(ValueError):
                 partition_support_sum(support, n)
 
