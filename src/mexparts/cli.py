@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Iterable
 
-from .congruences import ProgressionSpec, check_progression
+from .congruences import ARG_CAP, ProgressionSpec, check_progression
 from .errors import MexpartsError, OracleBoundExceeded, TruncationTooSmall
 from .mex import MEX_ORACLE_BOUND, MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
 from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_convolution, partition_count
@@ -31,7 +31,7 @@ from .singular import (
     genfun_singular,
     singular_overpartition_oracle,
 )
-from .suites import ARG_CAP, SUITE_NAMES, run_all, run_suite, series_order
+from .suites import SUITE_NAMES, run_all, run_suite, series_order
 
 DEFAULT_TRUNC = 2000
 

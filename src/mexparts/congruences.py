@@ -12,12 +12,14 @@ least value, residue or Jacobi-symbol condition) and its other parameters
 with ``_require``; every parity claim on p_{t,t} is made by ``_parity``,
 which refuses an offset division that is not exact.
 
-Every sweep is a support sum: f is a sparse numerator over (q;q)_inf (1
-for p, the (t,t) and (2t,t) supports, the singular theta support), taken
-once up to the sweep's largest argument, and each value is
-sum c * p(arg - e) from the exact p(n) table, reduced modulo m.  No series
-is built.  A report never silently narrows a sweep; whatever was skipped
-(excluded index, argument cap) is counted.
+One loop, ``_sweep``, evaluates every progression for its three callers:
+``check_progression``, ``check_conditional_parity`` and
+``check_singular_mod8``.  Each value is a support sum: f is a sparse
+numerator over (q;q)_inf (1 for p, the (t,t) and (2t,t) supports, the
+singular theta support), taken once up to the sweep's largest argument,
+and each value is sum c * p(arg - e) from the exact p(n) table, reduced
+modulo m.  No series is built.  A report never silently narrows a sweep;
+whatever was skipped (excluded index, argument cap) is counted.
 """
 
 from __future__ import annotations
@@ -205,6 +207,8 @@ def is_2pent_plus_3tri(n: int) -> bool:
 # progression claims
 # ---------------------------------------------------------------------------
 
+ARG_CAP = 50_000  # keep progression arguments at desk scale
+
 # each function's numerator over (q;q)_inf, as (exponent, coefficient) terms
 # up to a limit; the self-paired singular case k = 2i has coefficients 2
 _SUPPORTS: dict[str, Callable[["ProgressionSpec", int], list[tuple[int, int]]]] = {
@@ -213,6 +217,8 @@ _SUPPORTS: dict[str, Callable[["ProgressionSpec", int], list[tuple[int, int]]]] 
     "p_2tt": lambda spec, limit: support_p_2tt(spec.t, limit),
     "singular": lambda spec, limit: theta_support(spec.k, spec.i, limit),
 }
+# the parameters among t, k, i each function takes
+_PARAMS = {"p": (), "p_tt": ("t",), "p_2tt": ("t",), "singular": ("k", "i")}
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,8 @@ class ProgressionSpec:
 
     ``exclude_prime`` skips sweep indices n divisible by that prime, matching
     the "p does not divide n" hypothesis of several families; it must be prime.
+    It carries exactly the t, k, i its function takes: t for p_tt and p_2tt,
+    k and i for singular; any other is refused, never ignored.
     """
 
     function: str
@@ -236,17 +244,19 @@ class ProgressionSpec:
     def __post_init__(self):
         if self.function not in _SUPPORTS:
             raise ValueError(f"unknown function id {self.function!r}")
+        given = tuple(key for key in ("t", "k", "i") if getattr(self, key) is not None)
+        if given != _PARAMS[self.function]:
+            takes = " and ".join(_PARAMS[self.function]) or "none of t, k, i"
+            raise ValueError(f"{self.function} takes {takes}; given: {', '.join(given) or 'none'}")
         if self.step < 1:
             raise ValueError("progression step must be positive")
         if self.offset < 0:
             raise ValueError("progression offset must be non-negative")
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
-        if self.function in ("p_tt", "p_2tt") and (self.t is None or self.t < 1):
+        if self.t is not None and self.t < 1:
             raise ValueError(f"{self.function} needs a positive t")
         if self.function == "singular":
-            if self.k is None or self.i is None:
-                raise ValueError("singular needs k and i")
             SingularParams(self.k, self.i)  # raises on k < 3 or i outside [1, k//2]
         if self.exclude_prime is not None and not is_prime(self.exclude_prime):
             raise ValueError(f"exclude_prime must be a prime, not {self.exclude_prime}")
@@ -272,34 +282,23 @@ class ProgressionSpec:
             "offset": self.offset,
             "modulus": self.modulus,
         }
-        if self.t is not None:
-            out["t"] = self.t
-        if self.k is not None:
-            out["k"] = self.k
-            out["i"] = self.i
+        out.update((key, getattr(self, key)) for key in _PARAMS[self.function])
         if self.exclude_prime is not None:
             out["exclude_prime"] = self.exclude_prime
         return out
 
 
-def check_progression(
-    spec: ProgressionSpec, n_max: int, arg_cap: int | None = None
-) -> VerificationReport:
-    """Sweep a progression claim for n in [0, n_max].
+def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_cap: int | None,
+           skip: Callable[[int], bool] | None) -> VerificationReport:
+    """The one loop over f(step*n + offset) mod m, for n in [0, n_max].
 
-    The function's numerator over (q;q)_inf is taken once, as a sparse
-    support up to the sweep's largest argument, and every value is the
-    support sum over the p(n) table; no series is built.  ``arg_cap`` trims
-    the sweep to arguments step*n + offset <= arg_cap (the trimmed-off tail
-    is reported in the metadata, not silently dropped).
+    Trims the sweep to arguments <= ``arg_cap`` (recording the trim in the
+    metadata), takes the function's support once at the largest argument,
+    counts the indices ``skip`` exempts, and records each nonzero residue.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
     n_eff = n_max
     if arg_cap is not None:
         n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
-    report = VerificationReport(label=spec.describe(), spec=spec.to_json())
-    report.metadata["n_max"] = n_max
     if n_eff < n_max:
         report.metadata["n_max_effective"] = n_eff
         report.metadata["argument_cap"] = arg_cap
@@ -307,7 +306,7 @@ def check_progression(
         return report
     support = _SUPPORTS[spec.function](spec, spec.step * n_eff + spec.offset)
     for n in range(n_eff + 1):
-        if spec.exclude_prime is not None and n % spec.exclude_prime == 0:
+        if skip is not None and skip(n):
             report.skipped += 1
             continue
         arg = spec.step * n + spec.offset
@@ -316,6 +315,23 @@ def check_progression(
         if residue != 0:
             report.record_failure(n=n, argument=arg, value_mod_m=residue)
     return report
+
+
+def check_progression(
+    spec: ProgressionSpec, n_max: int, arg_cap: int | None = None
+) -> VerificationReport:
+    """Sweep a progression claim for n in [0, n_max], skipping indices
+    divisible by ``spec.exclude_prime``.  ``arg_cap`` trims the sweep to
+    arguments step*n + offset <= arg_cap (the trimmed-off tail is reported
+    in the metadata, not silently dropped).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    report = VerificationReport(label=spec.describe(), spec=spec.to_json())
+    report.metadata["n_max"] = n_max
+    prime = spec.exclude_prime
+    skip = None if prime is None else lambda n: n % prime == 0
+    return _sweep(report, spec, n_max, arg_cap, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +557,14 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
     return report
 
 
+# thm6's conditional claims: the offset r of 16n + r, and the predicate
+# (with its name) of the indices the claim exempts
+_THM6_CONDITIONS = {
+    "thm6_part2": (3, is_pent_plus_4pent, "pent + 4*pent"),
+    "thm6_part3": (7, is_2pent_plus_3tri, "2*pent + 3*tri"),
+}
+
+
 def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
     """One-directional parity claims for the (3,3) function:
 
@@ -550,15 +574,13 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
                   triangular, then p_{3,3}(16n + 7) is even
 
     Indices satisfying the predicate are skipped (the claims say nothing
-    there).  Pentagonal means generalized pentagonal, zero included; the
-    calibration test in the suite confirms that convention empirically.
+    there), and the sweep stops at argument ``ARG_CAP``.  Pentagonal means
+    generalized pentagonal, zero included; the calibration test in the suite
+    confirms that convention empirically.
     """
-    if which == "thm6_part2":
-        predicate, offset, predicate_name = is_pent_plus_4pent, 3, "pent + 4*pent"
-    elif which == "thm6_part3":
-        predicate, offset, predicate_name = is_2pent_plus_3tri, 7, "2*pent + 3*tri"
-    else:
+    if which not in _THM6_CONDITIONS:
         raise ValueError("which must be 'thm6_part2' or 'thm6_part3'")
+    offset, predicate, predicate_name = _THM6_CONDITIONS[which]
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     report = VerificationReport(
@@ -569,15 +591,7 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
             "pentagonal_convention": "generalized, k in Z, 0 included",
         },
     )
-    for n in range(n_max + 1):
-        if predicate(n):
-            report.skipped += 1
-            continue
-        value = identity_p_tt(3, 16 * n + offset)
-        report.checked += 1
-        if value % 2 != 0:
-            report.record_failure(n=n, argument=16 * n + offset, value_mod_m=value % 2)
-    return report
+    return _sweep(report, ProgressionSpec("p_tt", 16, offset, 2, t=3), n_max, ARG_CAP, predicate)
 
 
 def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
@@ -628,33 +642,21 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
 
 
 def check_singular_mod8(arg_max: int = 500) -> list[VerificationReport]:
-    """Mod-8 behaviour of C(12,3) along 16n + r for arguments up to arg_max:
-    r = 11, 15 vanish unconditionally; r = 3 vanishes when n is not a
-    pentagonal plus four times a pentagonal; r = 7 when n is not twice a
-    pentagonal plus three times a triangular."""
-    series = genfun_singular(SingularParams(12, 3), arg_max)
+    """Mod-8 behaviour of C(12,3) along 16n + r for arguments up to arg_max
+    (at most ``ARG_CAP``): r = 11, 15 vanish unconditionally; r = 3 vanishes
+    when n is not a pentagonal plus four times a pentagonal; r = 7 when n is
+    not twice a pentagonal plus three times a triangular."""
+    if arg_max > ARG_CAP:
+        raise ValueError(f"arg_max must be at most the argument cap {ARG_CAP}")
     out = []
-    cases = [
-        (11, None, "unconditional"),
-        (15, None, "unconditional"),
-        (3, is_pent_plus_4pent, "n not pent + 4*pent"),
-        (7, is_2pent_plus_3tri, "n not 2*pent + 3*tri"),
-    ]
+    cases = [(r, None, "unconditional") for r in (11, 15)]
+    cases += [(r, predicate, f"n not {name}") for r, predicate, name in _THM6_CONDITIONS.values()]
     for offset, predicate, condition in cases:
+        spec = ProgressionSpec("singular", 16, offset, 8, k=12, i=3)
         report = VerificationReport(
             label=f"singular-mod8-16n+{offset}",
-            spec=ProgressionSpec("singular", 16, offset, 8, k=12, i=3).to_json(),
+            spec=spec.to_json(),
             metadata={"argument_cap": arg_max, "condition": condition},
         )
-        n = 0
-        while 16 * n + offset <= arg_max:
-            if predicate is not None and predicate(n):
-                report.skipped += 1
-            else:
-                value = series.coefficient(16 * n + offset)
-                report.checked += 1
-                if value % 8 != 0:
-                    report.record_failure(n=n, argument=16 * n + offset, value_mod_m=value % 8)
-            n += 1
-        out.append(report)
+        out.append(_sweep(report, spec, (arg_max - offset) // 16, arg_max, predicate))
     return out

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MexpartsError", "NonUnitConstantTerm", "TruncationTooSmall", "OracleBoundExceeded",
+    "EmptyPartition", "InvalidSingularParams", "EvenModulus", "NotCoprime",
+    "InvalidFamilyParams", "NonIntegralOffset",
+]
+
 
 class MexpartsError(Exception):
     """Base class for all library-specific errors."""

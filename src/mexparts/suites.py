@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 
 from .congruences import (
+    ARG_CAP,
     ProgressionSpec,
     check_conditional_parity,
     check_parity_bridge,
@@ -40,8 +41,6 @@ from .singular import SingularParams, genfun_singular, singular_overpartition_or
 from .stats import verify_section1_identities
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds", "series_order", "ARG_CAP"]
-
-ARG_CAP = 50_000  # keep progression arguments at desk scale
 
 ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
 N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis
@@ -80,27 +79,25 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     params = [MexParams(A, t) for t in range(1, t_max + 1) for A in (t, 2 * t)]
     oracle = [mex_counts_oracle(n, params) for n in range(oracle_n + 1)]
     for t in range(1, t_max + 1):
-        series_tt = genfun_p_tt(t, n_max)
-        series_2tt = genfun_p_2tt(t, n_max)
+        families = (
+            ("p_tt", identity_p_tt, genfun_p_tt(t, n_max)),
+            ("p_2tt", identity_p_2tt, genfun_p_2tt(t, n_max)),
+        )
         report = VerificationReport(
             label=f"identity-equivalence-t={t}",
             metadata={"n_max": n_max, "oracle_n_max": oracle_n},
         )
-        for n in range(n_max + 1):
-            report.checked += 2
-            v_tt = identity_p_tt(t, n)
-            v_2tt = identity_p_2tt(t, n)
-            if v_tt != series_tt.coefficient(n):
-                report.record_failure(family="p_tt", n=n, identity=v_tt, series=series_tt.coefficient(n))
-            if v_2tt != series_2tt.coefficient(n):
-                report.record_failure(family="p_2tt", n=n, identity=v_2tt, series=series_2tt.coefficient(n))
-        for n in range(oracle_n + 1):
-            report.checked += 2
-            o_tt, o_2tt = oracle[n][2 * t - 2 : 2 * t]
-            if o_tt != identity_p_tt(t, n):
-                report.record_failure(family="p_tt", n=n, oracle=o_tt, identity=identity_p_tt(t, n))
-            if o_2tt != identity_p_2tt(t, n):
-                report.record_failure(family="p_2tt", n=n, oracle=o_2tt, identity=identity_p_2tt(t, n))
+        for n in range(n_max + 1):  # one pass, so failures are found ascending in n
+            for slot, (family, identity, series) in enumerate(families, 2 * t - 2):
+                value, coefficient = identity(t, n), series.coefficient(n)
+                report.checked += 1
+                if value != coefficient:
+                    report.record_failure(family=family, n=n, identity=value, series=coefficient)
+                if n <= oracle_n:
+                    report.checked += 1
+                    count = oracle[n][slot]
+                    if count != value:
+                        report.record_failure(family=family, n=n, oracle=count, identity=value)
         reports.append(report)
     return reports
 
@@ -228,7 +225,6 @@ _SERIES_ORDER = {
     "thm1": lambda t_max, n_max: n_max,
     "thm3": lambda t_max, n_max: max(n_max, ETA_ORDER),
     "parity": lambda n_max: n_max,
-    "thm6": lambda n_max: MOD8_ARG_MAX,
 }
 
 

@@ -4,9 +4,11 @@ Each test prints one ``criterion N PASS`` line (run pytest with -s to watch);
 budgets are asserted alongside correctness.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from mexparts.congruences import (
     ProgressionSpec,
@@ -31,6 +33,7 @@ from mexparts.stats import verify_section1_identities
 from mexparts.suites import ARG_CAP
 
 _CHECKMARK = "criterion {} PASS ({:.2f}s): {}"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _report(number, started, description):
@@ -191,6 +194,7 @@ def test_criterion_8_negative_control():
             "--n-max",
             "200",
         ],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )

@@ -170,6 +170,11 @@ class TestVerify:
         assert lines[0] == "suite,label,checked,skipped,failure_count,passed"
         assert all(line.endswith("True") for line in lines[1:])
 
+    def test_thm6_builds_no_series(self, capsys):
+        # every thm6 sweep reads the p(n) table, so no --trunc is too small
+        code, out, _ = run_cli(capsys, "verify", "thm6", "--n-max", "5", "--trunc", "100")
+        assert code == 0 and len(json_lines(out)) == 8
+
     def test_parity_trunc_guard(self, capsys):
         code, _, err = run_cli(capsys, "verify", "parity", "--n-max", "2500")
         assert code == 2
@@ -192,6 +197,16 @@ class TestVerify:
             (["progression", "--n-max", "5", "--exclude-prime", "-3"], "prime, not -3"),
             (["progression", "--offset", "60000", "--n-max", "5"], "argument cap 50000"),
             (["progression", "--n-max", "0", "--exclude-prime", "5"], "skips every swept index"),
+            # a --t, --k or --i the progression function does not take
+            (
+                ["progression", "--function", "p", "--step", "5", "--offset", "4", "--modulus",
+                 "5", "--t", "3", "--k", "12", "--i", "3", "--n-max", "5"],
+                "p takes none of t, k, i; given: t, k, i",
+            ),
+            (["progression", "--function", "p_tt", "--t", "2", "--k", "12"], "given: t, k"),
+            (["progression", "--function", "p_2tt", "--t", "2", "--i", "1"], "given: t, i"),
+            (["progression", "--function", "singular", "--k", "12", "--i", "3", "--t", "3"],
+             "singular takes k and i; given: t, k, i"),
         ],
     )
     def test_bad_suite_arguments_fail_fast(self, capsys, argv, message):

@@ -204,6 +204,24 @@ class TestProgressionSpec:
         with pytest.raises(ValueError):
             ProgressionSpec("nope", 5, 4, 5)
 
+    @pytest.mark.parametrize(
+        "function, params",
+        [
+            ("p", dict(t=3)),
+            ("p", dict(k=12, i=3)),
+            ("p", dict(i=3)),
+            ("p_tt", dict(t=2, k=12)),
+            ("p_tt", dict(t=2, i=1)),
+            ("p_2tt", dict(t=2, k=12, i=3)),
+            ("singular", dict(k=12, i=3, t=3)),
+            ("singular", dict(k=12)),
+            ("p_tt", dict(k=12, i=3)),
+        ],
+    )
+    def test_parameters_the_function_does_not_take_are_refused(self, function, params):
+        with pytest.raises(ValueError, match="takes"):
+            ProgressionSpec(function, 5, 4, 5, **params)
+
     def test_describe(self):
         spec = ProgressionSpec("p_tt", 5, 4, 5, t=5, exclude_prime=5)
         text = spec.describe()
@@ -482,6 +500,30 @@ class TestConditionalParity:
         assert [n for n in range(61) if identity_p_tt(3, 16 * n + 3) % 2] == []
         assert [n for n in range(61) if identity_p_tt(3, 16 * n + 7) % 2] == []
 
+    @pytest.mark.parametrize(
+        "which, offset, predicate",
+        [("thm6_part2", 3, is_pent_plus_4pent), ("thm6_part3", 7, is_2pent_plus_3tri)],
+    )
+    def test_agrees_with_the_identity_route(self, which, offset, predicate):
+        report = check_conditional_parity(which, 60)
+        swept = [n for n in range(61) if not predicate(n)]
+        assert report.checked == len(swept)
+        assert report.failure_count == sum(identity_p_tt(3, 16 * n + offset) % 2 for n in swept)
+
+    def test_sweep_is_capped_and_reads_the_p_table_only(self, monkeypatch):
+        from mexparts import congruences
+
+        def forbidden(*args):
+            raise AssertionError("a progression sweep must build no series or per-n support")
+
+        monkeypatch.setattr(congruences, "identity_p_tt", forbidden)
+        monkeypatch.setattr(congruences, "genfun_singular", forbidden)
+        report = check_conditional_parity("thm6_part3", 10**6)
+        assert report.metadata["n_max_effective"] == (50_000 - 7) // 16
+        assert report.metadata["argument_cap"] == 50_000
+        assert report.checked + report.skipped == (50_000 - 7) // 16 + 1
+        assert all(r.passed for r in check_singular_mod8(500))
+
     def test_predicates_do_skip_indices(self):
         part2 = check_conditional_parity("thm6_part2", 60)
         part3 = check_conditional_parity("thm6_part3", 60)
@@ -520,6 +562,23 @@ class TestSingularMod8:
         # the conditional rows skip their representable indices
         assert by_label["singular-mod8-16n+3"].skipped > 0
         assert by_label["singular-mod8-16n+11"].skipped == 0
+
+    def test_agrees_with_the_series_route(self):
+        # the loop the sweep replaced, on the coefficients of the C(12,3) series
+        series = genfun_singular(SingularParams(12, 3), 500)
+        predicates = {11: None, 15: None, 3: is_pent_plus_4pent, 7: is_2pent_plus_3tri}
+        for report in check_singular_mod8(500):
+            offset, predicate = report.spec["offset"], predicates[report.spec["offset"]]
+            swept = [
+                n for n in range((500 - offset) // 16 + 1) if predicate is None or not predicate(n)
+            ]
+            assert report.checked == len(swept)
+            values = [series.coefficient(16 * n + offset) for n in swept]
+            assert report.failure_count == sum(value % 8 != 0 for value in values)
+
+    def test_arguments_past_the_cap_are_refused(self):
+        with pytest.raises(ValueError, match="argument cap 50000"):
+            check_singular_mod8(50_001)
 
     def test_unconditional_rows_fail_without_condition(self):
         # 16n+3 is NOT unconditional: dropping the condition must surface

@@ -83,3 +83,24 @@ def test_series_order_is_the_largest_order_built(monkeypatch, name, overrides):
     partition_generating_series.cache_clear()
     run_suite(name, **overrides)
     assert max(orders, default=0) == series_order(name, **overrides)
+
+
+def test_thm6_conditional_sweeps_stop_at_the_argument_cap():
+    reports = {r.label: r for r in run_suite("thm6", n_max=4000)}
+    for which in ("thm6_part2", "thm6_part3"):
+        metadata = reports[f"conditional-parity-{which}"].metadata
+        assert metadata["n_max"] == 4000
+        assert metadata["n_max_effective"] == 3124
+        assert metadata["argument_cap"] == 50_000
+
+
+def test_thm1_records_failures_ascending_in_n(monkeypatch):
+    identity = suites.identity_p_tt
+    monkeypatch.setattr(
+        suites, "identity_p_tt", lambda t, n: identity(t, n) + (n in (5, 30))
+    )
+    (report,) = run_suite("thm1", t_max=1, n_max=40)
+    found = [failure["n"] for failure in report.failures]
+    assert found == sorted(found) == [5, 5, 30, 30]
+    assert report.failure_count == 4
+    assert report.checked == 4 * 41
