@@ -31,7 +31,7 @@ from .singular import (
     genfun_singular,
     singular_overpartition_oracle,
 )
-from .suites import SUITE_NAMES, run_all, run_suite, series_order
+from .suites import SUITE_NAMES, run_all, run_suite, series_order, suite_bounds
 
 DEFAULT_TRUNC = 2000
 
@@ -76,12 +76,11 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
         rows = [(n, mex_count_oracle(n, params)) for n in range(n_max + 1)]
         return "p_Aa_oracle", {"A": args.A, "a": args.a}, rows
-    if args.function == "C_ki_oracle":
-        params = SingularParams(args.k, args.i)
-        _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
-        rows = [(n, singular_overpartition_oracle(n, params)) for n in range(n_max + 1)]
-        return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
-    raise MexpartsError(f"unknown function {args.function!r}")
+    # C_ki_oracle, the last of the parser's choices
+    params = SingularParams(args.k, args.i)
+    _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
+    rows = [(n, singular_overpartition_oracle(n, params)) for n in range(n_max + 1)]
+    return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
 
 
 def _params_csv(params: dict) -> str:
@@ -124,49 +123,24 @@ def _emit_reports(pairs: Iterable[tuple[str, VerificationReport]], fmt: str) -> 
     return 0 if all_passed else 1
 
 
-# the flags of `verify progression` with their defaults; the parser leaves
-# them None, so a flag given to any other suite can be told from an unset one
-_PROGRESSION_DEFAULTS = {
-    "function": "p",
-    "step": 1,
-    "offset": 0,
-    "modulus": 2,
-    "t": None,
-    "k": None,
-    "i": None,
-    "exclude_prime": None,
-}
-
-
-def _given(args, keys: Iterable[str]) -> dict:
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
-def _reject_flags(suite: str, given: dict) -> None:
-    if given:
-        flags = ", ".join("--" + key.replace("_", "-") for key in given)
-        raise MexpartsError(f"verify {suite} does not take {flags}")
-
-
 def cmd_verify(args) -> int:
-    bounds = _given(args, ("n_max", "t_max", "k_max"))
     if args.suite == "progression":
-        _reject_flags("progression", _given(args, ("t_max", "k_max")))
-        spec = ProgressionSpec(**{**_PROGRESSION_DEFAULTS, **_given(args, _PROGRESSION_DEFAULTS)})
-        report = check_progression(spec, bounds.get("n_max", 100), arg_cap=ARG_CAP)
+        spec = ProgressionSpec(
+            args.function, args.step, args.offset, args.modulus,
+            args.t, args.k, args.i, args.exclude_prime,
+        )
+        report = check_progression(spec, args.n_max)
         if report.metadata.get("n_max_effective", 0) < 0:
             raise MexpartsError(f"--offset {spec.offset} is past the argument cap {ARG_CAP}")
         if not report.checked:
             raise MexpartsError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
         return _emit_reports([("progression", report)], args.format)
-    _reject_flags(args.suite, _given(args, _PROGRESSION_DEFAULTS))
     if args.suite == "all":
-        if bounds:
-            raise MexpartsError("verify all runs every suite at its default bounds; it takes no bound flags")
         _require_trunc(max(series_order(name) for name in SUITE_NAMES), args.trunc)
         results = run_all()
         pairs = [(suite, report) for suite, reports in results.items() for report in reports]
         return _emit_reports(pairs, args.format)
+    bounds = {key: getattr(args, key) for key in suite_bounds(args.suite)}
     _require_trunc(series_order(args.suite, **bounds), args.trunc)
     reports = run_suite(args.suite, **bounds)
     return _emit_reports([(args.suite, r) for r in reports], args.format)
@@ -197,7 +171,7 @@ def cmd_oracle_check(args) -> int:
         rows = [
             (n, mex_count_oracle(n, params), series.coefficient(n)) for n in range(n_max + 1)
         ]
-    elif args.function == "singular":
+    else:  # singular, the last of the parser's choices
         params = SingularParams(args.k, args.i)
         _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
         series = genfun_singular(params, n_max)
@@ -206,8 +180,6 @@ def cmd_oracle_check(args) -> int:
             (n, singular_overpartition_oracle(n, params), series.coefficient(n))
             for n in range(n_max + 1)
         ]
-    else:
-        raise MexpartsError(f"unknown function {args.function!r}")
     mismatches = 0
     if args.format == "csv":
         print("function,n,oracle,series,equal")
@@ -266,25 +238,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--a", type=int, default=1, help="a for p_Aa_oracle")
     p_compute.set_defaults(run=cmd_compute)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run verification sweeps")
-    p_verify.add_argument("suite", choices=("all", *SUITE_NAMES, "progression"))
-    p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--t-max", type=int, default=None)
-    p_verify.add_argument("--k-max", type=int, default=None)
-    # progression flags: default None, the defaults live in _PROGRESSION_DEFAULTS
-    p_verify.add_argument(
-        "--function",
-        choices=("p", "p_tt", "p_2tt", "singular"),
-        help="progression function (default p)",
-    )
-    p_verify.add_argument("--t", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--i", type=int)
-    p_verify.add_argument("--step", type=int, help="progression step a (default 1)")
-    p_verify.add_argument("--offset", type=int, help="progression offset b (default 0)")
-    p_verify.add_argument("--modulus", type=int, help="progression modulus m (default 2)")
-    p_verify.add_argument("--exclude-prime", type=int)
+    p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.set_defaults(run=cmd_verify)
+    # one parser per target, holding only that target's flags; no
+    # abbreviations, so --t cannot stand for --trunc
+    targets = p_verify.add_subparsers(dest="suite", required=True)
+    target_options = {"parents": [common], "allow_abbrev": False}
+    targets.add_parser("all", help="every suite at its default bounds", **target_options)
+    for name in SUITE_NAMES:
+        target = targets.add_parser(name, **target_options)
+        for key, default in suite_bounds(name).items():
+            flag = "--" + key.replace("_", "-")
+            target.add_argument(flag, type=int, default=default, help="(default %(default)s)")
+    target = targets.add_parser("progression", help="an ad-hoc progression claim", **target_options)
+    functions = ("p", "p_tt", "p_2tt", "singular")
+    target.add_argument("--function", choices=functions, default="p", help="(default %(default)s)")
+    target.add_argument("--t", type=int)
+    target.add_argument("--k", type=int)
+    target.add_argument("--i", type=int)
+    target.add_argument("--step", type=int, default=1, help="step a (default %(default)s)")
+    target.add_argument("--offset", type=int, default=0, help="offset b (default %(default)s)")
+    target.add_argument("--modulus", type=int, default=2, help="modulus m (default %(default)s)")
+    target.add_argument("--exclude-prime", type=int)
+    target.add_argument("--n-max", type=int, default=100, help="(default %(default)s)")
 
     p_oracle = sub.add_parser(
         "oracle-check", parents=[common], help="diff oracle counts against series coefficients"
@@ -304,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except MexpartsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (MexpartsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EvenModulus, InvalidFamilyParams, NonIntegralOffset, NotCoprime
-from .mex import genfun_p_tt, identity_p_tt
-from .partitions import partition_support_sum
+from .mex import genfun_p_tt
+from .partitions import partition_generating_series, partition_support_sum
 from .reports import VerificationReport
 from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
@@ -288,7 +288,7 @@ class ProgressionSpec:
         return out
 
 
-def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_cap: int | None,
+def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_cap: int,
            skip: Callable[[int], bool] | None) -> VerificationReport:
     """The one loop over f(step*n + offset) mod m, for n in [0, n_max].
 
@@ -296,9 +296,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
     metadata), takes the function's support once at the largest argument,
     counts the indices ``skip`` exempts, and records each nonzero residue.
     """
-    n_eff = n_max
-    if arg_cap is not None:
-        n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
+    n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
     if n_eff < n_max:
         report.metadata["n_max_effective"] = n_eff
         report.metadata["argument_cap"] = arg_cap
@@ -318,12 +316,12 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
 
 
 def check_progression(
-    spec: ProgressionSpec, n_max: int, arg_cap: int | None = None
+    spec: ProgressionSpec, n_max: int, arg_cap: int = ARG_CAP
 ) -> VerificationReport:
     """Sweep a progression claim for n in [0, n_max], skipping indices
-    divisible by ``spec.exclude_prime``.  ``arg_cap`` trims the sweep to
-    arguments step*n + offset <= arg_cap (the trimmed-off tail is reported
-    in the metadata, not silently dropped).
+    divisible by ``spec.exclude_prime``.  ``arg_cap`` (default ``ARG_CAP``)
+    trims the sweep to arguments step*n + offset <= arg_cap (the trimmed-off
+    tail is reported in the metadata, not silently dropped).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -528,7 +526,8 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
       p11: odd exactly at n = k(3k - 1), k over all integers; same for C(4,1)
       p33: odd exactly when 3n + 1 is a square; same for C(12,3)
 
-    Swept over n in [1, n_max].
+    Swept over n in [1, n_max], stopping at ``ARG_CAP``; both values are
+    support sums over the exact p(n) table.
     """
     if which not in ("p11", "p33"):
         raise ValueError("which must be 'p11' or 'p33'")
@@ -544,11 +543,14 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
         label=f"parity-characterization-{which}",
         metadata={"n_max": n_max, "predicate": predicate_name},
     )
-    singular_series = genfun_singular(SingularParams(k, i), n_max)
-    for n in range(1, n_max + 1):
+    n_eff = min(n_max, ARG_CAP)
+    if n_eff < n_max:
+        report.metadata.update(n_max_effective=n_eff, argument_cap=ARG_CAP)
+    mex_support, singular_support = support_p_tt(t, n_eff), theta_support(k, i, n_eff)
+    for n in range(1, n_eff + 1):
         expected_odd = predicate(n)
-        mex_value = identity_p_tt(t, n)
-        singular_value = singular_series.coefficient(n)
+        mex_value = partition_support_sum(mex_support, n)
+        singular_value = partition_support_sum(singular_support, n)
         report.checked += 2
         if (mex_value % 2 == 1) != expected_odd:
             report.record_failure(function=f"p_tt[t={t}]", n=n, value=mex_value)
@@ -621,7 +623,7 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
     if t < 1:
         raise ValueError("t must be positive")
     pt = pochhammer_inf(t, t, order)
-    eta = (pt * pt) * (pt * pochhammer_inf(1, 1, order).invert())
+    eta = (pt * pt) * (pt * partition_generating_series(order))
     eta2 = eta.reduce_mod(2)
     left = genfun_p_tt(t, order).reduce_mod(2)
     right = genfun_singular(SingularParams(4 * t, t), order).reduce_mod(2)

@@ -62,11 +62,8 @@ P77_BRANCHES = (  # final
 def _progressions(family: str, grid, n_max: int) -> list[VerificationReport]:
     """One capped sweep per claim of ``family`` at each parameter set of
     ``grid``, in grid order."""
-    return [
-        check_progression(spec, n_max, arg_cap=ARG_CAP)
-        for params in grid
-        for spec in family_catalog(family, **params)
-    ]
+    specs = [spec for params in grid for spec in family_catalog(family, **params)]
+    return [check_progression(spec, n_max) for spec in specs]
 
 
 def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
@@ -107,7 +104,7 @@ def suite_thm2(n_max: int = 100) -> list[VerificationReport]:
     two family conclusions, for each classical progression."""
     reports = []
     for a, b, m in ((5, 4, 5), (7, 5, 7), (11, 6, 11), (25, 24, 25)):
-        reports.append(check_progression(ProgressionSpec("p", a, b, m), N_HYPOTHESIS, arg_cap=ARG_CAP))
+        reports.append(check_progression(ProgressionSpec("p", a, b, m), N_HYPOTHESIS))
         reports += _progressions("thm2", [dict(a=a, b=b, m=m, t=t) for t in (1, 2, 3)], n_max)
     return reports
 
@@ -224,7 +221,6 @@ SUITE_NAMES = tuple(_SUITES)
 _SERIES_ORDER = {
     "thm1": lambda t_max, n_max: n_max,
     "thm3": lambda t_max, n_max: max(n_max, ETA_ORDER),
-    "parity": lambda n_max: n_max,
 }
 
 

@@ -1,11 +1,13 @@
 """CLI behaviour: formats, exit codes, precondition errors."""
 
 import json
+import re
 import time
 
 import pytest
 
-from mexparts.cli import main
+from mexparts.cli import build_parser, main
+from mexparts.suites import SUITE_NAMES, suite_bounds
 
 
 def run_cli(capsys, *argv):
@@ -176,20 +178,21 @@ class TestVerify:
         assert code == 0 and len(json_lines(out)) == 8
 
     def test_parity_trunc_guard(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "parity", "--n-max", "2500")
-        assert code == 2
-        assert "trunc" in err
+        # the parity sweeps read the p(n) table, so no --trunc is too small
+        code, out, _ = run_cli(capsys, "verify", "parity", "--n-max", "2500")
+        assert code == 0
+        assert [r["checked"] for r in json_lines(out)] == [5000, 5000]
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["thm1", "--n-max", "2500"], "series order 2500"),
             (["thm3", "--n-max", "100", "--trunc", "200"], "series order 300"),
-            (["all", "--trunc", "999"], "series order 1000"),
+            (["all", "--trunc", "499"], "series order 500"),
             (["ramanujan", "--k-max", "0"], "k_max >= 1"),
             (["thm1", "--t-max", "0"], "t_max >= 1"),
-            (["thm12", "--t-max", "3"], "takes only n_max (default 100)"),
-            (["all", "--n-max", "50"], "default bounds"),
+            (["parity", "--n-max", "-1"], "n_max >= 0"),
+            (["progression", "--n-max", "-1"], "n_max must be non-negative"),
             # an ad-hoc sweep: a non-prime exclusion, or one that checks nothing
             (["progression", "--n-max", "5", "--exclude-prime", "0"], "prime, not 0"),
             (["progression", "--n-max", "5", "--exclude-prime", "1"], "prime, not 1"),
@@ -220,7 +223,7 @@ class TestVerify:
         "argv, message",
         [
             # a progression flag given to a named suite or to all, even at
-            # its progression default, is an error, never silently dropped
+            # its progression default, is a usage error, never silently dropped
             (["thm12", "--t", "3", "--step", "7", "--n-max", "5"], "thm12 does not take --step, --t"),
             (["thm5", "--function", "p"], "thm5 does not take --function"),
             (["thm5", "--step", "1"], "thm5 does not take --step"),
@@ -235,13 +238,23 @@ class TestVerify:
             (["progression", "--t-max", "0", "--k-max", "0"], "does not take --t-max, --k-max"),
             (["progression", "--t-max", "1"], "progression does not take --t-max"),
             (["progression", "--k-max", "2", "--n-max", "10"], "progression does not take --k-max"),
+            # a bound the suite does not take, and any bound given to all
+            (["thm12", "--t-max", "3"], "thm12 does not take --t-max"),
+            (["all", "--n-max", "50"], "all does not take --n-max"),
         ],
     )
     def test_flags_of_the_other_kind_of_verify_fail_fast(self, capsys, argv, message):
-        code, out, err, elapsed = run_cli_timed(capsys, "verify", *argv)
-        assert code == 2
-        assert message in err
-        assert out == ""
+        # argparse refuses each flag the target does not take, naming it
+        started = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in captured.err
+        for flag in message.split(" take ")[1].split(", "):
+            assert flag in captured.err
+        assert captured.out == ""
         assert elapsed < 1.0
 
     def test_progression_is_capped_like_the_suites(self, capsys):
@@ -265,6 +278,51 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")
         _, second, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")
         assert first == second
+
+
+class TestVerifyParser:
+    """Each verify target has its own parser, with only its own flags."""
+
+    OUTPUT_FLAGS = {"command", "run", "suite", "format", "trunc"}
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_suite_flags_are_its_bounds(self, name):
+        args = vars(build_parser().parse_args(["verify", name]))
+        bounds = {key: value for key, value in args.items() if key not in self.OUTPUT_FLAGS}
+        assert bounds == suite_bounds(name)
+
+    def test_all_takes_no_bounds(self):
+        args = vars(build_parser().parse_args(["verify", "all"]))
+        assert set(args) == self.OUTPUT_FLAGS
+
+    def test_progression_defaults(self):
+        args = build_parser().parse_args(["verify", "progression"])
+        defaults = (args.function, args.step, args.offset, args.modulus, args.n_max)
+        assert defaults == ("p", 1, 0, 2, 100)
+        assert args.t is args.k is args.i is args.exclude_prime is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm12", "--t", "3"],  # no abbreviation: --t is not --trunc
+            ["--format", "csv", "thm6"],  # output flags come after the target
+        ],
+    )
+    def test_usage_errors_exit_2_with_empty_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_suite_help_lists_only_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm12", "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert re.search(r"--n-max N_MAX\s+\(default 100\)", out)
+        assert "--format" in out and "--trunc" in out
+        for flag in ("--t-max", "--k-max", "--function", "--step", "--t ", "--k ", "--i "):
+            assert flag not in out
 
 
 class TestOracleCheck:

@@ -277,6 +277,11 @@ class TestCheckProgression:
         assert report.metadata["n_max_effective"] == 4
         assert report.checked == 5
 
+    def test_library_sweeps_are_capped_by_default(self):
+        report = check_progression(ProgressionSpec("p", 15000, 4, 5), 5)
+        assert report.checked == 4
+        assert report.metadata == {"n_max": 5, "n_max_effective": 3, "argument_cap": 50_000}
+
     def test_offset_beyond_cap_checks_nothing(self):
         spec = ProgressionSpec("p", 10, 600, 5)
         report = check_progression(spec, 10, arg_cap=500)
@@ -479,6 +484,47 @@ class TestParityCharacterizations:
         with pytest.raises(ValueError):
             check_parity_characterization("p55", 10)
 
+    def test_untrimmed_sweep_records_no_cap(self):
+        report = check_parity_characterization("p33", 50)
+        assert report.metadata == {"n_max": 50, "predicate": "3n+1 is a square"}
+
+    def test_sweep_stops_at_the_argument_cap(self, monkeypatch):
+        from mexparts import congruences
+
+        monkeypatch.setattr(congruences, "ARG_CAP", 500)
+        report = check_parity_characterization("p11", 1000)
+        assert report.passed
+        assert report.checked == 2 * 500
+        assert report.metadata["n_max"] == 1000
+        assert report.metadata["n_max_effective"] == 500
+        assert report.metadata["argument_cap"] == 500
+
+    def test_builds_no_series(self, monkeypatch):
+        from mexparts.series import TruncatedSeries
+
+        def forbidden(self, coeffs):
+            raise AssertionError("the parity characterization must build no series")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", forbidden)
+        assert check_parity_characterization("p33", 400).passed
+
+    def test_failures_name_both_routes_ascending_in_n(self, monkeypatch):
+        # flipping the predicate at n = 5 and 7 makes both functions fail
+        # there; the values are those of the identity and of the series route
+        from mexparts import congruences
+
+        monkeypatch.setattr(congruences, "is_k3km1", lambda n: is_k3km1(n) != (n in (5, 7)))
+        report = check_parity_characterization("p11", 20)
+        series = genfun_singular(SingularParams(4, 1), 20)
+        assert report.failures == [
+            {"function": function, "n": n, "value": value}
+            for n in (5, 7)
+            for function, value in (
+                ("p_tt[t=1]", identity_p_tt(1, n)), ("C[4,1]", series.coefficient(n)),
+            )
+        ]
+        assert report.checked == 40
+
 
 class TestConditionalParity:
     def test_part2(self):
@@ -516,7 +562,6 @@ class TestConditionalParity:
         def forbidden(*args):
             raise AssertionError("a progression sweep must build no series or per-n support")
 
-        monkeypatch.setattr(congruences, "identity_p_tt", forbidden)
         monkeypatch.setattr(congruences, "genfun_singular", forbidden)
         report = check_conditional_parity("thm6_part3", 10**6)
         assert report.metadata["n_max_effective"] == (50_000 - 7) // 16

@@ -85,6 +85,12 @@ def test_series_order_is_the_largest_order_built(monkeypatch, name, overrides):
     assert max(orders, default=0) == series_order(name, **overrides)
 
 
+def test_only_thm1_and_thm3_build_series():
+    # every other suite reads the p(n) table, so --trunc never limits it
+    assert {name for name in SUITE_NAMES if series_order(name)} == {"thm1", "thm3"}
+    assert series_order("parity", n_max=5000) == 0
+
+
 def test_thm6_conditional_sweeps_stop_at_the_argument_cap():
     reports = {r.label: r for r in run_suite("thm6", n_max=4000)}
     for which in ("thm6_part2", "thm6_part3"):
