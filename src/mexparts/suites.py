@@ -217,7 +217,7 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 # largest series order a suite builds at the given bounds; the suites not
-# listed build none (their sweeps read the p(n) table)
+# listed build none (their sweeps read the p(n) table or its mod-2 bitset)
 _SERIES_ORDER = {
     "thm1": lambda t_max, n_max: n_max,
     "thm3": lambda t_max, n_max: max(n_max, ETA_ORDER),

@@ -4,8 +4,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mexparts import congruences, partitions
 from mexparts.congruences import (
+    ARG_CAP,
     ProgressionSpec,
     check_conditional_parity,
     check_parity_bridge,
@@ -33,6 +37,9 @@ from mexparts.errors import (
     NotCoprime,
 )
 from mexparts.mex import MexParams, genfun_p_tt, identity_p_tt, mex_count_oracle
+from mexparts.partitions import partition_count
+from mexparts.reports import VerificationReport
+from mexparts.series import support_p_2tt, support_p_tt, theta_support
 from mexparts.singular import SingularParams, genfun_singular, singular_overpartition_oracle
 
 
@@ -306,6 +313,99 @@ class TestCheckProgression:
         assert report.checked == 25 and report.failure_count == len(expected)
 
 
+def reference_sweep(spec, n_max, arg_cap):
+    """check_progression on the exact-table route: every value is
+    sum c * p(arg - e) from ``partition_count``, reduced modulo m."""
+    report = VerificationReport(label=spec.describe(), spec=spec.to_json(), metadata={"n_max": n_max})
+    n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
+    if n_eff < n_max:
+        report.metadata.update(n_max_effective=n_eff, argument_cap=arg_cap)
+    largest = spec.step * n_eff + spec.offset
+    support = {
+        "p": lambda: [(0, 1)],
+        "p_tt": lambda: support_p_tt(spec.t, largest),
+        "p_2tt": lambda: support_p_2tt(spec.t, largest),
+        "singular": lambda: theta_support(spec.k, spec.i, largest),
+    }[spec.function]()
+    for n in range(n_eff + 1):
+        if spec.exclude_prime and n % spec.exclude_prime == 0:
+            report.skipped += 1
+            continue
+        arg = spec.step * n + spec.offset
+        residue = sum(c * partition_count(arg - e) for e, c in support) % spec.modulus
+        report.checked += 1
+        if residue:
+            report.record_failure(n=n, argument=arg, value_mod_m=residue)
+    return report
+
+
+# true claims from the catalog, next to the random specs, which are nearly all false
+_TRUE_PARITY_SPECS = [
+    *family_catalog("thm5", p=5, k=0),
+    *family_catalog("thm6"),
+    *family_catalog("thm12", alpha=0, row=3),
+    *family_catalog("thm14", alpha=0, s=2),
+    *family_catalog("cor1", p=7, alpha=0, branch=1),
+]
+
+
+@st.composite
+def mod2_specs(draw):
+    function = draw(st.sampled_from(["p", "p_tt", "p_2tt", "singular"]))
+    params = {}
+    if function in ("p_tt", "p_2tt"):
+        params["t"] = draw(st.integers(1, 6))
+    elif function == "singular":
+        params["k"] = draw(st.integers(3, 12))
+        # i = k/2 is the self-paired case, with coefficients 2 that drop out
+        params["i"] = draw(st.sampled_from([params["k"] // 2, 1, draw(st.integers(1, params["k"] // 2))]))
+    return ProgressionSpec(
+        function, draw(st.integers(1, 300)), draw(st.integers(0, 400)), 2,
+        exclude_prime=draw(st.sampled_from([None, 2, 3, 5, 7])), **params,
+    )
+
+
+class TestParityRoute:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        spec=st.one_of(mod2_specs(), st.sampled_from(_TRUE_PARITY_SPECS)),
+        n_max=st.integers(0, 60),
+        arg_cap=st.sampled_from([ARG_CAP, 3000, 500, 100]),
+    )
+    def test_sweep_matches_the_exact_table_reference(self, spec, n_max, arg_cap):
+        report = check_progression(spec, n_max, arg_cap)
+        assert report.to_json() == reference_sweep(spec, n_max, arg_cap).to_json()
+
+    def test_the_strategy_reaches_true_false_and_self_paired_claims(self):
+        assert all(check_progression(spec, 40).passed for spec in _TRUE_PARITY_SPECS)
+        paired = ProgressionSpec("singular", 3, 1, 2, k=8, i=4)
+        assert theta_support(8, 4, 100)[1] == (4, 2)
+        assert check_progression(paired, 30).to_json() == reference_sweep(paired, 30, ARG_CAP).to_json()
+        assert not check_progression(ProgressionSpec("p", 1, 0, 2), 10).passed
+
+    def test_mod_2_sweeps_read_no_exact_table(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a mod-2 sweep must read the parity bitset only")
+
+        monkeypatch.setattr(congruences, "partition_support_sum", forbidden)
+        monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
+        for spec in _TRUE_PARITY_SPECS:
+            assert check_progression(spec, 100).passed
+        report = check_progression(ProgressionSpec("singular", 7, 2, 2, k=5, i=2), 100)
+        assert report.failure_count > 0
+        assert check_conditional_parity("thm6_part2", 100).passed
+        assert check_parity_characterization("p33", 1000).passed
+        with pytest.raises(AssertionError, match="bitset only"):
+            check_progression(ProgressionSpec("p", 5, 4, 5), 10)
+
+    def test_the_argument_cap_bounds_the_bitset(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_p_parity", 1)
+        monkeypatch.setattr(partitions, "_p_parity_len", 1)
+        report = check_progression(ProgressionSpec("p_tt", 2, 1, 2, t=1), 10**6)
+        assert report.metadata["n_max_effective"] == (ARG_CAP - 1) // 2
+        assert partitions._p_parity_len == ARG_CAP
+
+
 # Every side condition of every family, each violated alone, with a pattern
 # naming the condition in the error message.
 _INVALID = InvalidFamilyParams
@@ -499,6 +599,22 @@ class TestParityCharacterizations:
         assert report.metadata["n_max_effective"] == 500
         assert report.metadata["argument_cap"] == 500
 
+    def test_reads_the_exact_table_only_for_a_failure(self, monkeypatch):
+        # without failures the sweep to 50 000 grows no exact table at all;
+        # a failure record takes its exact value from the table
+        table = [1]
+        monkeypatch.setattr(partitions, "_p_table", table)
+        report = check_parity_characterization("p11", 50_000)
+        assert report.passed and report.checked == 100_000
+        assert table == [1]
+        monkeypatch.setattr(congruences, "is_k3km1", lambda n: is_k3km1(n) != (n == 40_000))
+        report = check_parity_characterization("p11", 50_000)
+        assert report.failures[0] == {
+            "function": "p_tt[t=1]", "n": 40_000, "value": identity_p_tt(1, 40_000),
+        }
+        assert report.failure_count == 2
+        assert 40_000 < len(table) < 50_000
+
     def test_builds_no_series(self, monkeypatch):
         from mexparts.series import TruncatedSeries
 
@@ -624,6 +740,20 @@ class TestSingularMod8:
     def test_arguments_past_the_cap_are_refused(self):
         with pytest.raises(ValueError, match="argument cap 50000"):
             check_singular_mod8(50_001)
+
+    @pytest.mark.parametrize("arg_max", [14, 10, 0, -5])
+    def test_arguments_short_of_the_largest_offset_are_refused(self, arg_max, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a refused sweep must do no work")
+
+        monkeypatch.setattr(congruences, "_sweep", forbidden)
+        with pytest.raises(ValueError, match=f"largest offset 15, not {arg_max}"):
+            check_singular_mod8(arg_max)
+
+    def test_the_smallest_accepted_bound_reaches_every_row(self):
+        reports = check_singular_mod8(15)
+        assert [r.checked + r.skipped for r in reports] == [1, 1, 1, 1]
+        assert all(r.passed for r in reports)
 
     def test_unconditional_rows_fail_without_condition(self):
         # 16n+3 is NOT unconditional: dropping the condition must surface

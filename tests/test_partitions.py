@@ -1,5 +1,8 @@
 """Partition counting, enumeration order, and restricted counts."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,12 @@ from mexparts.partitions import (
     partition_convolution,
     partition_count,
     partition_generating_series,
+    partition_parity_convolution,
     partition_support_sum,
     restricted_count,
 )
-from mexparts.series import TruncatedSeries, pochhammer_inf
+from mexparts.congruences import ARG_CAP
+from mexparts.series import TruncatedSeries, pochhammer_inf, theta_support
 
 
 class TestPartitionType:
@@ -95,6 +100,7 @@ def scalar_p_table(limit):
 
 
 SCALAR_REFERENCE = scalar_p_table(12_000)
+SCALAR_PARITY = sum((v % 2) << n for n, v in enumerate(SCALAR_REFERENCE))  # bit n: p(n) mod 2
 
 
 @pytest.fixture
@@ -215,6 +221,106 @@ class TestPartitionSupportSum:
         for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(-1, 2)], 5)):
             with pytest.raises(ValueError):
                 partition_support_sum(support, n)
+
+
+def pentagonal_parity_bits(limit):
+    """p(0..limit) mod 2 by the other GF(2) route: (q;q)_inf^2 == (q^2;q^2)_inf,
+    so 1/(q;q)_inf == (q;q)_inf * (1/(q;q)_inf)(q^2) and the parities known
+    to L give those to 2L + 1, one XOR per generalized pentagonal exponent."""
+    bits, known = 1, 0
+    while known < limit:
+        known = min(2 * known + 1, limit)
+        low = format(bits & ((1 << (known // 2 + 1)) - 1), "b")
+        spread = int("0".join(low), 2)  # bit j moves to bit 2j
+        bits = 0
+        for e, _ in theta_support(3, 1, known):
+            bits ^= spread << e
+        bits &= (1 << (known + 1)) - 1
+    return bits
+
+
+@pytest.fixture
+def fresh_parity(monkeypatch):
+    monkeypatch.setattr(partitions, "_p_parity", 1)
+    monkeypatch.setattr(partitions, "_p_parity_len", 1)
+
+
+class TestParityBitset:
+    def test_matches_the_exact_table_up_to_the_argument_cap(self, fresh_parity):
+        partition_count(ARG_CAP)
+        parity = partition_parity_convolution([(0, 1)], ARG_CAP)
+        digits = format(parity, f"0{ARG_CAP + 1}b")[::-1]
+        assert digits == "".join(str(v % 2) for v in partitions._p_table[: ARG_CAP + 1])
+        assert partitions._p_parity_len == ARG_CAP + 1
+
+    def test_matches_the_pentagonal_route_bit_for_bit(self, fresh_parity):
+        limit = 200_000
+        assert partition_parity_convolution([(0, 1)], limit) == pentagonal_parity_bits(limit)
+
+    def test_pentagonal_reference_matches_the_scalar_recurrence(self):
+        assert pentagonal_parity_bits(12_000) == SCALAR_PARITY
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(requests=st.lists(st.integers(0, 5000), min_size=1, max_size=6))
+    def test_any_request_sequence_gives_the_same_bits(self, requests):
+        # each growth starts from the bits known so far and ends at its request
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_p_parity", 1)
+            mp.setattr(partitions, "_p_parity_len", 1)
+            for limit in requests:
+                before = partitions._p_parity_len
+                bits = partition_parity_convolution([(0, 1)], limit)
+                assert partitions._p_parity_len == max(before, limit + 1)
+                assert bits == SCALAR_PARITY & ((1 << (limit + 1)) - 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(st.integers(0, 250), st.integers(-3, 3)), max_size=20),
+        st.integers(0, 200),
+    )
+    def test_is_the_convolution_mod_2(self, support, limit):
+        # even coefficients and exponents past the limit drop out
+        series = partition_convolution(support, limit)
+        parity = partition_parity_convolution(support, limit)
+        assert parity == sum((series.coefficient(n) % 2) << n for n in range(limit + 1))
+
+    def test_reads_no_exact_table(self, monkeypatch, fresh_parity):
+        def forbidden(needed):
+            raise AssertionError("the parity bitset must not grow the exact table")
+
+        monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
+        assert partition_parity_convolution([(0, 1)], 12_000) == SCALAR_PARITY
+        assert partitions._p_parity_len == 12_001
+
+    def test_concurrent_growth_keeps_every_bit(self, fresh_parity):
+        # more threads than cores, each growing to its own limit with a short
+        # switch interval; a lost or torn update would show as a wrong bit
+        limits = [12_000, 37, 5_000, 150, 11_999, 2_048, 9_001, 400]
+        results = {}
+
+        def grow(limit):
+            results[limit] = partition_parity_convolution([(0, 1)], limit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {limit: SCALAR_PARITY & ((1 << (limit + 1)) - 1) for limit in limits}
+        assert partitions._p_parity_len == 12_001
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            partitions._grow_p_parity(-1)
+        for support, limit in (([(0, 1)], -1), ([(-1, 1)], 5)):
+            with pytest.raises(ValueError):
+                partition_parity_convolution(support, limit)
 
 
 class TestEnumeration:

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mexparts import suites
+from mexparts import partitions, suites
 from mexparts.partitions import partition_generating_series
 from mexparts.series import TruncatedSeries
 from mexparts.suites import SUITE_NAMES, run_suite, series_order, suite_bounds
@@ -89,6 +89,20 @@ def test_only_thm1_and_thm3_build_series():
     # every other suite reads the p(n) table, so --trunc never limits it
     assert {name for name in SUITE_NAMES if series_order(name)} == {"thm1", "thm3"}
     assert series_order("parity", n_max=5000) == 0
+
+
+def test_verify_all_grows_the_exact_table_only_for_sweeps_not_mod_2(monkeypatch):
+    # 24 316 is ramanujan's 121n + 116 at n = 200, the largest argument of
+    # any sweep whose modulus is not 2; the mod-2 sweeps reach 49 978 on
+    # the parity bitset
+    requests = []
+    grow = partitions._grow_p_table
+    monkeypatch.setattr(partitions, "_p_table", [1])
+    monkeypatch.setattr(partitions, "_grow_p_table", lambda n: requests.append(n) or grow(n))
+    results = suites.run_all()
+    assert all(r.passed for reports in results.values() for r in reports)
+    assert requests and max(requests) <= 24_316
+    assert partitions._p_parity_len > 49_978
 
 
 def test_thm6_conditional_sweeps_stop_at_the_argument_cap():
