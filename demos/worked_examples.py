@@ -6,14 +6,12 @@ Run: python demos/worked_examples.py
 
 from mexparts import (
     MexParams,
-    Partition,
     SingularParams,
     enumerate_partitions,
     genfun_p_tt,
     genfun_singular,
     identity_p_tt,
     mex_count_oracle,
-    mex_of,
     partition_count,
     singular_overpartition_oracle,
 )
@@ -21,14 +19,22 @@ from mexparts import (
 # --- the mex statistic ------------------------------------------------------
 # mex_{A,a}(lambda) is the smallest positive integer congruent to a (mod A)
 # that is not a part of lambda.  Tabulate it for the partitions of 5 with
-# (A, a) = (2, 2): the smallest missing even number.
+# (A, a) = (2, 2): the smallest missing even number.  The walk yields each
+# partition as one list of multiplicities, mult[v] the number of parts
+# equal to v, so the mex is the first v == a (mod A) with mult[v] == 0; the
+# parts are rebuilt from mult, and the rows sorted, for printing.
 
-params = MexParams(2, 2)
+n, params = 5, MexParams(2, 2)
+rows = []
+for mult in enumerate_partitions(n):
+    v = params.a
+    while v <= n and mult[v]:
+        v += params.A
+    rows.append((tuple(part for part in range(n, 0, -1) for _ in range(mult[part])), v))
 print("partitions of 5 and their mex values for (A, a) = (2, 2):")
-for lam in enumerate_partitions(5):
-    value = mex_of(lam, params)
+for parts, value in sorted(rows, reverse=True):
     marker = "  <- counted (mex == 2 mod 4)" if value % 4 == 2 else ""
-    print(f"  {'+'.join(map(str, lam.parts)):>12}   mex = {value}{marker}")
+    print(f"  {'+'.join(map(str, parts)):>12}   mex = {value}{marker}")
 
 # p_{2,2}(5) counts the partitions whose mex is 2 mod 4: four of the seven.
 print("\np_{2,2}(5) three ways:")

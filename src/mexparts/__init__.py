@@ -7,7 +7,7 @@ The library computes, with exact integer arithmetic throughout:
     least two independent routes: enumeration oracles, closed identities in
     p(n), and generating-function coefficients),
   * Andrews' singular overpartition counts,
-  * rank and crank statistics,
+  * the rank and crank identities of the small mex families,
 
 and machine-verifies the congruence families and parity characterizations
 these functions satisfy, reporting counterexamples when a claim fails.

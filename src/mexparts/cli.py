@@ -154,8 +154,7 @@ def cmd_oracle_check(args) -> int:
     n_max = args.n_max
     if n_max < 0:
         raise MexpartsError("--n-max must be non-negative")
-    _require_trunc(n_max, args.trunc)
-    if args.function == "p":
+    if args.function == "p":  # counts walk nodes and builds no series
         _require_oracle_bound(n_max, ENUMERATION_BOUND)
         name = "p"
         rows = [
@@ -163,6 +162,7 @@ def cmd_oracle_check(args) -> int:
             for n in range(n_max + 1)
         ]
     elif args.function in ("p_tt", "p_2tt"):
+        _require_trunc(n_max, args.trunc)
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
         genfun, A = (genfun_p_tt, 1) if args.function == "p_tt" else (genfun_p_2tt, 2)
         series = genfun(args.t, n_max)  # checks t before the oracle runs
@@ -172,6 +172,7 @@ def cmd_oracle_check(args) -> int:
             (n, mex_count_oracle(n, params), series.coefficient(n)) for n in range(n_max + 1)
         ]
     else:  # singular, the last of the parser's choices
+        _require_trunc(n_max, args.trunc)
         params = SingularParams(args.k, args.i)
         _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
         series = genfun_singular(params, n_max)

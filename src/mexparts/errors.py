@@ -2,8 +2,8 @@
 
 __all__ = [
     "MexpartsError", "NonUnitConstantTerm", "TruncationTooSmall", "OracleBoundExceeded",
-    "EmptyPartition", "InvalidSingularParams", "EvenModulus", "NotCoprime",
-    "InvalidFamilyParams", "NonIntegralOffset",
+    "InvalidSingularParams", "EvenModulus", "NotCoprime", "InvalidFamilyParams",
+    "NonIntegralOffset",
 ]
 
 
@@ -21,10 +21,6 @@ class TruncationTooSmall(MexpartsError, ValueError):
 
 class OracleBoundExceeded(MexpartsError, ValueError):
     """An enumeration-backed oracle was asked for an n above its documented bound."""
-
-
-class EmptyPartition(MexpartsError, ValueError):
-    """Rank and crank are undefined for the empty partition."""
 
 
 class InvalidSingularParams(MexpartsError, ValueError):

@@ -1,13 +1,14 @@
 """The mex statistic on partitions and the counting functions built on it.
 
-``mex_of(partition, MexParams(A, a))`` is the smallest positive integer
-congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)`` counts
-partitions of n whose mex lands in the residue a (mod 2A); the enumeration
-oracle computes it definitionally for any (A, a).  ``mex_counts_oracle``
-tallies any number of (A, a) in one pass over the partitions of n, and
-``mex_count_oracle`` is its one-parameter case.  The pass reads the mex
-from the multiplicity walk of ``partitions``; the tests check it against
-``enumerate_partitions``, a separate enumerator.  The (t, t) and (2t, t)
+The mex of a partition for ``MexParams(A, a)`` is the smallest positive
+integer congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)``
+counts partitions of n whose mex lands in the residue a (mod 2A); the
+enumeration oracle computes it definitionally for any (A, a).
+``mex_counts_oracle`` tallies any number of (A, a) in one pass over the
+partitions of n, and ``mex_count_oracle`` is its one-parameter case.  The
+pass reads the mex off the multiplicity lists of ``enumerate_partitions``;
+the tests check it against a recursive enumeration of tuples that shares
+no code with the walk.  The (t, t) and (2t, t)
 families also have a generating-function route and a closed expression in
 ordinary partition numbers:
 
@@ -32,12 +33,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import OracleBoundExceeded
-from .partitions import Partition, _walk_multiplicities, partition_generating_series, partition_support_sum
+from .partitions import enumerate_partitions, partition_generating_series, partition_support_sum
 from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
 
 __all__ = [
     "MexParams",
-    "mex_of",
     "mex_count_oracle",
     "mex_counts_oracle",
     "genfun_p_tt",
@@ -64,15 +64,6 @@ class MexParams:
             raise ValueError("a must satisfy 1 <= a <= A")
 
 
-def mex_of(partition: Partition, params: MexParams) -> int:
-    """Smallest positive integer == a (mod A) that is not a part."""
-    present = set(partition.parts)
-    v = params.a
-    while v in present:
-        v += params.A
-    return v
-
-
 def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...]:
     """For each (A, a) in ``params_seq``, count partitions of n with
     mex == a (mod 2A), in one walk over the partitions of n.
@@ -89,7 +80,7 @@ def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...
     # 1 <= a <= A, so a is already the least residue of a (mod 2A)
     slots = [(j, p.A, p.a, 2 * p.A) for j, p in enumerate(params_seq)]
     tally = [0] * len(slots)
-    for mult in _walk_multiplicities(n, range(1, n + 1)):
+    for mult in enumerate_partitions(n):
         for j, A, a, period in slots:
             v = a
             while v <= n and mult[v]:

@@ -1,4 +1,4 @@
-"""Partition counting and exhaustive enumeration.
+"""Counting and exhaustive enumeration of partitions.
 
 ``partition_count`` serves p(n) from a process-wide table that grows by
 blocks of ``_P_TABLE_BLOCK`` entries; the table is filled by inverting the
@@ -21,17 +21,12 @@ takes about 2 ms, the exact table to the same n about 1.4 s (2-vCPU Xeon,
 Python 3.11).
 ``partition_generating_series`` stays the independent product-inversion
 route, so tests that compare it with the table compare two sources of p(n).
-The mex and singular oracles visit each partition of
-n once through ``_walk_multiplicities``, which yields one shared list of
-part multiplicities, so they build no tuple or set per partition.
-``enumerate_partitions`` stays the independent reference route that checks
-them; it yields every partition of n once in decreasing lexicographic order.
-It runs Zoghbi and Stojmenovic's ZS1 algorithm (A. Zoghbi, I. Stojmenovic,
-"Fast algorithms for generating integer partitions", Int. J. Comput. Math.
-70, 1998): the parts live in one preallocated list whose tail is all 1's,
-and each step rewrites only the suffix after the last part larger than 1,
-so finding the next partition takes constant amortized time; each yielded
-``Partition`` then copies its parts into a tuple.
+``enumerate_partitions`` visits each partition of n once through
+``_walk_multiplicities``, which yields one shared list of part
+multiplicities, changed in place, so no tuple or set is built per
+partition; the singular oracle walks the same way over a subset of part
+sizes.  The test suite checks the walk, and the oracles on it, against a
+plain recursive enumeration of tuples.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from typing import Iterable, Iterator
 from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
 
 __all__ = [
-    "Partition",
     "ResidueClassRule",
     "partition_count",
     "enumerate_partitions",
@@ -55,47 +49,6 @@ __all__ = [
     "partition_support_sum",
     "partition_parity_convolution",
 ]
-
-
-class Partition:
-    """A partition: non-increasing positive parts with cached total n."""
-
-    __slots__ = ("parts", "n")
-
-    def __init__(self, parts):
-        parts = tuple(int(v) for v in parts)
-        for j, v in enumerate(parts):
-            if v < 1:
-                raise ValueError("parts must be positive integers")
-            if j and parts[j - 1] < v:
-                raise ValueError("parts must be non-increasing")
-        self.parts = parts
-        self.n = sum(parts)
-
-    @classmethod
-    def _unchecked(cls, parts: tuple[int, ...], n: int) -> "Partition":
-        # fast path for the enumerator, which guarantees the invariants
-        self = object.__new__(cls)
-        self.parts = parts
-        self.n = n
-        return self
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)!r})"
 
 
 @dataclass(frozen=True)
@@ -324,48 +277,19 @@ def partition_parity_convolution(support: Iterable[tuple[int, int]], limit: int)
 ENUMERATION_BOUND = 60  # documented practical bound; exponential beyond
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Yield all partitions of n in decreasing lexicographic order.
+def enumerate_partitions(n: int) -> Iterator[list[int]]:
+    """Visit every partition of n once, as one shared list of multiplicities.
 
-    The order puts (n) first and (1, ..., 1) last, matching the usual way
-    partition tables are written out.
+    ``mult[v]`` is the number of parts equal to v, for 0 <= v <= n + 1; the
+    same list is yielded each time and changed in place between yields, so
+    copy it to keep a partition.  The all-1's partition comes first; then
+    the parts above 1, taken in non-increasing order, grow depth first, the
+    largest next part first: 1+1+1+1, 4, 3+1, 2+1+1, 2+2 for n = 4.
+    A negative n raises at the call, before anything is yielded.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        yield Partition._unchecked((), 0)
-        return
-    new = Partition._unchecked
-    # ZS1: x[:m] is the current partition, x[h] its last part above 1, and
-    # every slot after h holds 1; h == -1 once only 1's remain
-    x = [1] * n
-    x[0] = n
-    m = 1
-    h = 0 if n > 1 else -1
-    yield new((n,), n)
-    while h >= 0:
-        if x[h] == 2:
-            # (..., 2, 1, ..., 1) -> (..., 1, 1, ..., 1, 1)
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            # lower x[h] by one and refill the rest greedily with parts <= it
-            r = x[h] - 1
-            rest = m - h
-            x[h] = r
-            while rest >= r:
-                h += 1
-                x[h] = r
-                rest -= r
-            if rest == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if rest > 1:
-                    h += 1
-                    x[h] = rest
-        yield new(tuple(x[:m]), n)
+    return _walk_multiplicities(n, range(1, n + 1))
 
 
 def _walk_multiplicities(n: int, sizes: Iterable[int]) -> Iterator[list[int]]:

@@ -19,7 +19,8 @@ factor), and a value occurring at least twice contributes 4 (additionally
 both overline slots used on two copies).  Divisibility by k is a property
 of the underlying value, overlined or not, so the oracle walks only the
 partitions with no part divisible by k, on the multiplicity walk of
-``partitions``; the tests check it against ``enumerate_partitions``.
+``partitions``; the tests check it against a recursive enumeration of
+tuples that shares no code with the walk.
 """
 
 from __future__ import annotations

@@ -18,39 +18,36 @@ direct enumeration or restricted counting on the right):
 
 where po(n) is the number of partitions of n with an odd number of parts.
 n = 0 is excluded: rank and crank are undefined for the empty partition.
+The enumerated sides read length, rank and crank off the multiplicity
+lists of ``enumerate_partitions``; the tests check those statistics
+against their definitions on part tuples.
 """
 
 from __future__ import annotations
 
-from .errors import EmptyPartition
 from .mex import identity_p_2tt, identity_p_tt
-from .partitions import Partition, ResidueClassRule, enumerate_partitions, restricted_count
+from .partitions import ResidueClassRule, enumerate_partitions, restricted_count
 from .reports import VerificationReport
 
-__all__ = ["rank_of", "crank_of", "verify_section1_identities"]
+__all__ = ["verify_section1_identities"]
 
 RULE_MOD_32 = ResidueClassRule.from_signed_residues(32, (4, 6, 8, 10))
 RULE_MOD_24 = ResidueClassRule.from_signed_residues(24, (2, 4, 5, 6, 7, 8))
 
 
-def rank_of(partition: Partition) -> int:
-    if not partition.parts:
-        raise EmptyPartition("rank of the empty partition is undefined")
-    return partition.parts[0] - len(partition.parts)
-
-
-def crank_of(partition: Partition) -> int:
-    if not partition.parts:
-        raise EmptyPartition("crank of the empty partition is undefined")
-    ones = 0
-    for v in reversed(partition.parts):
-        if v != 1:
-            break
-        ones += 1
-    if ones == 0:
-        return partition.parts[0]
-    larger = sum(1 for v in partition.parts if v > ones)
-    return larger - ones
+def _length_rank_crank(mult: list[int]) -> tuple[int, int, int]:
+    # number of parts, rank and crank of the partition of n whose part v
+    # occurs mult[v] times, len(mult) == n + 2 as the walk yields it; the
+    # largest part is at most n - (length - 1), so its search starts there
+    length = sum(mult)
+    if not length:
+        raise ValueError("rank and crank are undefined for the empty partition")
+    largest = len(mult) - 1 - length
+    while not mult[largest]:
+        largest -= 1
+    ones = mult[1]
+    crank = length - sum(mult[: ones + 1]) - ones if ones else largest
+    return length, largest - length, crank
 
 
 def verify_section1_identities(n_max: int) -> VerificationReport:
@@ -62,19 +59,14 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
         metadata={"n_max": n_max, "identities": ["crank", "rank", "even-length", "mod32", "mod24"]},
     )
     for n in range(1, n_max + 1):
-        crank_nonneg = 0
-        rank_ge_minus1 = 0
-        even_length = 0
-        odd_length = 0
-        for lam in enumerate_partitions(n):
-            if crank_of(lam) >= 0:
-                crank_nonneg += 1
-            if rank_of(lam) >= -1:
-                rank_ge_minus1 += 1
-            if len(lam) % 2 == 0:
-                even_length += 1
-            else:
-                odd_length += 1
+        crank_nonneg = rank_ge_minus1 = 0
+        by_length_parity = [0, 0]
+        for mult in enumerate_partitions(n):
+            length, rank, crank = _length_rank_crank(mult)
+            crank_nonneg += crank >= 0
+            rank_ge_minus1 += rank >= -1
+            by_length_parity[length % 2] += 1
+        even_length, odd_length = by_length_parity
         checks = (
             ("crank", identity_p_tt(1, n), crank_nonneg),
             ("rank", identity_p_tt(3, n), rank_ge_minus1),

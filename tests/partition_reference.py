@@ -1,0 +1,26 @@
+"""Reference partitions for the tests: part tuples by plain recursion,
+sharing no code with the multiplicity walk of ``mexparts.partitions``."""
+
+from functools import lru_cache
+
+
+def reference_partitions(n, largest):
+    """Partitions of n with parts <= largest, first part descending: the
+    decreasing lexicographic order, by plain recursion."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in reference_partitions(n - first, first):
+            yield (first, *rest)
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n):
+    """Every partition of n as a part tuple, built once per n."""
+    return tuple(reference_partitions(n, n))
+
+
+def parts_of(mult):
+    """The non-increasing parts of the partition whose part v occurs mult[v] times."""
+    return tuple(v for v in range(len(mult) - 1, 0, -1) for _ in range(mult[v]))

@@ -354,6 +354,24 @@ class TestOracleCheck:
         code, out, _ = run_cli(capsys, "oracle-check", "--function", "p", "--n-max", "25")
         assert code == 0
 
+    def test_p_builds_no_series_so_trunc_does_not_bind(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--function", "p", "--n-max", "50", "--trunc", "10"
+        )
+        assert code == 0, err
+        rows = json_lines(out)
+        assert [r["n"] for r in rows] == list(range(51))
+        assert all(r["equal"] for r in rows)
+
+    @pytest.mark.parametrize("function", ["p_tt", "p_2tt", "singular"])
+    def test_series_routes_check_trunc(self, capsys, function):
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--function", function, "--n-max", "50", "--trunc", "10"
+        )
+        assert code == 2
+        assert "series order 50" in err
+        assert out == ""
+
     @pytest.mark.parametrize("function", ["p_tt", "p_2tt"])
     def test_bad_t_fails_fast(self, capsys, function):
         code, out, err, elapsed = run_cli_timed(

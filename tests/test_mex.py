@@ -17,10 +17,8 @@ from mexparts.mex import (
     identity_p_tt,
     mex_count_oracle,
     mex_counts_oracle,
-    mex_of,
 )
 from mexparts.partitions import (
-    Partition,
     enumerate_partitions,
     partition_convolution,
     partition_count,
@@ -33,11 +31,22 @@ from mexparts.series import (
     support_p_2tt,
     support_p_tt,
 )
+from partition_reference import partitions_of
+
+
+def mex_by_definition(parts, params):
+    # the least positive v == a (mod A) that is not a part; one of the first
+    # len(parts) + 1 candidates is missing, which bounds the range
+    A, a = params.A, params.a
+    return min(
+        v for v in range(1, a + A * (len(parts) + 1)) if v % A == a % A and v not in parts
+    )
 
 
 class TestMexOf:
     def test_worked_table_rows(self):
-        # mex values for the partitions of 5 under (A, a) = (2, 2)
+        # mex values for the partitions of 5 under (A, a) = (2, 2); the four
+        # with mex 2 (mod 4) are the oracle's count
         params = MexParams(2, 2)
         table = {
             (5,): 2,
@@ -48,16 +57,20 @@ class TestMexOf:
             (2, 1, 1, 1): 4,
             (1, 1, 1, 1, 1): 2,
         }
+        assert set(partitions_of(5)) == set(table)
         for parts, expected in table.items():
-            assert mex_of(Partition(parts), params) == expected
+            assert mex_by_definition(parts, params) == expected
+        assert mex_count_oracle(5, params) == sum(v % 4 == 2 for v in table.values())
 
     def test_empty_partition(self):
-        assert mex_of(Partition(()), MexParams(7, 3)) == 3
+        assert mex_by_definition((), MexParams(7, 3)) == 3
+        # the empty partition's mex is a itself, so it counts for every (A, a)
+        assert mex_counts_oracle(0, [MexParams(7, 3), MexParams(1, 1)]) == (1, 1)
 
     def test_always_in_residue_class(self):
         params = MexParams(3, 2)
-        for lam in enumerate_partitions(9):
-            assert mex_of(lam, params) % 3 == 2
+        for parts in partitions_of(9):
+            assert mex_by_definition(parts, params) % 3 == 2
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -91,25 +104,19 @@ def mex_params(draw):
 
 
 def count_by_definition(n, params):
-    # mex_of spelled out: the least positive v == a (mod A) that is not a
-    # part; one of the first len(parts) + 1 candidates is missing, which
-    # bounds the range
-    A, a = params.A, params.a
-
-    def mex(parts):
-        return min(
-            v for v in range(1, a + A * (len(parts) + 1)) if v % A == a % A and v not in parts
-        )
-
-    return sum(1 for lam in enumerate_partitions(n) if mex(lam.parts) % (2 * A) == a % (2 * A))
+    return sum(
+        1
+        for parts in partitions_of(n)
+        if mex_by_definition(parts, params) % (2 * params.A) == params.a % (2 * params.A)
+    )
 
 
 def reference_mex_counts(n, params_seq):
     """Reference route for mex_counts_oracle: one set of parts per partition
-    from the ZS1 enumeration, not the multiplicity walk."""
+    from the recursive reference enumeration, not the multiplicity walk."""
     tally = [0] * len(params_seq)
-    for lam in enumerate_partitions(n):
-        present = set(lam.parts)
+    for parts in partitions_of(n):
+        present = set(parts)
         for j, p in enumerate(params_seq):
             v = p.a
             while v in present:
@@ -124,10 +131,10 @@ class TestMultiOracle:
         assert mex_counts_oracle(7, []) == ()
 
     def test_bound_checked_before_enumerating(self, monkeypatch):
-        def fail(n, sizes):
+        def fail(n):
             raise AssertionError("enumerated past the bound")
 
-        monkeypatch.setattr("mexparts.mex._walk_multiplicities", fail)
+        monkeypatch.setattr("mexparts.mex.enumerate_partitions", fail)
         with pytest.raises(OracleBoundExceeded):
             mex_counts_oracle(61, [MexParams(1, 1)])
         with pytest.raises(ValueError):
@@ -158,12 +165,12 @@ class TestMultiOracle:
     def test_visits_each_partition_once(self, monkeypatch, n):
         nodes = []
 
-        def counting_walk(n, sizes):
-            for mult in partitions._walk_multiplicities(n, sizes):
+        def counting_walk(n):
+            for mult in partitions.enumerate_partitions(n):
                 nodes.append(None)
                 yield mult
 
-        monkeypatch.setattr("mexparts.mex._walk_multiplicities", counting_walk)
+        monkeypatch.setattr("mexparts.mex.enumerate_partitions", counting_walk)
         mex_counts_oracle(n, [MexParams(1, 1), MexParams(4, 2)])
         assert len(nodes) == partition_count(n)
 
@@ -240,7 +247,7 @@ class TestThreeWayEquivalence:
         # the (2,1) count coincides with partitions having an even number
         # of parts
         for n in range(41):
-            even_length = sum(1 for lam in enumerate_partitions(n) if len(lam) % 2 == 0)
+            even_length = sum(1 for mult in enumerate_partitions(n) if sum(mult) % 2 == 0)
             assert identity_p_2tt(1, n) == even_length
 
     def test_negative_argument_convention(self):

@@ -1,4 +1,4 @@
-"""Partition counting, enumeration order, and restricted counts."""
+"""Partition counting, the partition walk, and restricted counts."""
 
 import sys
 import threading
@@ -12,7 +12,6 @@ from mexparts.partitions import (
     ALL_PARTS,
     EVEN_PARTS,
     ODD_PARTS,
-    Partition,
     ResidueClassRule,
     enumerate_partitions,
     partition_convolution,
@@ -24,28 +23,7 @@ from mexparts.partitions import (
 )
 from mexparts.congruences import ARG_CAP
 from mexparts.series import TruncatedSeries, pochhammer_inf, theta_support
-
-
-class TestPartitionType:
-    def test_valid_construction(self):
-        lam = Partition((3, 2, 2, 1))
-        assert lam.n == 8
-        assert len(lam) == 4
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            Partition((2, 3))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Partition((3, 0))
-
-    def test_empty_partition(self):
-        assert Partition(()).n == 0
-
-    def test_equality_and_hash(self):
-        assert Partition((2, 1)) == Partition((2, 1))
-        assert len({Partition((2, 1)), Partition((2, 1))}) == 1
+from partition_reference import partitions_of, parts_of
 
 
 class TestPartitionCount:
@@ -325,13 +303,15 @@ class TestParityBitset:
 
 class TestEnumeration:
     def test_n0(self):
-        assert [lam.parts for lam in enumerate_partitions(0)] == [()]
+        assert [list(mult) for mult in enumerate_partitions(0)] == [[0, 0]]
 
     def test_n3(self):
-        assert [lam.parts for lam in enumerate_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
+        assert [parts_of(mult) for mult in enumerate_partitions(3)] == [(1, 1, 1), (3,), (2, 1)]
 
     def test_n5_table_order(self):
-        expected = [
+        # the rows of a partition table, largest parts first, as the worked
+        # examples print them
+        table = [
             (5,),
             (4, 1),
             (3, 2),
@@ -340,7 +320,21 @@ class TestEnumeration:
             (2, 1, 1, 1),
             (1, 1, 1, 1, 1),
         ]
-        assert [lam.parts for lam in enumerate_partitions(5)] == expected
+        assert sorted((parts_of(mult) for mult in enumerate_partitions(5)), reverse=True) == table
+
+    def test_n5_walk_order(self):
+        # the all-1's partition, then depth first over the parts above 1,
+        # the largest next part first
+        expected = [
+            (1, 1, 1, 1, 1),
+            (5,),
+            (4, 1),
+            (3, 1, 1),
+            (3, 2),
+            (2, 1, 1, 1),
+            (2, 2, 1),
+        ]
+        assert [parts_of(mult) for mult in enumerate_partitions(5)] == expected
 
     def test_counts_match_partition_count(self):
         for n in range(41):
@@ -348,48 +342,30 @@ class TestEnumeration:
 
     def test_yielded_partitions_satisfy_invariants(self):
         for n in range(26):
-            for lam in enumerate_partitions(n):
-                assert sum(lam.parts) == n == lam.n
-                assert all(
-                    lam.parts[j] >= lam.parts[j + 1] >= 1 for j in range(len(lam.parts) - 1)
-                )
+            for mult in enumerate_partitions(n):
+                assert len(mult) == n + 2
+                assert mult[0] == mult[n + 1] == 0
+                assert min(mult) >= 0
+                assert sum(v * c for v, c in enumerate(mult)) == n
 
-    def test_strictly_decreasing_lexicographic(self):
-        for n in (6, 9, 12):
-            seen = [lam.parts for lam in enumerate_partitions(n)]
-            assert seen == sorted(seen, reverse=True)
+    def test_yields_one_shared_list(self):
+        walk = enumerate_partitions(5)
+        first = next(walk)
+        assert all(mult is first for mult in walk)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            list(enumerate_partitions(-1))
-
-
-def reference_partitions(n, largest):
-    """Partitions of n with parts <= largest, first part descending: the
-    decreasing lexicographic order, by plain recursion."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in reference_partitions(n - first, first):
-            yield (first, *rest)
+        # at the call, not at the first next()
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_partitions(-1)
 
 
 class TestEnumerationProperties:
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(min_value=0, max_value=22))
     def test_matches_recursive_reference(self, n):
-        seen = list(enumerate_partitions(n))
-        assert [lam.parts for lam in seen] == list(reference_partitions(n, n))
-        assert len(seen) == partition_count(n)
-        for lam in seen:
-            assert lam.n == sum(lam.parts) == n
-            assert all(v >= 1 for v in lam.parts)
-            assert all(b <= a for a, b in zip(lam.parts, lam.parts[1:]))
-
-
-def parts_of(mult):
-    return tuple(v for v in range(len(mult) - 1, 0, -1) for _ in range(mult[v]))
+        seen = [parts_of(mult) for mult in enumerate_partitions(n)]
+        assert len(seen) == len(set(seen)) == partition_count(n)
+        assert sorted(seen, reverse=True) == list(partitions_of(n))
 
 
 class TestMultiplicityWalk:
@@ -398,7 +374,7 @@ class TestMultiplicityWalk:
     def test_visits_the_partitions_over_sizes_once(self, n, extra):
         sizes = {1} | extra
         seen = [parts_of(mult) for mult in partitions._walk_multiplicities(n, sizes)]
-        expected = [lam.parts for lam in enumerate_partitions(n) if set(lam.parts) <= sizes]
+        expected = [parts for parts in partitions_of(n) if set(parts) <= sizes]
         assert len(seen) == len(set(seen))
         assert sorted(seen) == sorted(expected)
 
@@ -447,11 +423,7 @@ class TestRestrictedCount:
         # Euler's theorem; the distinct-parts side is an independent
         # enumeration filter.
         for n in range(61):
-            distinct = sum(
-                1
-                for lam in enumerate_partitions(n)
-                if len(set(lam.parts)) == len(lam.parts)
-            )
+            distinct = sum(1 for mult in enumerate_partitions(n) if max(mult) <= 1)
             assert restricted_count(n, ODD_PARTS) == distinct
 
     def test_rejects_negative(self):

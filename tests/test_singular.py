@@ -5,18 +5,14 @@ import pytest
 
 from mexparts import partitions
 from mexparts.errors import InvalidSingularParams, OracleBoundExceeded
-from mexparts.partitions import (
-    ResidueClassRule,
-    enumerate_partitions,
-    partition_generating_series,
-    restricted_count,
-)
+from mexparts.partitions import ResidueClassRule, partition_generating_series, restricted_count
 from mexparts.series import neg_pochhammer_inf, pochhammer_inf
 from mexparts.singular import (
     SingularParams,
     genfun_singular,
     singular_overpartition_oracle,
 )
+from partition_reference import partitions_of
 
 
 class TestParams:
@@ -117,16 +113,16 @@ def test_self_paired_regression_42():
 
 
 def reference_singular_oracle(n, params):
-    """Reference route for the oracle: the ZS1 enumeration of all partitions
-    of n, a multiple of k giving weight 0 and every overlineable value
-    present giving 2, or 3 once and 4 repeated when k = 2i."""
+    """Reference route for the oracle: the recursive reference enumeration
+    of all partitions of n, a multiple of k giving weight 0 and every
+    overlineable value present giving 2, or 3 once and 4 repeated when k = 2i."""
     k, residues = params.k, params.overline_residues
     total = 0
-    for lam in enumerate_partitions(n):
-        if any(v % k == 0 for v in lam.parts):
+    for parts in partitions_of(n):
+        if any(v % k == 0 for v in parts):
             continue
         seen_once, seen_twice = set(), set()
-        for v in lam.parts:
+        for v in parts:
             if v % k in residues:
                 if v in seen_once:
                     seen_twice.add(v)

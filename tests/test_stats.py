@@ -2,37 +2,74 @@
 
 import pytest
 
-from mexparts.errors import EmptyPartition
 from mexparts.mex import identity_p_tt
-from mexparts.partitions import Partition, enumerate_partitions
-from mexparts.stats import crank_of, rank_of, verify_section1_identities
+from mexparts.partitions import enumerate_partitions
+from mexparts.stats import _length_rank_crank, verify_section1_identities
+from partition_reference import parts_of
+
+
+def rank_by_definition(parts):
+    return parts[0] - len(parts)
+
+
+def crank_by_definition(parts):
+    ones = parts.count(1)
+    if ones == 0:
+        return parts[0]
+    return sum(1 for v in parts if v > ones) - ones
+
+
+def statistics(parts):
+    # _length_rank_crank on the multiplicity list of parts
+    mult = [0] * (sum(parts) + 2)
+    for v in parts:
+        mult[v] += 1
+    return _length_rank_crank(mult)
+
+
+def rank_of(parts):
+    return statistics(parts)[1]
+
+
+def crank_of(parts):
+    return statistics(parts)[2]
 
 
 class TestRank:
     def test_values(self):
-        assert rank_of(Partition((5,))) == 4
-        assert rank_of(Partition((1, 1, 1, 1, 1))) == -4
-        assert rank_of(Partition((3, 2))) == 1
+        assert rank_of((5,)) == 4
+        assert rank_of((1, 1, 1, 1, 1)) == -4
+        assert rank_of((3, 2)) == 1
 
     def test_empty(self):
-        with pytest.raises(EmptyPartition):
-            rank_of(Partition(()))
+        # undefined for the empty partition: refused, not a made-up number
+        with pytest.raises(ValueError):
+            rank_of(())
 
 
 class TestCrank:
     def test_no_ones_branch(self):
-        assert crank_of(Partition((3, 2))) == 3
+        assert crank_of((3, 2)) == 3
 
     def test_ones_branch(self):
-        assert crank_of(Partition((2, 1, 1, 1))) == -3
-        assert crank_of(Partition((4, 3, 1))) == 1
+        assert crank_of((2, 1, 1, 1)) == -3
+        assert crank_of((4, 3, 1)) == 1
 
     def test_single_one(self):
-        assert crank_of(Partition((1,))) == -1
+        assert crank_of((1,)) == -1
 
     def test_empty(self):
-        with pytest.raises(EmptyPartition):
-            crank_of(Partition(()))
+        with pytest.raises(ValueError):
+            crank_of(())
+
+
+def test_multiplicity_statistics_match_the_tuple_definitions():
+    for n in range(1, 21):
+        for mult in enumerate_partitions(n):
+            parts = parts_of(mult)
+            assert _length_rank_crank(mult) == (
+                len(parts), rank_by_definition(parts), crank_by_definition(parts)
+            )
 
 
 class TestSectionIdentities:
@@ -45,7 +82,9 @@ class TestSectionIdentities:
         # p_{1,1}(4) = 3; the partitions of 4 with crank >= 0 are
         # 4 (crank 4), 2+2 (crank 2), 3+1 (crank 0)
         with_crank = [
-            lam.parts for lam in enumerate_partitions(4) if crank_of(lam) >= 0
+            parts_of(mult)
+            for mult in enumerate_partitions(4)
+            if _length_rank_crank(mult)[2] >= 0
         ]
         assert len(with_crank) == identity_p_tt(1, 4) == 3
 
