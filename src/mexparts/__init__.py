@@ -15,8 +15,7 @@ these functions satisfy, reporting counterexamples when a claim fails.
 The public API is each module's ``__all__``, re-exported here in order.
 """
 
-from . import congruences, errors, mex, partitions, reports, series, singular, stats, suites
-from .errors import *
+from . import congruences, mex, partitions, reports, series, singular, stats, suites
 from .series import *
 from .partitions import *
 from .mex import *
@@ -28,5 +27,5 @@ from .suites import *
 
 __version__ = "0.1.0"
 
-_MODULES = (errors, series, partitions, mex, singular, stats, reports, congruences, suites)
+_MODULES = (series, partitions, mex, singular, stats, reports, congruences, suites)
 __all__ = [name for module in _MODULES for name in module.__all__]

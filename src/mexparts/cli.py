@@ -20,7 +20,6 @@ import sys
 from typing import Iterable
 
 from .congruences import ARG_CAP, ProgressionSpec, check_progression
-from .errors import MexpartsError, OracleBoundExceeded, TruncationTooSmall
 from .mex import MEX_ORACLE_BOUND, MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
 from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
@@ -38,7 +37,7 @@ DEFAULT_TRUNC = 2000
 
 def _require_trunc(needed: int, trunc: int) -> None:
     if needed > trunc:
-        raise TruncationTooSmall(
+        raise ValueError(
             f"this command needs series order {needed}; raise --trunc (currently {trunc})"
         )
 
@@ -47,9 +46,7 @@ def _require_oracle_bound(n_max: int, bound: int) -> None:
     # checked before the first row: an oracle would otherwise enumerate every
     # n below the bound before refusing
     if n_max > bound:
-        raise OracleBoundExceeded(
-            f"this enumeration oracle is limited to --n-max <= {bound} (got {n_max})"
-        )
+        raise ValueError(f"this enumeration oracle is limited to --n-max <= {bound} (got {n_max})")
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +56,7 @@ def _require_oracle_bound(n_max: int, bound: int) -> None:
 def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     n_max = args.n_max
     if n_max < 0:
-        raise MexpartsError("--n-max must be non-negative")
+        raise ValueError("--n-max must be non-negative")
     if args.function == "p":
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
     if args.function in ("p_tt", "p_2tt"):
@@ -131,9 +128,9 @@ def cmd_verify(args) -> int:
         )
         report = check_progression(spec, args.n_max)
         if report.metadata.get("n_max_effective", 0) < 0:
-            raise MexpartsError(f"--offset {spec.offset} is past the argument cap {ARG_CAP}")
+            raise ValueError(f"--offset {spec.offset} is past the argument cap {ARG_CAP}")
         if not report.checked:
-            raise MexpartsError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
+            raise ValueError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
         return _emit_reports([("progression", report)], args.format)
     if args.suite == "all":
         _require_trunc(max(series_order(name) for name in SUITE_NAMES), args.trunc)
@@ -153,7 +150,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle_check(args) -> int:
     n_max = args.n_max
     if n_max < 0:
-        raise MexpartsError("--n-max must be non-negative")
+        raise ValueError("--n-max must be non-negative")
     if args.function == "p":  # counts walk nodes and builds no series
         _require_oracle_bound(n_max, ENUMERATION_BOUND)
         name = "p"
@@ -281,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (MexpartsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

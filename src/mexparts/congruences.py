@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import EvenModulus, InvalidFamilyParams, NonIntegralOffset, NotCoprime
 from .mex import genfun_p_tt
 from .partitions import (
     partition_generating_series,
@@ -44,6 +43,7 @@ from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
 
 __all__ = [
+    "ARG_CAP",
     "jacobi_symbol",
     "mod_inverse",
     "delta",
@@ -74,7 +74,7 @@ __all__ = [
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n; the Legendre symbol at primes."""
     if n <= 0 or n % 2 == 0:
-        raise EvenModulus(f"Jacobi symbol needs an odd positive modulus, got {n}")
+        raise ValueError(f"Jacobi symbol needs an odd positive modulus, got {n}")
     a %= n
     result = 1
     while a:
@@ -96,7 +96,7 @@ def mod_inverse(x: int, m: int) -> int:
     try:
         return pow(x, -1, m)
     except ValueError:
-        raise NotCoprime(f"{x} has no inverse modulo {m}") from None
+        raise ValueError(f"{x} has no inverse modulo {m}") from None
 
 
 def delta(p: int, k: int) -> int:
@@ -131,7 +131,10 @@ def smallest_prime_with_symbol(value: int, symbol: int = -1, minimum: int = 5) -
     """Smallest prime p >= minimum with (value/p) equal to ``symbol``.
 
     Searches that can never succeed are refused before the first candidate:
-    (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.
+    (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.  For
+    nonzero v, (v/p) = 0 exactly when p divides v, so symbol 0 is answered
+    from the odd prime factors of v, or refused when none is at least
+    ``minimum``.
     """
     if symbol not in (-1, 0, 1):
         raise ValueError(f"a Legendre symbol is -1, 0 or 1, not {symbol}")
@@ -139,6 +142,21 @@ def smallest_prime_with_symbol(value: int, symbol: int = -1, minimum: int = 5) -
         raise ValueError(f"(0/p) = 0 for every prime p, never {symbol}")
     if symbol == -1 and value > 0 and math.isqrt(value) ** 2 == value:
         raise ValueError(f"{value} is a perfect square, so ({value}/p) is never -1")
+    if symbol == 0 and value:
+        # strip the factors 2 and below minimum; the next divisor is the answer
+        rest, d = abs(value), 2
+        while d * d <= rest:
+            if rest % d:
+                d += 1
+            elif d == 2 or d < minimum:
+                rest //= d
+            else:
+                return d
+        if rest < max(minimum, 3):
+            raise ValueError(
+                f"no odd prime p >= {minimum} divides {value}, so ({value}/p) is never 0"
+            )
+        return rest
     p = minimum
     while True:
         if is_prime(p) and p % 2 == 1 and jacobi_symbol(value, p) == symbol:
@@ -361,13 +379,13 @@ def check_progression(
 def _exact_div(numerator: int, denominator: int, context: str) -> int:
     q, r = divmod(numerator, denominator)
     if r:
-        raise NonIntegralOffset(f"{context}: {numerator}/{denominator} is not integral")
+        raise ValueError(f"{context}: {numerator}/{denominator} is not integral")
     return q
 
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
-        raise InvalidFamilyParams(message)
+        raise ValueError(message)
 
 
 def _family_prime(p: int, least: int, condition: str, holds: Callable[[int], bool]) -> None:
@@ -530,11 +548,11 @@ FAMILY_IDS = tuple(sorted(_FAMILIES))
 def family_catalog(family_id: str, **params) -> list[ProgressionSpec]:
     """Progression claims for a named family; ids match the CLI suite names."""
     if family_id not in _FAMILIES:
-        raise InvalidFamilyParams(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
+        raise ValueError(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
     try:
         return _FAMILIES[family_id](**params)
-    except InvalidFamilyParams as exc:
-        raise InvalidFamilyParams(f"{family_id}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{family_id}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -667,26 +685,23 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
     return report
 
 
-def check_singular_mod8(arg_max: int = 500) -> list[VerificationReport]:
-    """Mod-8 behaviour of C(12,3) along 16n + r for arguments up to arg_max
-    (at least 15, so every row reaches its n = 0, and at most ``ARG_CAP``):
-    r = 11, 15 vanish unconditionally; r = 3 vanishes when n is not a
-    pentagonal plus four times a pentagonal; r = 7 when n is not twice a
-    pentagonal plus three times a triangular."""
+MOD8_ARG_MAX = 500  # largest C(12,3) argument of the mod-8 sweeps
+
+
+def check_singular_mod8() -> list[VerificationReport]:
+    """Mod-8 behaviour of C(12,3) along 16n + r for arguments up to
+    ``MOD8_ARG_MAX``: r = 11, 15 vanish unconditionally; r = 3 vanishes when
+    n is not a pentagonal plus four times a pentagonal; r = 7 when n is not
+    twice a pentagonal plus three times a triangular."""
     cases = [(r, None, "unconditional") for r in (11, 15)]
     cases += [(r, predicate, f"n not {name}") for r, predicate, name in _THM6_CONDITIONS.values()]
-    largest = max(offset for offset, _, _ in cases)
-    if arg_max > ARG_CAP:
-        raise ValueError(f"arg_max must be at most the argument cap {ARG_CAP}")
-    if arg_max < largest:
-        raise ValueError(f"arg_max must reach the largest offset {largest}, not {arg_max}")
     out = []
     for offset, predicate, condition in cases:
         spec = ProgressionSpec("singular", 16, offset, 8, k=12, i=3)
         report = VerificationReport(
             label=f"singular-mod8-16n+{offset}",
             spec=spec.to_json(),
-            metadata={"argument_cap": arg_max, "condition": condition},
+            metadata={"argument_cap": MOD8_ARG_MAX, "condition": condition},
         )
-        out.append(_sweep(report, spec, (arg_max - offset) // 16, arg_max, predicate))
+        out.append(_sweep(report, spec, (MOD8_ARG_MAX - offset) // 16, MOD8_ARG_MAX, predicate))
     return out

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import OracleBoundExceeded
 from .partitions import enumerate_partitions, partition_generating_series, partition_support_sum
 from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
 
@@ -74,7 +73,7 @@ def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > MEX_ORACLE_BOUND:
-        raise OracleBoundExceeded(
+        raise ValueError(
             f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
         )
     # 1 <= a <= A, so a is already the least residue of a (mod 2A)

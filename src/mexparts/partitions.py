@@ -27,12 +27,13 @@ multiplicities, changed in place, so no tuple or set is built per
 partition; the singular oracle walks the same way over a subset of part
 sizes.  The test suite checks the walk, and the oracles on it, against a
 plain recursive enumeration of tuples.
+``restricted_count(n, sizes)`` counts the partitions of n into parts from an
+iterable of sizes, one geometric series per size, without enumerating.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 from typing import Iterable, Iterator
@@ -40,7 +41,6 @@ from typing import Iterable, Iterator
 from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
 
 __all__ = [
-    "ResidueClassRule",
     "partition_count",
     "enumerate_partitions",
     "restricted_count",
@@ -49,40 +49,6 @@ __all__ = [
     "partition_support_sum",
     "partition_parity_convolution",
 ]
-
-
-@dataclass(frozen=True)
-class ResidueClassRule:
-    """Allowed part sizes: those whose residue mod ``modulus`` lies in ``allowed``."""
-
-    modulus: int
-    allowed: frozenset[int]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-        if not self.allowed:
-            raise ValueError("allowed residue set must be non-empty")
-        if any(not 0 <= r < self.modulus for r in self.allowed):
-            raise ValueError("residues must lie in [0, modulus)")
-
-    @classmethod
-    def from_signed_residues(cls, modulus: int, residues) -> "ResidueClassRule":
-        """Expand +-r (mod m) into explicit least residues, e.g. +-4 mod 32 -> {4, 28}."""
-        expanded = set()
-        for r in residues:
-            expanded.add(r % modulus)
-            expanded.add((-r) % modulus)
-        return cls(modulus, frozenset(expanded))
-
-    def admits(self, part: int) -> bool:
-        return part % self.modulus in self.allowed
-
-
-EVEN_PARTS = ResidueClassRule(2, frozenset({0}))
-ODD_PARTS = ResidueClassRule(2, frozenset({1}))
-ALL_PARTS = ResidueClassRule(1, frozenset({0}))
 
 
 # ---------------------------------------------------------------------------
@@ -332,28 +298,20 @@ def _walk_multiplicities(n: int, sizes: Iterable[int]) -> Iterator[list[int]]:
 # restricted counts
 # ---------------------------------------------------------------------------
 
-_restricted_tables: dict[ResidueClassRule, list[int]] = {}
+def restricted_count(n: int, sizes: Iterable[int]) -> int:
+    """Number of partitions of n whose parts all lie in ``sizes``.
 
-
-def restricted_count(n: int, rule: ResidueClassRule) -> int:
-    """Number of partitions of n whose parts all satisfy ``rule``.
-
-    Computed as coefficient n of prod_{j admitted} 1/(1 - q^j): the table is
-    built by multiplying in one geometric factor per admitted part size,
-    which scales to n around 2000 without enumeration.
+    Coefficient n of prod_{v in sizes} 1/(1 - q^v), from one table of n + 1
+    entries that takes one geometric factor per size; a repeated size counts
+    once, and sizes above n add nothing.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    with _table_lock:
-        table = _restricted_tables.get(rule)
-        if table is None or len(table) <= n:
-            size = max(n, 2 * len(table) if table else n, 16)
-            fresh = [0] * (size + 1)
-            fresh[0] = 1
-            for j in range(1, size + 1):
-                if rule.admits(j):
-                    for v in range(j, size + 1):
-                        fresh[v] += fresh[v - j]
-            _restricted_tables[rule] = fresh
-            table = fresh
+    sizes = set(sizes)
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"part sizes must be positive, not {min(sizes)}")
+    table = [1] + [0] * n
+    for v in sizes:
+        for m in range(v, n + 1):
+            table[m] += table[m - v]
     return table[n]

@@ -33,8 +33,6 @@ from itertools import accumulate, cycle
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm, TruncationTooSmall
-
 __all__ = [
     "TruncatedSeries",
     "pochhammer_inf",
@@ -81,11 +79,11 @@ class TruncatedSeries:
         return cls(c)
 
     def coefficient(self, n: int) -> int:
-        """Coefficient of q^n.  Raises TruncationTooSmall past the order."""
+        """Coefficient of q^n.  Raises ValueError past the order."""
         if n < 0:
             raise ValueError("coefficient index must be non-negative")
         if n > self.trunc_order:
-            raise TruncationTooSmall(
+            raise ValueError(
                 f"coefficient {n} requested from a series truncated at order {self.trunc_order}"
             )
         return self.coeffs[n]
@@ -143,9 +141,7 @@ class TruncatedSeries:
         """
         a0 = self.coeffs[0]
         if a0 not in (1, -1):
-            raise NonUnitConstantTerm(
-                f"cannot invert a series with constant term {a0} over the integers"
-            )
+            raise ValueError(f"cannot invert a series with constant term {a0} over the integers")
         n_max = self.trunc_order
         support = [(j, aj) for j, aj in enumerate(self.coeffs) if j and aj]
         b = [0] * (n_max + 1)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import InvalidSingularParams, OracleBoundExceeded
 from .partitions import _walk_multiplicities, partition_convolution
 from .series import TruncatedSeries, theta_support
 
@@ -49,11 +48,9 @@ class SingularParams:
 
     def __post_init__(self):
         if self.k < 3:
-            raise InvalidSingularParams(f"k must be at least 3, got {self.k}")
+            raise ValueError(f"k must be at least 3, got {self.k}")
         if not 1 <= self.i <= self.k // 2:
-            raise InvalidSingularParams(
-                f"i must satisfy 1 <= i <= floor(k/2) = {self.k // 2}, got {self.i}"
-            )
+            raise ValueError(f"i must satisfy 1 <= i <= floor(k/2) = {self.k // 2}, got {self.i}")
 
     @property
     def overline_residues(self) -> frozenset[int]:
@@ -70,7 +67,7 @@ def singular_overpartition_oracle(n: int, params: SingularParams) -> int:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > SINGULAR_ORACLE_BOUND:
-        raise OracleBoundExceeded(
+        raise ValueError(
             f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
         )
     k = params.k

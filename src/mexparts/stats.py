@@ -8,7 +8,8 @@ crank(lambda) = largest part if no part equals 1; otherwise
 
 ``verify_section1_identities`` sweeps five identities, with each side
 computed by an independent route (closed-form partition sums on the left,
-direct enumeration or restricted counting on the right):
+direct enumeration or restricted counting on the right; the restricted
+counts of (d) and (e) take the part sizes up to n in the listed classes):
 
   (a) p_{1,1}(n) = number of partitions of n with crank >= 0
   (b) p_{3,3}(n) = number of partitions of n with rank >= -1
@@ -26,13 +27,15 @@ against their definitions on part tuples.
 from __future__ import annotations
 
 from .mex import identity_p_2tt, identity_p_tt
-from .partitions import ResidueClassRule, enumerate_partitions, restricted_count
+from .partitions import enumerate_partitions, restricted_count
 from .reports import VerificationReport
 
 __all__ = ["verify_section1_identities"]
 
-RULE_MOD_32 = ResidueClassRule.from_signed_residues(32, (4, 6, 8, 10))
-RULE_MOD_24 = ResidueClassRule.from_signed_residues(24, (2, 4, 5, 6, 7, 8))
+def _restricted(n: int, modulus: int, residues: tuple[int, ...]) -> int:
+    # partitions of n into parts == +-r (mod modulus), r in residues
+    sizes = [v for v in range(1, n + 1) if v % modulus in residues or -v % modulus in residues]
+    return restricted_count(n, sizes)
 
 
 def _length_rank_crank(mult: list[int]) -> tuple[int, int, int]:
@@ -71,8 +74,8 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
             ("crank", identity_p_tt(1, n), crank_nonneg),
             ("rank", identity_p_tt(3, n), rank_ge_minus1),
             ("even-length", identity_p_2tt(1, n), even_length),
-            ("mod32", identity_p_2tt(2, n) - odd_length, restricted_count(n, RULE_MOD_32)),
-            ("mod24", identity_p_2tt(3, n) - odd_length, restricted_count(n, RULE_MOD_24)),
+            ("mod32", identity_p_2tt(2, n) - odd_length, _restricted(n, 32, (4, 6, 8, 10))),
+            ("mod24", identity_p_2tt(3, n) - odd_length, _restricted(n, 24, (2, 4, 5, 6, 7, 8))),
         )
         for identity, lhs, rhs in checks:
             report.checked += 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 import inspect
 
 from .congruences import (
-    ARG_CAP,
     ProgressionSpec,
     check_conditional_parity,
     check_parity_bridge,
@@ -40,14 +39,13 @@ from .reports import VerificationReport
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds", "series_order", "ARG_CAP"]
+__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds", "series_order"]
 
 ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
 N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis
 BRIDGE_T_VALUES = (1, 2, 3, 5, 7)  # thm3: t swept by the parity bridge, up to t_max
 ETA_T, ETA_ORDER = (1, 3), 300  # thm3: the mod-2 eta-form checks
 N_MAX_PART1 = 120  # thm6: the unconditional mod-16 progressions
-MOD8_ARG_MAX = 500  # thm6: largest C(12,3) argument of the mod-8 sweeps
 COR1_PRIME = smallest_prime_with_symbol(-2)  # 5
 THM13_PRIME = smallest_prime_with_symbol(-10)  # 17
 FINAL_PRIME = smallest_prime_with_symbol(-21)  # 13
@@ -146,7 +144,7 @@ def suite_thm6(n_max: int = 60) -> list[VerificationReport]:
     reports = _progressions("thm6", [{}], N_MAX_PART1)
     reports.append(check_conditional_parity("thm6_part2", n_max))
     reports.append(check_conditional_parity("thm6_part3", n_max))
-    reports += check_singular_mod8(MOD8_ARG_MAX)
+    reports += check_singular_mod8()
     return reports
 
 

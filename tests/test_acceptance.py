@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 from mexparts.congruences import (
+    ARG_CAP,
     ProgressionSpec,
     check_parity_bridge,
     check_parity_characterization,
@@ -30,7 +31,6 @@ from mexparts.mex import (
 )
 from mexparts.singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from mexparts.stats import verify_section1_identities
-from mexparts.suites import ARG_CAP
 
 _CHECKMARK = "criterion {} PASS ({:.2f}s): {}"
 SRC = Path(__file__).resolve().parent.parent / "src"

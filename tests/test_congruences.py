@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mexparts import congruences, partitions
 from mexparts.congruences import (
     ARG_CAP,
+    FAMILY_IDS,
     ProgressionSpec,
     check_conditional_parity,
     check_parity_bridge,
@@ -29,12 +30,6 @@ from mexparts.congruences import (
     jacobi_symbol,
     mod_inverse,
     smallest_prime_with_symbol,
-)
-from mexparts.errors import (
-    EvenModulus,
-    InvalidFamilyParams,
-    NonIntegralOffset,
-    NotCoprime,
 )
 from mexparts.mex import MexParams, genfun_p_tt, identity_p_tt, mex_count_oracle
 from mexparts.partitions import partition_count
@@ -56,9 +51,9 @@ class TestJacobi:
             assert jacobi_symbol(1, n) == 1
 
     def test_even_modulus_rejected(self):
-        with pytest.raises(EvenModulus):
+        with pytest.raises(ValueError, match="odd positive modulus, got 4"):
             jacobi_symbol(3, 4)
-        with pytest.raises(EvenModulus):
+        with pytest.raises(ValueError, match="odd positive modulus, got -5"):
             jacobi_symbol(3, -5)
 
     def test_matches_euler_criterion_at_primes(self):
@@ -83,7 +78,7 @@ class TestModInverse:
         assert mod_inverse(1, 9) == 1
 
     def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
+        with pytest.raises(ValueError, match="6 has no inverse modulo 9"):
             mod_inverse(6, 9)
 
 
@@ -136,6 +131,27 @@ class TestPrimes:
         with pytest.raises(ValueError, match=r"\(0/p\) = 0"):
             smallest_prime_with_symbol(0, symbol=1)
         assert smallest_prime_with_symbol(0, symbol=0) == 5
+
+    @pytest.mark.parametrize("value", [6, 1, -1, 2, -12, 3 * 2**20])
+    def test_symbol_zero_without_an_odd_prime_factor_is_refused(self, value, monkeypatch):
+        def forbidden(x):
+            raise AssertionError("a search that can never succeed must test no candidate")
+
+        monkeypatch.setattr(congruences, "is_prime", forbidden)
+        with pytest.raises(ValueError, match=f"no odd prime p >= 5 divides {value}"):
+            smallest_prime_with_symbol(value, symbol=0)
+
+    def test_symbol_zero_matches_the_candidate_search(self):
+        # every odd prime p with (v/p) = 0 divides v, so it is at most |v|
+        for value in [v for v in range(-120, 121) if v]:
+            for minimum in (-3, 3, 5, 12):
+                odd_primes = (p for p in range(max(minimum, 3), abs(value) + 1) if is_prime(p))
+                expected = next((p for p in odd_primes if jacobi_symbol(value, p) == 0), None)
+                if expected is not None:
+                    assert smallest_prime_with_symbol(value, 0, minimum) == expected, value
+                else:
+                    with pytest.raises(ValueError, match="no odd prime"):
+                        smallest_prime_with_symbol(value, 0, minimum)
 
 
 class TestPredicates:
@@ -407,8 +423,9 @@ class TestParityRoute:
 
 
 # Every side condition of every family, each violated alone, with a pattern
-# naming the condition in the error message.
-_INVALID = InvalidFamilyParams
+# naming the condition in the error message.  _INVALID labels the refusal of a
+# side condition, a ValueError; the label also names those cases in their ids.
+_INVALID = "InvalidFamilyParams"
 _INVALID_FAMILY_PARAMS = [
     # thm2: the transfer's bounds
     ("thm2", dict(a=0, b=4, m=5, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
@@ -508,30 +525,33 @@ class TestFamilyCatalog:
         assert all(s.step == 49 and s.offset == 47 for s in specs)
 
     def test_side_conditions_enforced(self):
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm5: needs p != 1 \(mod 12\), not p = 13$"):
             family_catalog("thm5", p=13, k=0)  # 13 == 1 (mod 12)
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm5: 9 is not prime$"):
             family_catalog("thm5", p=9, k=0)  # not prime
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm11: needs p >= 7, not p = 3$"):
             family_catalog("thm11", p=3, alpha=0, j=1)  # offset non-integral
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm11: j must satisfy 1 <= j <= p - 1$"):
             family_catalog("thm11", p=7, alpha=0, j=7)  # j out of range
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^cor1: needs \(-2/p\) = -1 on branch 2"):
             family_catalog("cor1", p=11, alpha=0, branch=2)  # (-2/11) = +1
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm13: needs \(-10/p\) = -1, not p = 7$"):
             family_catalog("thm13", p=7, alpha=0, j=1)  # (-10/7) = +1
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^final: needs \(-21/p\) = -1, not p = 11$"):
             family_catalog("final", p=11, alpha=0, beta=0, branch=1, r=3)
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^thm14: r must be in \{3, 4, 6\}$"):
             family_catalog("thm14", alpha=0, r=5)
-        with pytest.raises(InvalidFamilyParams):
+        with pytest.raises(ValueError, match=r"^unknown family 'nope'; known: cor1, final,"):
             family_catalog("nope")
 
     @pytest.mark.parametrize("family, params, error, pattern", _INVALID_FAMILY_PARAMS)
     def test_every_side_condition_is_named(self, family, params, error, pattern):
-        with pytest.raises(error, match=pattern) as exc:
+        refusal = ValueError if error == _INVALID else error
+        with pytest.raises(refusal, match=pattern) as exc:
             family_catalog(family, **params)
-        assert exc.type is error
+        assert exc.type is refusal
+        if refusal is ValueError and family in FAMILY_IDS:  # the primality envelope's too
+            assert str(exc.value).startswith(f"{family}: ")
 
     def test_offsets_are_nonnegative_integers(self):
         specs = []
@@ -550,7 +570,7 @@ class TestFamilyCatalog:
     def test_non_integral_offset_guard(self):
         from mexparts.congruences import _exact_div
 
-        with pytest.raises(NonIntegralOffset):
+        with pytest.raises(ValueError, match=r"^guard: 7/3 is not integral$"):
             _exact_div(7, 3, "guard")
 
 
@@ -683,7 +703,7 @@ class TestConditionalParity:
         assert report.metadata["n_max_effective"] == (50_000 - 7) // 16
         assert report.metadata["argument_cap"] == 50_000
         assert report.checked + report.skipped == (50_000 - 7) // 16 + 1
-        assert all(r.passed for r in check_singular_mod8(500))
+        assert all(r.passed for r in check_singular_mod8())
 
     def test_predicates_do_skip_indices(self):
         part2 = check_conditional_parity("thm6_part2", 60)
@@ -715,8 +735,9 @@ class TestParityBridge:
 
 class TestSingularMod8:
     def test_all_four_progressions(self):
-        reports = check_singular_mod8(500)
+        reports = check_singular_mod8()
         assert len(reports) == 4
+        assert {r.metadata["argument_cap"] for r in reports} == {congruences.MOD8_ARG_MAX} == {500}
         for report in reports:
             assert report.passed
         by_label = {r.label: r for r in reports}
@@ -728,7 +749,7 @@ class TestSingularMod8:
         # the loop the sweep replaced, on the coefficients of the C(12,3) series
         series = genfun_singular(SingularParams(12, 3), 500)
         predicates = {11: None, 15: None, 3: is_pent_plus_4pent, 7: is_2pent_plus_3tri}
-        for report in check_singular_mod8(500):
+        for report in check_singular_mod8():
             offset, predicate = report.spec["offset"], predicates[report.spec["offset"]]
             swept = [
                 n for n in range((500 - offset) // 16 + 1) if predicate is None or not predicate(n)
@@ -736,24 +757,6 @@ class TestSingularMod8:
             assert report.checked == len(swept)
             values = [series.coefficient(16 * n + offset) for n in swept]
             assert report.failure_count == sum(value % 8 != 0 for value in values)
-
-    def test_arguments_past_the_cap_are_refused(self):
-        with pytest.raises(ValueError, match="argument cap 50000"):
-            check_singular_mod8(50_001)
-
-    @pytest.mark.parametrize("arg_max", [14, 10, 0, -5])
-    def test_arguments_short_of_the_largest_offset_are_refused(self, arg_max, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("a refused sweep must do no work")
-
-        monkeypatch.setattr(congruences, "_sweep", forbidden)
-        with pytest.raises(ValueError, match=f"largest offset 15, not {arg_max}"):
-            check_singular_mod8(arg_max)
-
-    def test_the_smallest_accepted_bound_reaches_every_row(self):
-        reports = check_singular_mod8(15)
-        assert [r.checked + r.skipped for r in reports] == [1, 1, 1, 1]
-        assert all(r.passed for r in reports)
 
     def test_unconditional_rows_fail_without_condition(self):
         # 16n+3 is NOT unconditional: dropping the condition must surface

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mexparts import partitions
 from mexparts.cli import main
-from mexparts.errors import OracleBoundExceeded
 from mexparts.mex import (
     MexParams,
     genfun_p_2tt,
@@ -93,7 +92,7 @@ class TestOracle:
         assert mex_count_oracle(2, MexParams(1, 1)) == 1
 
     def test_bound_enforced(self):
-        with pytest.raises(OracleBoundExceeded):
+        with pytest.raises(ValueError, match="enumeration-backed and limited to n <= 60"):
             mex_count_oracle(61, MexParams(1, 1))
 
 
@@ -135,7 +134,7 @@ class TestMultiOracle:
             raise AssertionError("enumerated past the bound")
 
         monkeypatch.setattr("mexparts.mex.enumerate_partitions", fail)
-        with pytest.raises(OracleBoundExceeded):
+        with pytest.raises(ValueError, match="enumeration-backed and limited to n <= 60"):
             mex_counts_oracle(61, [MexParams(1, 1)])
         with pytest.raises(ValueError):
             mex_counts_oracle(-1, [MexParams(1, 1)])

@@ -3,7 +3,6 @@
 import mexparts
 from mexparts import (
     congruences,
-    errors,
     mex,
     partitions,
     reports,
@@ -13,7 +12,7 @@ from mexparts import (
     suites,
 )
 
-MODULES = (errors, series, partitions, mex, singular, stats, reports, congruences, suites)
+MODULES = (series, partitions, mex, singular, stats, reports, congruences, suites)
 
 
 def test_package_all_is_the_concatenation_of_the_module_lists():

@@ -9,10 +9,6 @@ from hypothesis import strategies as st
 
 from mexparts import partitions
 from mexparts.partitions import (
-    ALL_PARTS,
-    EVEN_PARTS,
-    ODD_PARTS,
-    ResidueClassRule,
     enumerate_partitions,
     partition_convolution,
     partition_count,
@@ -390,42 +386,45 @@ class TestMultiplicityWalk:
         assert all(mult is first for mult in walk)
 
 
-class TestResidueClassRule:
-    def test_signed_expansion(self):
-        rule = ResidueClassRule.from_signed_residues(32, (4, 6, 8, 10))
-        assert rule.allowed == frozenset({4, 6, 8, 10, 22, 24, 26, 28})
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClassRule(0, frozenset({0}))
-        with pytest.raises(ValueError):
-            ResidueClassRule(4, frozenset())
-        with pytest.raises(ValueError):
-            ResidueClassRule(4, frozenset({4}))
-
-
 class TestRestrictedCount:
     def test_even_parts(self):
-        assert restricted_count(4, EVEN_PARTS) == 2  # 4, 2+2
+        assert restricted_count(4, range(2, 5, 2)) == 2  # 4, 2+2
 
     def test_odd_parts(self):
-        assert restricted_count(3, ODD_PARTS) == 2  # 3, 1+1+1
+        assert restricted_count(3, range(1, 4, 2)) == 2  # 3, 1+1+1
 
     def test_mod32_classes(self):
-        rule = ResidueClassRule.from_signed_residues(32, (4, 6, 8, 10))
-        assert restricted_count(4, rule) == 1  # the single part 4
+        sizes = [v for v in range(1, 41) if v % 32 in (4, 6, 8, 10, 22, 24, 26, 28)]
+        assert restricted_count(4, sizes) == 1  # the single part 4
 
     def test_unrestricted_equals_partition_count(self):
         for n in range(201):
-            assert restricted_count(n, ALL_PARTS) == partition_count(n)
+            assert restricted_count(n, range(1, n + 1)) == partition_count(n)
 
     def test_odd_equals_distinct_euler(self):
         # Euler's theorem; the distinct-parts side is an independent
         # enumeration filter.
         for n in range(61):
             distinct = sum(1 for mult in enumerate_partitions(n) if max(mult) <= 1)
-            assert restricted_count(n, ODD_PARTS) == distinct
+            assert restricted_count(n, range(1, n + 1, 2)) == distinct
+
+    @given(
+        n=st.integers(min_value=0, max_value=18),
+        sizes=st.lists(st.integers(min_value=1, max_value=25), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filtered_enumeration(self, n, sizes):
+        # repeated sizes count once, sizes above n add nothing, and no sizes
+        # leave only the empty partition
+        allowed = set(sizes)
+        expected = sum(1 for parts in partitions_of(n) if set(parts) <= allowed)
+        assert restricted_count(n, sizes) == expected
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            restricted_count(-1, EVEN_PARTS)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            restricted_count(-1, range(2, 5, 2))
+
+    @pytest.mark.parametrize("sizes", [[0], [3, -1], range(0, 5)])
+    def test_rejects_sizes_below_one(self, sizes):
+        with pytest.raises(ValueError, match="part sizes must be positive"):
+            restricted_count(4, sizes)

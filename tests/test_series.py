@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexparts.errors import NonUnitConstantTerm, TruncationTooSmall
 from mexparts.series import (
     TruncatedSeries,
     _product_of_binomials,
@@ -75,9 +74,9 @@ class TestArithmetic:
         assert pochhammer_inf(1, 1, 5).invert() == S(1, 1, 2, 3, 5, 7)
 
     def test_invert_requires_unit_constant(self):
-        with pytest.raises(NonUnitConstantTerm):
+        with pytest.raises(ValueError, match="cannot invert a series with constant term 2"):
             S(2, 1).invert()
-        with pytest.raises(NonUnitConstantTerm):
+        with pytest.raises(ValueError, match="cannot invert a series with constant term 0"):
             S(0, 1).invert()
 
     def test_mul_inverse_roundtrip_random(self):
@@ -99,7 +98,7 @@ class TestArithmetic:
     def test_coefficient_bounds(self):
         s = S(4, 5, 6)
         assert s.coefficient(2) == 6
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(ValueError, match="coefficient 3 requested .* truncated at order 2"):
             s.coefficient(3)
         with pytest.raises(ValueError):
             s.coefficient(-1)
