@@ -37,8 +37,13 @@ for parts, value in sorted(rows, reverse=True):
     print(f"  {'+'.join(map(str, parts)):>12}   mex = {value}{marker}")
 
 # p_{2,2}(5) counts the partitions whose mex is 2 mod 4: four of the seven.
-print("\np_{2,2}(5) three ways:")
-print("  enumeration oracle :", mex_count_oracle(5, params))
+# The oracle returns p_{2,2}(n) for every n <= 5 from that one walk of 5: a
+# partition with parts above 1 totalling s gives, with n - s ones in place
+# of its 1's, one partition of each n >= s, and here the mex never looks at
+# the 1's.
+print("\np_{2,2}(n) for n = 0..5 from one walk of 5:", mex_count_oracle(5, params))
+print("p_{2,2}(5) three ways:")
+print("  enumeration oracle :", mex_count_oracle(5, params)[5])
 print("  generating function:", genfun_p_tt(2, 5).coefficient(5))
 print("  partition identity :", identity_p_tt(2, 5))
 
@@ -60,7 +65,7 @@ assert sum(v for _, v in terms) == identity_p_tt(1, 10)
 # C(3,1; 4) = 10: partitions of 4 with no part divisible by 3, where parts
 # congruent to 1 or 2 (mod 3) may carry one overline on their first copy.
 print("\nC(3,1; 4) counted two ways:")
-print("  enumeration oracle :", singular_overpartition_oracle(4, SingularParams(3, 1)))
+print("  enumeration oracle :", singular_overpartition_oracle(4, SingularParams(3, 1))[4])
 print("  generating function:", genfun_singular(SingularParams(3, 1), 4).coefficient(4))
 
 # the ten objects, written out

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from typing import Iterable
 
 from .congruences import ARG_CAP, ProgressionSpec, check_progression
@@ -71,12 +72,12 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
-        rows = [(n, mex_count_oracle(n, params)) for n in range(n_max + 1)]
+        rows = list(enumerate(mex_count_oracle(n_max, params)))
         return "p_Aa_oracle", {"A": args.A, "a": args.a}, rows
     # C_ki_oracle, the last of the parser's choices
     params = SingularParams(args.k, args.i)
     _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
-    rows = [(n, singular_overpartition_oracle(n, params)) for n in range(n_max + 1)]
+    rows = list(enumerate(singular_overpartition_oracle(n_max, params)))
     return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
 
 
@@ -154,10 +155,12 @@ def cmd_oracle_check(args) -> int:
     if args.function == "p":  # counts walk nodes and builds no series
         _require_oracle_bound(n_max, ENUMERATION_BOUND)
         name = "p"
-        rows = [
-            (n, sum(1 for _ in enumerate_partitions(n)), partition_count(n))
-            for n in range(n_max + 1)
-        ]
+        # a node of the walk of n_max with parts above 1 totalling s, plus
+        # n - s ones, is one partition of each n >= s
+        nodes = [0] * (n_max + 1)
+        for mult in enumerate_partitions(n_max):
+            nodes[n_max - mult[1]] += 1
+        oracle, expected = accumulate(nodes), partition_count
     elif args.function in ("p_tt", "p_2tt"):
         _require_trunc(n_max, args.trunc)
         _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
@@ -165,19 +168,15 @@ def cmd_oracle_check(args) -> int:
         series = genfun(args.t, n_max)  # checks t before the oracle runs
         params = MexParams(A * args.t, args.t)
         name = args.function
-        rows = [
-            (n, mex_count_oracle(n, params), series.coefficient(n)) for n in range(n_max + 1)
-        ]
+        oracle, expected = mex_count_oracle(n_max, params), series.coefficient
     else:  # singular, the last of the parser's choices
         _require_trunc(n_max, args.trunc)
         params = SingularParams(args.k, args.i)
         _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
         series = genfun_singular(params, n_max)
         name = "singular"
-        rows = [
-            (n, singular_overpartition_oracle(n, params), series.coefficient(n))
-            for n in range(n_max + 1)
-        ]
+        oracle, expected = singular_overpartition_oracle(n_max, params), series.coefficient
+    rows = [(n, value, expected(n)) for n, value in enumerate(oracle)]
     mismatches = 0
     if args.format == "csv":
         print("function,n,oracle,series,equal")

@@ -4,11 +4,17 @@ The mex of a partition for ``MexParams(A, a)`` is the smallest positive
 integer congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)``
 counts partitions of n whose mex lands in the residue a (mod 2A); the
 enumeration oracle computes it definitionally for any (A, a).
-``mex_counts_oracle`` tallies any number of (A, a) in one pass over the
-partitions of n, and ``mex_count_oracle`` is its one-parameter case.  The
-pass reads the mex off the multiplicity lists of ``enumerate_partitions``;
-the tests check it against a recursive enumeration of tuples that shares
-no code with the walk.  The (t, t) and (2t, t)
+``mex_counts_oracle(n_max, params_seq)`` tallies any number of (A, a) for
+every n <= n_max in one walk over the partitions of n_max, and
+``mex_count_oracle`` is its one-parameter case.  A node of that walk is a
+multiset of parts above 1 with total s <= n_max, and with j ones it is one
+partition of s + j, so each partition of each n <= n_max is one (node, n)
+pair with n >= s.  For a >= 2 the mex never looks at the 1's, so one mex
+serves every n >= s; for a = 1 the partition of s itself has no 1's and
+mex 1, and every n > s takes the mex from 1 + A upward.  The walk reads the
+mex off the multiplicity lists of ``enumerate_partitions``; the tests check
+every row against a recursive enumeration of tuples that shares no code
+with the walk.  The (t, t) and (2t, t)
 families also have a generating-function route and a closed expression in
 ordinary partition numbers:
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .partitions import enumerate_partitions, partition_generating_series, partition_support_sum
 from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
@@ -63,35 +70,50 @@ class MexParams:
             raise ValueError("a must satisfy 1 <= a <= A")
 
 
-def mex_counts_oracle(n: int, params_seq: Sequence[MexParams]) -> tuple[int, ...]:
-    """For each (A, a) in ``params_seq``, count partitions of n with
-    mex == a (mod 2A), in one walk over the partitions of n.
+def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple[int, ...]]:
+    """Row n, for 0 <= n <= n_max, holds for each (A, a) in ``params_seq``
+    the number of partitions of n with mex == a (mod 2A); every row comes
+    from one walk over the partitions of n_max.
 
-    Exponential in n; refuses n beyond the documented bound before
+    Exponential in n_max; refuses n_max beyond the documented bound before
     enumerating anything rather than silently grinding.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be non-negative")
-    if n > MEX_ORACLE_BOUND:
+    if n_max > MEX_ORACLE_BOUND:
         raise ValueError(
             f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
         )
-    # 1 <= a <= A, so a is already the least residue of a (mod 2A)
-    slots = [(j, p.A, p.a, 2 * p.A) for j, p in enumerate(params_seq)]
-    tally = [0] * len(slots)
-    for mult in enumerate_partitions(n):
-        for j, A, a, period in slots:
+    # per (A, a): hits by total s, A, a and 2A; 1 <= a <= A, so a is already
+    # the least residue of a (mod 2A)
+    slots = [([0] * (n_max + 1), p.A, p.a, 2 * p.A) for p in params_seq]
+    nodes = [0] * (n_max + 1)  # nodes by their total s of the parts above 1
+    for mult in enumerate_partitions(n_max):
+        s = n_max - mult[1]
+        nodes[s] += 1
+        for hits, A, a, period in slots:
             v = a
-            while v <= n and mult[v]:
+            while v <= n_max and mult[v]:
                 v += A
             if v % period == a:
-                tally[j] += 1
-    return tuple(tally)
+                hits[s] += 1
+    # a >= 2: the mex never reads mult[1], so a hit at s counts for every
+    # n >= s.  a = 1: mult[1] = n_max - s is nonzero for every s < n_max, so
+    # a hit at s counts for every n > s, and the partition of n with no 1's
+    # has mex 1 and counts at n.
+    columns = [
+        list(accumulate(hits))
+        if a > 1
+        else [b + c for b, c in zip(nodes, accumulate(hits, initial=0))]
+        for hits, _, a, _ in slots
+    ]
+    return [tuple(column[n] for column in columns) for n in range(n_max + 1)]
 
 
-def mex_count_oracle(n: int, params: MexParams) -> int:
-    """Count partitions of n with mex == a (mod 2A), by full enumeration."""
-    return mex_counts_oracle(n, (params,))[0]
+def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
+    """Item n, for 0 <= n <= n_max, counts partitions of n with
+    mex == a (mod 2A), by full enumeration of the partitions of n_max."""
+    return [row[0] for row in mex_counts_oracle(n_max, (params,))]
 
 
 def genfun_p_tt(t: int, order: int) -> TruncatedSeries:

@@ -25,8 +25,10 @@ route, so tests that compare it with the table compare two sources of p(n).
 ``_walk_multiplicities``, which yields one shared list of part
 multiplicities, changed in place, so no tuple or set is built per
 partition; the singular oracle walks the same way over a subset of part
-sizes.  The test suite checks the walk, and the oracles on it, against a
-plain recursive enumeration of tuples.
+sizes.  One walk of n holds every partition of every m <= n once (see
+``enumerate_partitions``), so the oracles count all m <= n from it.  The
+test suite checks the walk, and the oracles on it, against a plain
+recursive enumeration of tuples.
 ``restricted_count(n, sizes)`` counts the partitions of n into parts from an
 iterable of sizes, one geometric series per size, without enumerating.
 """
@@ -251,6 +253,9 @@ def enumerate_partitions(n: int) -> Iterator[list[int]]:
     copy it to keep a partition.  The all-1's partition comes first; then
     the parts above 1, taken in non-increasing order, grow depth first, the
     largest next part first: 1+1+1+1, 4, 3+1, 2+1+1, 2+2 for n = 4.
+    The parts above 1 of the nodes run through every multiset with total
+    s <= n once, so the node's parts with j ones in place of ``mult[1]``
+    give every partition of every m <= n once, at j = m - s.
     A negative n raises at the call, before anything is yielded.
     """
     if n < 0:

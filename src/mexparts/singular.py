@@ -19,13 +19,18 @@ factor), and a value occurring at least twice contributes 4 (additionally
 both overline slots used on two copies).  Divisibility by k is a property
 of the underlying value, overlined or not, so the oracle walks only the
 partitions with no part divisible by k, on the multiplicity walk of
-``partitions``; the tests check it against a recursive enumeration of
-tuples that shares no code with the walk.
+``partitions``.  One walk of n_max serves every n <= n_max: a node is a
+multiset of parts above 1 with total s <= n_max, and with j ones it is one
+partition of s + j.  Its weight W, the product of the factors of its
+overlineable values above 1, counts once at n = s; every n > s adds 1's,
+which double W when 1 is overlineable (i = 1).  The tests check every n
+against a recursive enumeration of tuples that shares no code with the walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 
 from .partitions import _walk_multiplicities, partition_convolution
@@ -62,22 +67,28 @@ class SingularParams:
         return self.i % self.k == (self.k - self.i) % self.k
 
 
-def singular_overpartition_oracle(n: int, params: SingularParams) -> int:
-    """Count singular overpartitions of n by visiting each underlying partition."""
-    if n < 0:
+def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[int]:
+    """Item n, for 0 <= n <= n_max, counts the singular overpartitions of n;
+    every item comes from one walk over the partitions of n_max with no part
+    divisible by k."""
+    if n_max < 0:
         raise ValueError("n must be non-negative")
-    if n > SINGULAR_ORACLE_BOUND:
+    if n_max > SINGULAR_ORACLE_BOUND:
         raise ValueError(
             f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
         )
     k = params.k
-    overlineable = [v for v in range(1, n + 1) if v % k in params.overline_residues]
+    overlineable = [v for v in range(2, n_max + 1) if v % k in params.overline_residues]
     # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
-    factor = [1, 3] + [4] * n if params.self_paired else [1] + [2] * n
-    total = 0
-    for mult in _walk_multiplicities(n, [v for v in range(1, n + 1) if v % k]):
-        total += prod(map(factor.__getitem__, map(mult.__getitem__, overlineable)))
-    return total
+    factor = [1, 3] + [4] * n_max if params.self_paired else [1] + [2] * n_max
+    weight = [0] * (n_max + 1)  # by the total s of the parts above 1
+    for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k]):
+        w = prod(map(factor.__getitem__, map(mult.__getitem__, overlineable)))
+        weight[n_max - mult[1]] += w
+    # the partition of s carries weight W, and every n > s adds 1's: 2W when
+    # 1 is overlineable (i = 1, never self-paired since k >= 3), else W
+    ones = 2 if 1 % k in params.overline_residues else 1
+    return [w + ones * below for w, below in zip(weight, accumulate(weight, initial=0))]
 
 
 def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:

@@ -31,6 +31,6 @@ def test_traced_runner_counts_every_walk_node(tmp_path):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     layers = json.loads((tmp_path / "t.layers.json").read_text())
-    # p(0) + p(1) + ... + p(10) = 139 partitions, one oracle call per n
-    assert layers["partitions.enumerated"] == 139
-    assert layers["mex.oracle_calls"] == 11
+    # one oracle call walks the p(10) = 42 partitions of 10 for every n <= 10
+    assert layers["partitions.enumerated"] == 42
+    assert layers["mex.oracle_calls"] == 1

@@ -721,10 +721,9 @@ class TestParityBridge:
         assert report.checked == 201
 
     def test_bridge_cross_checked_against_both_oracles(self):
-        for n in range(31):
-            left = mex_count_oracle(n, MexParams(2, 2))
-            right = singular_overpartition_oracle(n, SingularParams(8, 2))
-            assert (left - right) % 2 == 0
+        left = mex_count_oracle(30, MexParams(2, 2))
+        right = singular_overpartition_oracle(30, SingularParams(8, 2))
+        assert [(x - y) % 2 for x, y in zip(left, right)] == [0] * 31
 
     def test_eta_form(self):
         for t in (1, 3):

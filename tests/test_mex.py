@@ -59,12 +59,12 @@ class TestMexOf:
         assert set(partitions_of(5)) == set(table)
         for parts, expected in table.items():
             assert mex_by_definition(parts, params) == expected
-        assert mex_count_oracle(5, params) == sum(v % 4 == 2 for v in table.values())
+        assert mex_count_oracle(5, params)[5] == sum(v % 4 == 2 for v in table.values())
 
     def test_empty_partition(self):
         assert mex_by_definition((), MexParams(7, 3)) == 3
         # the empty partition's mex is a itself, so it counts for every (A, a)
-        assert mex_counts_oracle(0, [MexParams(7, 3), MexParams(1, 1)]) == (1, 1)
+        assert mex_counts_oracle(0, [MexParams(7, 3), MexParams(1, 1)]) == [(1, 1)]
 
     def test_always_in_residue_class(self):
         params = MexParams(3, 2)
@@ -82,14 +82,15 @@ class TestMexOf:
 
 class TestOracle:
     def test_worked_example(self):
-        assert mex_count_oracle(5, MexParams(2, 2)) == 4
+        assert mex_count_oracle(5, MexParams(2, 2))[5] == 4
 
     def test_n0(self):
-        assert mex_count_oracle(0, MexParams(4, 3)) == 1
+        assert mex_count_oracle(0, MexParams(4, 3)) == [1]
 
     def test_n2_11(self):
-        # {2} has mex 1 (counted); {1,1} has mex 2 (not)
-        assert mex_count_oracle(2, MexParams(1, 1)) == 1
+        # n = 0: () has mex 1 (counted); n = 1: {1} has mex 2 (not);
+        # n = 2: {2} has mex 1 (counted), {1,1} has mex 2 (not)
+        assert mex_count_oracle(2, MexParams(1, 1)) == [1, 0, 1]
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="enumeration-backed and limited to n <= 60"):
@@ -127,7 +128,7 @@ def reference_mex_counts(n, params_seq):
 
 class TestMultiOracle:
     def test_empty_parameter_list(self):
-        assert mex_counts_oracle(7, []) == ()
+        assert mex_counts_oracle(7, []) == [()] * 8
 
     def test_bound_checked_before_enumerating(self, monkeypatch):
         def fail(n):
@@ -141,8 +142,9 @@ class TestMultiOracle:
 
     def test_thm1_slots(self):
         params = [MexParams(A, t) for t in (1, 2, 3) for A in (t, 2 * t)]
-        for n in range(21):
-            counts = mex_counts_oracle(n, params)
+        rows = mex_counts_oracle(20, params)
+        assert len(rows) == 21
+        for n, counts in enumerate(rows):
             assert counts[0::2] == tuple(identity_p_tt(t, n) for t in (1, 2, 3))
             assert counts[1::2] == tuple(identity_p_2tt(t, n) for t in (1, 2, 3))
 
@@ -150,15 +152,32 @@ class TestMultiOracle:
     @given(st.integers(min_value=0, max_value=18), st.lists(mex_params(), max_size=6))
     def test_each_slot_matches_single_and_definition(self, n, params):
         params = params + params[:2]  # repeated parameters get equal, separate slots
-        counts = mex_counts_oracle(n, params)
-        assert len(counts) == len(params)
+        rows = mex_counts_oracle(n, params)
+        assert len(rows) == n + 1 and all(len(row) == len(params) for row in rows)
         for j, p in enumerate(params):
-            assert counts[j] == mex_count_oracle(n, p) == count_by_definition(n, p)
+            assert [row[j] for row in rows] == mex_count_oracle(n, p)
+            assert rows[n][j] == count_by_definition(n, p)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(min_value=0, max_value=30), st.lists(mex_params(), max_size=8))
     def test_matches_the_enumeration_reference(self, n, params):
-        assert mex_counts_oracle(n, params) == reference_mex_counts(n, params)
+        assert mex_counts_oracle(n, params)[n] == reference_mex_counts(n, params)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=0, max_value=18),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda A: st.builds(MexParams, st.just(A), st.integers(min_value=2, max_value=A))
+        ),
+        st.lists(mex_params(), max_size=4),
+    )
+    def test_every_row_matches_the_enumeration_reference(self, n_max, A1, other, params):
+        # one walk of n_max groups each partition of n by its parts above 1;
+        # a = 1 reads the 1's and a >= 2 does not, so both kinds are present
+        params = [MexParams(A1, 1), other, *params]
+        rows = mex_counts_oracle(n_max, params)
+        assert rows == [reference_mex_counts(n, params) for n in range(n_max + 1)]
 
     @pytest.mark.parametrize("n", [0, 1, 17, 30])
     def test_visits_each_partition_once(self, monkeypatch, n):
@@ -183,15 +202,11 @@ class TestGeneratingFunctions:
         assert genfun_p_2tt(1, 0).coefficient(0) == 1
 
     def test_p_tt_t3_matches_oracle(self):
-        series = genfun_p_tt(3, 5)
-        for n in range(6):
-            assert series.coefficient(n) == mex_count_oracle(n, MexParams(3, 3))
+        assert list(genfun_p_tt(3, 5).coeffs) == mex_count_oracle(5, MexParams(3, 3))
 
     def test_p_2tt_matches_oracle(self):
         for t, A in ((1, 2), (2, 4)):
-            series = genfun_p_2tt(t, 12)
-            for n in range(13):
-                assert series.coefficient(n) == mex_count_oracle(n, MexParams(A, t))
+            assert list(genfun_p_2tt(t, 12).coeffs) == mex_count_oracle(12, MexParams(A, t))
 
     def test_coefficients_nonnegative(self):
         for t in (1, 2, 3, 5, 7):
@@ -231,16 +246,14 @@ class TestThreeWayEquivalence:
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 7])
     def test_tt_family(self, t):
         series = genfun_p_tt(t, 40)
-        for n in range(41):
-            oracle = mex_count_oracle(n, MexParams(t, t))
-            assert oracle == identity_p_tt(t, n) == series.coefficient(n)
+        oracle = mex_count_oracle(40, MexParams(t, t))
+        assert oracle == [identity_p_tt(t, n) for n in range(41)] == list(series.coeffs)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_2tt_family(self, t):
         series = genfun_p_2tt(t, 40)
-        for n in range(41):
-            oracle = mex_count_oracle(n, MexParams(2 * t, t))
-            assert oracle == identity_p_2tt(t, n) == series.coefficient(n)
+        oracle = mex_count_oracle(40, MexParams(2 * t, t))
+        assert oracle == [identity_p_2tt(t, n) for n in range(41)] == list(series.coeffs)
 
     def test_p21_counts_even_length_partitions(self):
         # the (2,1) count coincides with partitions having an even number

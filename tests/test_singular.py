@@ -2,6 +2,8 @@
 and the triple-product series against the three-product reference route."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexparts import partitions
 from mexparts.partitions import partition_generating_series, restricted_count
@@ -33,19 +35,19 @@ class TestOracle:
     def test_worked_example(self):
         # the ten objects for (3, 1) at n = 4:
         # 4, 4', 2+2, 2'+2, 2+1+1, 2'+1+1, 2+1'+1, 2'+1'+1, 1+1+1+1, 1'+1+1+1
-        assert singular_overpartition_oracle(4, SingularParams(3, 1)) == 10
+        assert singular_overpartition_oracle(4, SingularParams(3, 1))[4] == 10
 
     def test_empty(self):
-        assert singular_overpartition_oracle(0, SingularParams(5, 2)) == 1
+        assert singular_overpartition_oracle(0, SingularParams(5, 2)) == [1]
 
     def test_n1_41(self):
         # {1} and {1 overlined}
-        assert singular_overpartition_oracle(1, SingularParams(4, 1)) == 2
+        assert singular_overpartition_oracle(1, SingularParams(4, 1)) == [1, 2]
 
     def test_no_part_divisible_by_k(self):
         # for (3,1) at n = 3: partitions avoiding multiples of 3 are
         # 2+1 (both overlineable: factor 4) and 1+1+1 (factor 2)
-        assert singular_overpartition_oracle(3, SingularParams(3, 1)) == 6
+        assert singular_overpartition_oracle(3, SingularParams(3, 1))[3] == 6
 
     def test_bound(self):
         with pytest.raises(ValueError, match="limited to n <= 50"):
@@ -85,18 +87,14 @@ class TestSeries:
 
     def test_41_matches_oracle_to_20(self):
         series = genfun_singular(SingularParams(4, 1), 20)
-        for n in range(21):
-            assert series.coefficient(n) == singular_overpartition_oracle(
-                n, SingularParams(4, 1)
-            )
+        assert list(series.coeffs) == singular_overpartition_oracle(20, SingularParams(4, 1))
 
 
 @pytest.mark.parametrize("k,i", [(3, 1), (4, 1), (8, 2), (12, 3), (20, 5), (28, 7)])
 def test_oracle_series_equivalence(k, i):
     params = SingularParams(k, i)
     series = genfun_singular(params, 30)
-    for n in range(31):
-        assert series.coefficient(n) == singular_overpartition_oracle(n, params)
+    assert list(series.coeffs) == singular_overpartition_oracle(30, params)
 
 
 def test_self_paired_regression_42():
@@ -105,10 +103,9 @@ def test_self_paired_regression_42():
     # overlined via either slot) and 4 ways when it occurs twice or more.
     params = SingularParams(4, 2)
     series = genfun_singular(params, 20)
-    for n in range(21):
-        assert series.coefficient(n) == singular_overpartition_oracle(n, params)
+    assert list(series.coeffs) == singular_overpartition_oracle(20, params)
     # pin the first nontrivial value: 2, 2', 2'' and 1+1
-    assert singular_overpartition_oracle(2, params) == 4
+    assert singular_overpartition_oracle(2, params)[2] == 4
 
 
 def reference_singular_oracle(n, params):
@@ -138,8 +135,29 @@ def test_oracle_matches_the_enumeration_reference(k, i):
     # every n <= 30, so a sample is not needed; (4, 2), (6, 3) and (8, 4)
     # are self-paired
     params = SingularParams(k, i)
-    for n in range(31):
-        assert singular_overpartition_oracle(n, params) == reference_singular_oracle(n, params)
+    expected = [reference_singular_oracle(n, params) for n in range(31)]
+    assert singular_overpartition_oracle(30, params) == expected
+
+
+@st.composite
+def singular_params(draw):
+    k = draw(st.integers(min_value=3, max_value=12))
+    return SingularParams(k, draw(st.integers(min_value=1, max_value=k // 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=18),
+    singular_params(),
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=2, max_value=6).map(lambda i: SingularParams(2 * i, i)),
+)
+def test_every_item_matches_the_enumeration_reference(n_max, params, k, self_paired):
+    # one walk of n_max groups each partition of n by its parts above 1; the
+    # 1's double the weight only for i = 1, and k = 2i squares the factors
+    for case in (params, SingularParams(k, 1), self_paired):
+        expected = [reference_singular_oracle(n, case) for n in range(n_max + 1)]
+        assert singular_overpartition_oracle(n_max, case) == expected
 
 
 def product_form_singular(params, order):
