@@ -21,16 +21,11 @@ from itertools import accumulate
 from typing import Iterable
 
 from .congruences import ARG_CAP, ProgressionSpec, check_progression
-from .mex import MEX_ORACLE_BOUND, MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
-from .partitions import ENUMERATION_BOUND, enumerate_partitions, partition_convolution, partition_count
+from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
+from .partitions import enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
 from .series import support_p_2tt, support_p_tt
-from .singular import (
-    SINGULAR_ORACLE_BOUND,
-    SingularParams,
-    genfun_singular,
-    singular_overpartition_oracle,
-)
+from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, series_order, suite_bounds
 
 DEFAULT_TRUNC = 2000
@@ -41,13 +36,6 @@ def _require_trunc(needed: int, trunc: int) -> None:
         raise ValueError(
             f"this command needs series order {needed}; raise --trunc (currently {trunc})"
         )
-
-
-def _require_oracle_bound(n_max: int, bound: int) -> None:
-    # checked before the first row: an oracle would otherwise enumerate every
-    # n below the bound before refusing
-    if n_max > bound:
-        raise ValueError(f"this enumeration oracle is limited to --n-max <= {bound} (got {n_max})")
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +59,10 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
         return "singular", {"k": args.k, "i": args.i}, list(enumerate(series.coeffs))
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
-        _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
         rows = list(enumerate(mex_count_oracle(n_max, params)))
         return "p_Aa_oracle", {"A": args.A, "a": args.a}, rows
     # C_ki_oracle, the last of the parser's choices
     params = SingularParams(args.k, args.i)
-    _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
     rows = list(enumerate(singular_overpartition_oracle(n_max, params)))
     return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
 
@@ -152,30 +138,31 @@ def cmd_oracle_check(args) -> int:
     n_max = args.n_max
     if n_max < 0:
         raise ValueError("--n-max must be non-negative")
+    # each oracle refuses an n_max past its bound at the call, before any
+    # series or per-n list is built
     if args.function == "p":  # counts walk nodes and builds no series
-        _require_oracle_bound(n_max, ENUMERATION_BOUND)
         name = "p"
+        walk = enumerate_partitions(n_max)
         # a node of the walk of n_max with parts above 1 totalling s, plus
         # n - s ones, is one partition of each n >= s
         nodes = [0] * (n_max + 1)
-        for mult in enumerate_partitions(n_max):
+        for mult in walk:
             nodes[n_max - mult[1]] += 1
         oracle, expected = accumulate(nodes), partition_count
     elif args.function in ("p_tt", "p_2tt"):
         _require_trunc(n_max, args.trunc)
-        _require_oracle_bound(n_max, MEX_ORACLE_BOUND)
+        if args.t < 1:  # refused as t here; MexParams(A * t, t) would name A
+            raise ValueError("t must be positive")
         genfun, A = (genfun_p_tt, 1) if args.function == "p_tt" else (genfun_p_2tt, 2)
-        series = genfun(args.t, n_max)  # checks t before the oracle runs
-        params = MexParams(A * args.t, args.t)
+        oracle = mex_count_oracle(n_max, MexParams(A * args.t, args.t))
         name = args.function
-        oracle, expected = mex_count_oracle(n_max, params), series.coefficient
+        expected = genfun(args.t, n_max).coefficient
     else:  # singular, the last of the parser's choices
         _require_trunc(n_max, args.trunc)
         params = SingularParams(args.k, args.i)
-        _require_oracle_bound(n_max, SINGULAR_ORACLE_BOUND)
-        series = genfun_singular(params, n_max)
+        oracle = singular_overpartition_oracle(n_max, params)
         name = "singular"
-        oracle, expected = singular_overpartition_oracle(n_max, params), series.coefficient
+        expected = genfun_singular(params, n_max).coefficient
     rows = [(n, value, expected(n)) for n, value in enumerate(oracle)]
     mismatches = 0
     if args.format == "csv":

@@ -45,7 +45,6 @@ from .singular import SingularParams, genfun_singular
 __all__ = [
     "ARG_CAP",
     "jacobi_symbol",
-    "mod_inverse",
     "delta",
     "is_prime",
     "smallest_prime_with_symbol",
@@ -89,23 +88,13 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def mod_inverse(x: int, m: int) -> int:
-    """y in [1, m) with x*y == 1 (mod m)."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise ValueError(f"{x} has no inverse modulo {m}") from None
-
-
 def delta(p: int, k: int) -> int:
     """24^{-1} mod p^k for p in {5, 7, 11}: the classical progression offsets."""
     if p not in (5, 7, 11):
         raise ValueError("delta is defined for p in {5, 7, 11}")
     if k < 1:
         raise ValueError("k must be positive")
-    return mod_inverse(24, p**k)
+    return pow(24, -1, p**k)
 
 
 PRIMALITY_ENVELOPE = 10**6
@@ -127,41 +116,21 @@ def is_prime(x: int) -> bool:
     return True
 
 
-def smallest_prime_with_symbol(value: int, symbol: int = -1, minimum: int = 5) -> int:
-    """Smallest prime p >= minimum with (value/p) equal to ``symbol``.
+def smallest_prime_with_symbol(value: int) -> int:
+    """Smallest prime p >= 5 with (value/p) = -1.
 
     Searches that can never succeed are refused before the first candidate:
-    (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.  For
-    nonzero v, (v/p) = 0 exactly when p divides v, so symbol 0 is answered
-    from the odd prime factors of v, or refused when none is at least
-    ``minimum``.
+    (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.  Any
+    other value has such a prime, and ``is_prime`` bounds the search anyway.
     """
-    if symbol not in (-1, 0, 1):
-        raise ValueError(f"a Legendre symbol is -1, 0 or 1, not {symbol}")
-    if value == 0 and symbol != 0:
-        raise ValueError(f"(0/p) = 0 for every prime p, never {symbol}")
-    if symbol == -1 and value > 0 and math.isqrt(value) ** 2 == value:
+    if value == 0:
+        raise ValueError("(0/p) = 0 for every prime p, never -1")
+    if value > 0 and math.isqrt(value) ** 2 == value:
         raise ValueError(f"{value} is a perfect square, so ({value}/p) is never -1")
-    if symbol == 0 and value:
-        # strip the factors 2 and below minimum; the next divisor is the answer
-        rest, d = abs(value), 2
-        while d * d <= rest:
-            if rest % d:
-                d += 1
-            elif d == 2 or d < minimum:
-                rest //= d
-            else:
-                return d
-        if rest < max(minimum, 3):
-            raise ValueError(
-                f"no odd prime p >= {minimum} divides {value}, so ({value}/p) is never 0"
-            )
-        return rest
-    p = minimum
-    while True:
-        if is_prime(p) and p % 2 == 1 and jacobi_symbol(value, p) == symbol:
-            return p
-        p += 1
+    p = 5
+    while not (is_prime(p) and jacobi_symbol(value, p) == -1):
+        p += 2
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +234,6 @@ class ProgressionSpec:
     k: int | None = None
     i: int | None = None
     exclude_prime: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.function not in _SUPPORTS:
@@ -288,8 +256,6 @@ class ProgressionSpec:
             raise ValueError(f"exclude_prime must be a prime, not {self.exclude_prime}")
 
     def describe(self) -> str:
-        if self.label:
-            return self.label
         if self.function == "p":
             name = "p"
         elif self.function == "p_tt":

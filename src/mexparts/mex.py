@@ -83,6 +83,7 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple
     if n_max > MEX_ORACLE_BOUND:
         raise ValueError(
             f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
+            f" (got {n_max})"
         )
     # per (A, a): hits by total s, A, a and 2A; 1 <= a <= A, so a is already
     # the least residue of a (mod 2A)

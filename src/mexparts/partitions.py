@@ -242,7 +242,7 @@ def partition_parity_convolution(support: Iterable[tuple[int, int]], limit: int)
 # enumeration
 # ---------------------------------------------------------------------------
 
-ENUMERATION_BOUND = 60  # documented practical bound; exponential beyond
+ENUMERATION_BOUND = 60  # p(60) = 966 467 partitions; exponential beyond
 
 
 def enumerate_partitions(n: int) -> Iterator[list[int]]:
@@ -256,10 +256,13 @@ def enumerate_partitions(n: int) -> Iterator[list[int]]:
     The parts above 1 of the nodes run through every multiset with total
     s <= n once, so the node's parts with j ones in place of ``mult[1]``
     give every partition of every m <= n once, at j = m - s.
-    A negative n raises at the call, before anything is yielded.
+    A negative n, or n past ``ENUMERATION_BOUND``, raises at the call,
+    before anything is yielded.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"enumeration is limited to n <= {ENUMERATION_BOUND} (got {n})")
     return _walk_multiplicities(n, range(1, n + 1))
 
 

@@ -97,15 +97,6 @@ class TruncatedSeries:
         n = min(self.trunc_order, other.trunc_order)
         return TruncatedSeries([x + y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.trunc_order, other.trunc_order)
-        return TruncatedSeries([x - y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-x for x in self.coeffs])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated at the smaller order.
 
@@ -161,17 +152,10 @@ class TruncatedSeries:
             raise ValueError("modulus must be at least 2")
         return TruncatedSeries([c % m for c in self.coeffs])
 
-    def to_decimal_strings(self) -> list[str]:
-        """Coefficients as decimal strings, for JSON output."""
-        return [str(c) for c in self.coeffs]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if self.trunc_order <= 8:

@@ -76,6 +76,7 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
     if n_max > SINGULAR_ORACLE_BOUND:
         raise ValueError(
             f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
+            f" (got {n_max})"
         )
     k = params.k
     overlineable = [v for v in range(2, n_max + 1) if v % k in params.overline_residues]

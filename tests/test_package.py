@@ -1,5 +1,8 @@
 """The package API: each module's ``__all__``, re-exported once."""
 
+import ast
+from pathlib import Path
+
 import mexparts
 from mexparts import (
     congruences,
@@ -35,3 +38,21 @@ def test_the_added_names_are_exported():
         "partition_support_sum", "series_order", "suite_bounds", "support_p_tt", "support_p_2tt",
     }
     assert added <= set(mexparts.__all__)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name an import binds must be read somewhere in its module; star and
+    # __future__ imports bind none
+    for path in sorted(Path(mexparts.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used
+        assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mexparts import partitions
 from mexparts.partitions import (
+    ENUMERATION_BOUND,
     enumerate_partitions,
     partition_convolution,
     partition_count,
@@ -353,6 +354,11 @@ class TestEnumeration:
         # at the call, not at the first next()
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_partitions(-1)
+
+    def test_rejects_past_the_bound_at_the_call(self):
+        # exponential beyond the bound: refused before the first node
+        with pytest.raises(ValueError, match=f"<= 60 \\(got {ENUMERATION_BOUND + 1}\\)"):
+            enumerate_partitions(ENUMERATION_BOUND + 1)
 
 
 class TestEnumerationProperties:

@@ -103,9 +103,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             s.coefficient(-1)
 
-    def test_decimal_strings(self):
-        assert S(1, -2, 30).to_decimal_strings() == ["1", "-2", "30"]
-
 
 class TestProducts:
     def test_pochhammer_euler(self):
