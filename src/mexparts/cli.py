@@ -5,7 +5,7 @@ Three subcommands:
   compute       print n, value rows for one function (exact decimal values)
   verify        run a verification suite (or an ad-hoc progression claim)
                 and print one report per line; exit 1 on any counterexample
-  oracle-check  diff an enumeration oracle against the series route
+  oracle-check  diff an enumeration oracle against the values compute prints
 
 Formats are JSON (one object per line) and CSV.  Exit codes: 0 all passed,
 1 at least one counterexample, 2 usage or resource errors.  Output contains
@@ -20,12 +20,11 @@ import sys
 from itertools import accumulate
 from typing import Iterable
 
-from .congruences import ARG_CAP, ProgressionSpec, check_progression
-from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle
+from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
+from .mex import MexParams, mex_count_oracle
 from .partitions import enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
-from .series import support_p_2tt, support_p_tt
-from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
+from .singular import SingularParams, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, series_order, suite_bounds
 
 DEFAULT_TRUNC = 2000
@@ -42,21 +41,29 @@ def _require_trunc(needed: int, trunc: int) -> None:
 # compute
 # ---------------------------------------------------------------------------
 
+def _table_params(args) -> dict:
+    """The t, k, i that ``args`` gives a function of the table, checked
+    before any work: the series order against --trunc, then the values."""
+    _require_trunc(args.n_max, args.trunc)
+    if args.function == "singular":  # theta_support would take k = 2
+        SingularParams(args.k, args.i)
+    elif args.t < 1:
+        raise ValueError("t must be positive")
+    return {key: getattr(args, key) for key in FUNCTIONS[args.function][0]}
+
+
 def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     n_max = args.n_max
     if n_max < 0:
         raise ValueError("--n-max must be non-negative")
+    # p row by row from the p(n) table itself: a convolution by the support 1
+    # would copy every entry
     if args.function == "p":
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
-    if args.function in ("p_tt", "p_2tt"):
-        _require_trunc(n_max, args.trunc)
-        support = support_p_tt if args.function == "p_tt" else support_p_2tt
-        series = partition_convolution(support(args.t, n_max), n_max)
-        return args.function, {"t": args.t}, list(enumerate(series.coeffs))
-    if args.function == "singular":
-        _require_trunc(n_max, args.trunc)
-        series = genfun_singular(SingularParams(args.k, args.i), n_max)
-        return "singular", {"k": args.k, "i": args.i}, list(enumerate(series.coeffs))
+    if args.function in FUNCTIONS:
+        params = _table_params(args)
+        support = FUNCTIONS[args.function][1](*params.values(), n_max)
+        return args.function, params, list(enumerate(partition_convolution(support, n_max).coeffs))
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
         rows = list(enumerate(mex_count_oracle(n_max, params)))
@@ -141,51 +148,33 @@ def cmd_oracle_check(args) -> int:
     # each oracle refuses an n_max past its bound at the call, before any
     # series or per-n list is built
     if args.function == "p":  # counts walk nodes and builds no series
-        name = "p"
         walk = enumerate_partitions(n_max)
         # a node of the walk of n_max with parts above 1 totalling s, plus
         # n - s ones, is one partition of each n >= s
         nodes = [0] * (n_max + 1)
         for mult in walk:
             nodes[n_max - mult[1]] += 1
-        oracle, expected = accumulate(nodes), partition_count
-    elif args.function in ("p_tt", "p_2tt"):
-        _require_trunc(n_max, args.trunc)
-        if args.t < 1:  # refused as t here; MexParams(A * t, t) would name A
-            raise ValueError("t must be positive")
-        genfun, A = (genfun_p_tt, 1) if args.function == "p_tt" else (genfun_p_2tt, 2)
-        oracle = mex_count_oracle(n_max, MexParams(A * args.t, args.t))
-        name = args.function
-        expected = genfun(args.t, n_max).coefficient
-    else:  # singular, the last of the parser's choices
-        _require_trunc(n_max, args.trunc)
-        params = SingularParams(args.k, args.i)
-        oracle = singular_overpartition_oracle(n_max, params)
-        name = "singular"
-        expected = genfun_singular(params, n_max).coefficient
-    rows = [(n, value, expected(n)) for n, value in enumerate(oracle)]
-    mismatches = 0
-    if args.format == "csv":
-        print("function,n,oracle,series,equal")
-    for n, oracle_value, series_value in rows:
-        equal = oracle_value == series_value
-        if not equal:
-            mismatches += 1
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "function": name,
-                        "n": n,
-                        "oracle": str(oracle_value),
-                        "series": str(series_value),
-                        "equal": equal,
-                    }
-                )
-            )
-        else:
-            print(f"{name},{n},{oracle_value},{series_value},{equal}")
-    return 0 if mismatches == 0 else 1
+        oracle = accumulate(nodes)
+    elif args.function == "singular":
+        oracle = singular_overpartition_oracle(n_max, SingularParams(**_table_params(args)))
+    else:  # p_tt or p_2tt, t refused as t here: MexParams(A * t, t) would name A
+        t = _table_params(args)["t"]
+        oracle = mex_count_oracle(n_max, MexParams(t if args.function == "p_tt" else 2 * t, t))
+    # against the table route, the values compute prints
+    name, _, expected = _compute_rows(args)
+    rows = [(n, value, series, value == series) for value, (n, series) in zip(oracle, expected)]
+    out = sys.stdout
+    if args.format == "json":
+        head = json.dumps({"function": name})[:-1]
+        out.writelines(
+            f'{head}, "n": {n}, "oracle": "{value}", "series": "{series}", '
+            f'"equal": {json.dumps(equal)}}}\n'
+            for n, value, series, equal in rows
+        )
+    else:
+        out.write("function,n,oracle,series,equal\n")
+        out.writelines(f"{name},{n},{value},{series},{equal}\n" for n, value, series, equal in rows)
+    return 0 if all(equal for *_, equal in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", parents=[common], help="print n, value rows")
     p_compute.add_argument(
         "function",
-        choices=("p", "p_tt", "p_2tt", "singular", "p_Aa_oracle", "C_ki_oracle"),
+        choices=(*FUNCTIONS, "p_Aa_oracle", "C_ki_oracle"),
     )
     p_compute.add_argument("--n-max", type=int, required=True)
     p_compute.add_argument("--t", type=int, default=1, help="t for p_tt / p_2tt")
@@ -235,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             target.add_argument(flag, type=int, default=default, help="(default %(default)s)")
     target = targets.add_parser("progression", help="an ad-hoc progression claim", **target_options)
-    functions = ("p", "p_tt", "p_2tt", "singular")
-    target.add_argument("--function", choices=functions, default="p", help="(default %(default)s)")
+    target.add_argument("--function", choices=FUNCTIONS, default="p", help="(default %(default)s)")
     target.add_argument("--t", type=int)
     target.add_argument("--k", type=int)
     target.add_argument("--i", type=int)
@@ -249,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", parents=[common], help="diff oracle counts against series coefficients"
     )
-    p_oracle.add_argument("--function", choices=("p", "p_tt", "p_2tt", "singular"), required=True)
+    p_oracle.add_argument("--function", choices=FUNCTIONS, required=True)
     p_oracle.add_argument("--n-max", type=int, required=True)
     p_oracle.add_argument("--t", type=int, default=1)
     p_oracle.add_argument("--k", type=int, default=3)

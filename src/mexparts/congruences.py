@@ -44,6 +44,7 @@ from .singular import SingularParams, genfun_singular
 
 __all__ = [
     "ARG_CAP",
+    "FUNCTIONS",
     "jacobi_symbol",
     "delta",
     "is_prime",
@@ -204,16 +205,15 @@ def is_2pent_plus_3tri(n: int) -> bool:
 
 ARG_CAP = 50_000  # keep progression arguments at desk scale
 
-# each function's numerator over (q;q)_inf, as (exponent, coefficient) terms
-# up to a limit; the self-paired singular case k = 2i has coefficients 2
-_SUPPORTS: dict[str, Callable[["ProgressionSpec", int], list[tuple[int, int]]]] = {
-    "p": lambda spec, limit: [(0, 1)],
-    "p_tt": lambda spec, limit: support_p_tt(spec.t, limit),
-    "p_2tt": lambda spec, limit: support_p_2tt(spec.t, limit),
-    "singular": lambda spec, limit: theta_support(spec.k, spec.i, limit),
+# function id -> (its parameters among t, k, i; its numerator over (q;q)_inf
+# as (exponent, coefficient) terms, support(*values, limit); its display
+# name, name(*values)); the self-paired singular case k = 2i has coefficients 2
+FUNCTIONS = {
+    "p": ((), lambda limit: [(0, 1)], lambda: "p"),
+    "p_tt": (("t",), support_p_tt, lambda t: f"p[{t},{t}]"),
+    "p_2tt": (("t",), support_p_2tt, lambda t: f"p[{2 * t},{t}]"),
+    "singular": (("k", "i"), theta_support, lambda k, i: f"C[{k},{i}]"),
 }
-# the parameters among t, k, i each function takes
-_PARAMS = {"p": (), "p_tt": ("t",), "p_2tt": ("t",), "singular": ("k", "i")}
 
 
 @dataclass(frozen=True)
@@ -236,11 +236,11 @@ class ProgressionSpec:
     exclude_prime: int | None = None
 
     def __post_init__(self):
-        if self.function not in _SUPPORTS:
+        if self.function not in FUNCTIONS:
             raise ValueError(f"unknown function id {self.function!r}")
         given = tuple(key for key in ("t", "k", "i") if getattr(self, key) is not None)
-        if given != _PARAMS[self.function]:
-            takes = " and ".join(_PARAMS[self.function]) or "none of t, k, i"
+        if given != tuple(self.params):
+            takes = " and ".join(self.params) or "none of t, k, i"
             raise ValueError(f"{self.function} takes {takes}; given: {', '.join(given) or 'none'}")
         if self.step < 1:
             raise ValueError("progression step must be positive")
@@ -255,15 +255,13 @@ class ProgressionSpec:
         if self.exclude_prime is not None and not is_prime(self.exclude_prime):
             raise ValueError(f"exclude_prime must be a prime, not {self.exclude_prime}")
 
+    @property
+    def params(self) -> dict[str, int]:
+        """The t, k, i its function takes, by name, in the table's order."""
+        return {key: getattr(self, key) for key in FUNCTIONS[self.function][0]}
+
     def describe(self) -> str:
-        if self.function == "p":
-            name = "p"
-        elif self.function == "p_tt":
-            name = f"p[{self.t},{self.t}]"
-        elif self.function == "p_2tt":
-            name = f"p[{2 * self.t},{self.t}]"
-        else:
-            name = f"C[{self.k},{self.i}]"
+        name = FUNCTIONS[self.function][2](*self.params.values())
         cond = f", {self.exclude_prime} not dividing n" if self.exclude_prime else ""
         return f"{name}({self.step}n+{self.offset}) == 0 mod {self.modulus}{cond}"
 
@@ -274,7 +272,7 @@ class ProgressionSpec:
             "offset": self.offset,
             "modulus": self.modulus,
         }
-        out.update((key, getattr(self, key)) for key in _PARAMS[self.function])
+        out.update(self.params)
         if self.exclude_prime is not None:
             out["exclude_prime"] = self.exclude_prime
         return out
@@ -304,7 +302,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
     if n_eff < 0:
         return report
     largest = spec.step * n_eff + spec.offset
-    support = _SUPPORTS[spec.function](spec, largest)
+    support = FUNCTIONS[spec.function][1](*spec.params.values(), largest)
     bits = _parity_digits(support, largest) if spec.modulus == 2 else None
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
