@@ -19,7 +19,7 @@ numerator over (q;q)_inf (1 for p, the (t,t) and (2t,t) supports, the
 singular theta support), taken once up to the sweep's largest argument.
 Modulo 2 the whole quotient is one XOR of shifted copies of the p(n) mod 2
 bitset, and each residue is one bit of it; for any other modulus each
-value is sum c * p(arg - e) from the exact p(n) table, reduced modulo m.
+residue is sum c * r(arg - e) modulo m, from the table r of p(n) mod m.
 The parity characterizations read the same bitset and take an exact value
 only for a failure record.  No series is built.  A report never silently
 narrows a sweep; whatever was skipped (excluded index, argument cap) is
@@ -36,6 +36,7 @@ from .mex import genfun_p_tt
 from .partitions import (
     partition_generating_series,
     partition_parity_convolution,
+    partition_residue_table,
     partition_support_sum,
 )
 from .reports import VerificationReport
@@ -293,7 +294,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
     counts the indices ``skip`` exempts, and records each nonzero residue.
     Modulo 2 each residue is one bit of the support's quotient by
     (q;q)_inf from the p(n) mod 2 bitset; for any other modulus it is
-    sum c * p(arg - e) from the exact p(n) table, reduced modulo m.
+    sum c * r(arg - e) modulo m, from the table r of p(n) mod m.
     """
     n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
     if n_eff < n_max:
@@ -303,7 +304,9 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
         return report
     largest = spec.step * n_eff + spec.offset
     support = FUNCTIONS[spec.function][1](*spec.params.values(), largest)
-    bits = _parity_digits(support, largest) if spec.modulus == 2 else None
+    m = spec.modulus
+    bits = _parity_digits(support, largest) if m == 2 else None
+    table = partition_residue_table(m, largest) if m != 2 else None
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
             report.skipped += 1
@@ -312,7 +315,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
         if bits is not None:
             residue = int(bits[arg])
         else:
-            residue = partition_support_sum(support, arg) % spec.modulus
+            residue = sum(c * table[arg - e] for e, c in support if e <= arg) % m
         report.checked += 1
         if residue != 0:
             report.record_failure(n=n, argument=arg, value_mod_m=residue)

@@ -10,6 +10,9 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution`` reads the same table to divide any sparse theta
 support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
 sum c * p(n - e), and ``partition_support_sum`` takes that sum for one n.
+``partition_residue_table(m, limit)`` runs the same blocks modulo m, on one
+process-wide table per modulus, with each long lag one addition of packed
+fixed-width fields, so the progression sweeps need no big p(n).
 ``partition_parity_convolution`` gives the same quotient modulo 2 as one
 Python int, bit n the parity of coefficient n, from a second process-wide
 bitset of p(n) mod 2 that needs no exact p(n).  Over GF(2),
@@ -29,15 +32,17 @@ sizes.  One walk of n holds every partition of every m <= n once (see
 ``enumerate_partitions``), so the oracles count all m <= n from it.  The
 test suite checks the walk, and the oracles on it, against a plain
 recursive enumeration of tuples.
-``restricted_count(n, sizes)`` counts the partitions of n into parts from an
-iterable of sizes, one geometric series per size, without enumerating.
+``restricted_counts(n_max, sizes)`` counts the partitions of every n <= n_max
+into parts from an iterable of sizes, one geometric series per size, without
+enumerating, and ``restricted_count(n, sizes)`` is its item n.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from operator import add, sub
+from operator import add, itemgetter, sub
+from struct import pack, unpack
 from typing import Iterable, Iterator
 
 from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
@@ -46,9 +51,11 @@ __all__ = [
     "partition_count",
     "enumerate_partitions",
     "restricted_count",
+    "restricted_counts",
     "partition_generating_series",
     "partition_convolution",
     "partition_support_sum",
+    "partition_residue_table",
     "partition_parity_convolution",
 ]
 
@@ -68,40 +75,48 @@ def _euler_support(limit: int) -> list[tuple[int, int]]:
     return theta_support(3, 1, limit, alternating=True)[1:]
 
 
+def _pentagonal_blocks(table: list[int], limit: int, support: list[tuple[int, int]]):
+    # p(n) = -sum_e sign(e) p(n - e) over the pentagonal lags e of support,
+    # filled in blocks [n0, n0 + size) up to the limit; the caller appends each
+    # block before the next.  A lag e >= size reads only entries from before
+    # the block: yielded as (e, sign, lo), with p(n - e) = 0 for n < n0 + lo,
+    # for one pass over the block.  A shorter lag reads table[-e] = p(n - e)
+    # per n as the table grows, through one getter per sign in p(n); index 0
+    # on both sides cancels and keeps each getter's result a tuple.  A block
+    # is never longer than n0, so every shorter lag is at most n and blocks
+    # ramp up 1, 1, 2, 4, ... to the full length in a fresh table.
+    while (n0 := len(table)) <= limit:
+        size = min(_P_TABLE_BLOCK, n0, limit + 1 - n0)
+        lags, plus, minus = [], [], []
+        for e, sign in support:
+            if e < size:
+                (minus if sign > 0 else plus).append(-e)
+            elif e < n0 + size:
+                lags.append((e, sign, max(0, e - n0)))
+            else:
+                break
+        pad = [0] * max(0, 2 - len(plus), 2 - len(minus))
+        yield n0, size, lags, itemgetter(*plus, *pad), itemgetter(*minus, *pad)
+
+
 def _grow_p_table(needed: int) -> None:
-    # p(n) = -sum_e sign(e) p(n - e) over the pentagonal lags e, filled in
-    # blocks [n0, n0 + size): a lag e >= size reads only entries from before
-    # the block, so it is added to the whole block in one slice pass; a
-    # shorter lag reads table[-e] = p(n - e) per n as the table grows.  A
-    # block is never longer than n0, so every shorter lag is at most n and
-    # blocks ramp up 1, 1, 2, 4, ... to the full length in a fresh table.
-    # A first request is met exactly; later growths add at least
+    # _pentagonal_blocks, each long lag one slice pass over the block.  A
+    # first request is met exactly; later growths add at least
     # min(len - 1, _P_TABLE_BLOCK) entries, ramping the length 2^j + 1 onto
     # the grid 1 + m * _P_TABLE_BLOCK; a larger request is met exactly.
     with _table_lock:
         table = _p_table
         if needed < len(table):
             return
-        block = _P_TABLE_BLOCK
-        target = max(needed, len(table) + min(block, len(table) - 1) - 1)
+        target = max(needed, len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1)
         support = _euler_support(target)
-        get = table.__getitem__
-        while (n0 := len(table)) <= target:
-            size = min(block, n0, target + 1 - n0)
+        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, target, support):
             acc = [0] * size
-            plus, minus = [], []  # the negated short lags, by their sign in p(n)
-            for e, sign in support:
-                if e < size:
-                    (minus if sign > 0 else plus).append(-e)
-                elif e < n0 + size:
-                    lo = max(0, e - n0)  # p(n - e) = 0 for n < e
-                    acc[lo:] = map(
-                        sub if sign > 0 else add, acc[lo:], table[n0 + lo - e : n0 + size - e]
-                    )
-                else:
-                    break
+            for e, sign, lo in lags:
+                lag = table[n0 + lo - e : n0 + size - e]
+                acc[lo:] = map(sub if sign > 0 else add, acc[lo:], lag)
             for s in acc:
-                table.append(s + sum(map(get, plus)) - sum(map(get, minus)))
+                table.append(s + sum(get_plus(table)) - sum(get_minus(table)))
 
 
 def partition_count(n: int) -> int:
@@ -136,6 +151,11 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> Tru
     of it per support term, so the cost is (terms) x (order) additions.
     Exponents past the order are dropped; repeated exponents add up.
     """
+    return TruncatedSeries(_partition_quotient(support, order))
+
+
+def _partition_quotient(support: Iterable[tuple[int, int]], order: int) -> list[int]:
+    # the coefficients of partition_convolution, for a caller that builds no series
     if order < 0:
         raise ValueError("truncation order must be non-negative")
     _grow_p_table(order)
@@ -152,7 +172,7 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> Tru
             out[e:] = [x - y for x, y in zip(out[e:], p)]
         else:
             out[e:] = [x + c * y for x, y in zip(out[e:], p)]
-    return TruncatedSeries(out)
+    return out
 
 
 def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
@@ -172,6 +192,60 @@ def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
         if e <= n:
             total += c * p[n - e]
     return total
+
+
+# ---------------------------------------------------------------------------
+# p(n) mod m tables
+# ---------------------------------------------------------------------------
+
+_p_residues: dict[int, tuple[list[int], bytearray]] = {}  # m -> p(n) mod m, and as fields
+
+
+def _fields_to_ints(raw: bytes, width: int) -> Iterable[int]:
+    if width == 4:
+        return unpack(f"<{len(raw) // 4}I", raw)
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _ints_to_fields(values: list[int], width: int) -> bytes:
+    if width == 4:
+        return pack(f"<{len(values)}I", *values)
+    return b"".join(v.to_bytes(width, "little") for v in values)
+
+
+def partition_residue_table(m: int, limit: int) -> list[int]:
+    """p(n) mod m for every n <= limit, from a process-wide table per modulus.
+
+    ``_grow_p_table``'s blocks modulo m.  A bytearray mirrors the table as
+    little-endian fields of W bits, so each long lag is one int of the
+    block's fields: one from_bytes, one shift and one add or subtract, with
+    2^(W-1) in every field so that no field's signed sum borrows from the
+    next.  W is 32 while (lags) * (m - 1) < 2^31, else the fewest whole bytes
+    with (lags) * (m - 1) < 2^(W-1), so every modulus takes this path.
+    """
+    if m < 2:
+        raise ValueError(f"modulus must be at least 2 (got {m})")
+    if limit < 0:
+        raise ValueError("limit must be non-negative")
+    with _table_lock:
+        residues, packed = _p_residues.setdefault(m, ([1], bytearray()))
+        if limit < len(residues):
+            return residues[: limit + 1]
+        support = _euler_support(limit)
+        width = max(4, (len(support) * (m - 1)).bit_length() // 8 + 1)
+        if len(packed) != width * len(residues):  # a new table, or wider fields
+            packed[:] = _ints_to_fields(residues, width)
+        half = 1 << (8 * width - 1)
+        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit, support):
+            acc = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+            for e, sign, lo in lags:
+                lag = packed[(n0 + lo - e) * width : (n0 + size - e) * width]
+                lag = int.from_bytes(lag, "little") << 8 * width * lo
+                acc = acc - lag if sign > 0 else acc + lag
+            for s in _fields_to_ints(acc.to_bytes(size * width, "little"), width):
+                residues.append((s - half + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
+            packed += _ints_to_fields(residues[n0:], width)
+        return residues[: limit + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +380,24 @@ def _walk_multiplicities(n: int, sizes: Iterable[int]) -> Iterator[list[int]]:
 # restricted counts
 # ---------------------------------------------------------------------------
 
-def restricted_count(n: int, sizes: Iterable[int]) -> int:
-    """Number of partitions of n whose parts all lie in ``sizes``.
-
-    Coefficient n of prod_{v in sizes} 1/(1 - q^v), from one table of n + 1
-    entries that takes one geometric factor per size; a repeated size counts
-    once, and sizes above n add nothing.
+def restricted_counts(n_max: int, sizes: Iterable[int]) -> list[int]:
+    """Item n, for n <= n_max, is the number of partitions of n whose parts
+    all lie in ``sizes``: coefficient n of prod_{v in sizes} 1/(1 - q^v),
+    from one table that takes one geometric factor per size; a repeated size
+    counts once, and sizes above n_max add nothing.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be non-negative")
     sizes = set(sizes)
     if min(sizes, default=1) < 1:
         raise ValueError(f"part sizes must be positive, not {min(sizes)}")
-    table = [1] + [0] * n
+    table = [1] + [0] * n_max
     for v in sizes:
-        for m in range(v, n + 1):
+        for m in range(v, n_max + 1):
             table[m] += table[m - v]
-    return table[n]
+    return table
+
+
+def restricted_count(n: int, sizes: Iterable[int]) -> int:
+    """Number of partitions of n whose parts all lie in ``sizes``."""
+    return restricted_counts(n, sizes)[n]

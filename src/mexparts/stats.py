@@ -9,7 +9,7 @@ crank(lambda) = largest part if no part equals 1; otherwise
 ``verify_section1_identities`` sweeps five identities, with each side
 computed by an independent route (closed-form partition sums on the left,
 direct enumeration or restricted counting on the right; the restricted
-counts of (d) and (e) take the part sizes up to n in the listed classes):
+counts of (d) and (e) take the part sizes in the listed classes):
 
   (a) p_{1,1}(n) = number of partitions of n with crank >= 0
   (b) p_{3,3}(n) = number of partitions of n with rank >= -1
@@ -19,38 +19,69 @@ counts of (d) and (e) take the part sizes up to n in the listed classes):
 
 where po(n) is the number of partitions of n with an odd number of parts.
 n = 0 is excluded: rank and crank are undefined for the empty partition.
-The enumerated sides read length, rank and crank off the multiplicity
-lists of ``enumerate_partitions``; the tests check those statistics
-against their definitions on part tuples.
+Every n <= n_max is read from one convolution with the p(n) table per left
+side (``partition_convolution``'s coefficients, with no series built),
+one restricted-count table per residue set and one walk of n_max.  A node
+of that walk has parts above 1 with total s, count c and largest part b;
+with j ones it is one partition of n = s + j, and for j >= 1 (j >= 0 when
+c > 0) each statistic holds on one range of j:
+
+  rank >= -1   iff j <= b - c + 1, or j <= 2 when c = 0 (largest part 1);
+  crank >= 0   iff j = 0, or #{parts > j} >= j, which holds up to some J;
+  even length  iff j == c (mod 2), so each parity takes every other n.
+
+The tests check those counts against rank and crank by their definitions,
+one partition at a time.
 """
 
 from __future__ import annotations
 
-from .mex import identity_p_2tt, identity_p_tt
-from .partitions import enumerate_partitions, restricted_count
+from itertools import accumulate
+
+from .partitions import _partition_quotient, enumerate_partitions, restricted_counts
 from .reports import VerificationReport
+from .series import support_p_2tt, support_p_tt
 
 __all__ = ["verify_section1_identities"]
 
-def _restricted(n: int, modulus: int, residues: tuple[int, ...]) -> int:
-    # partitions of n into parts == +-r (mod modulus), r in residues
-    sizes = [v for v in range(1, n + 1) if v % modulus in residues or -v % modulus in residues]
-    return restricted_count(n, sizes)
+
+def _restricted(n_max: int, modulus: int, residues: tuple[int, ...]) -> list[int]:
+    # partitions of each n <= n_max into parts == +-r (mod modulus), r in residues
+    sizes = [v for v in range(1, n_max + 1) if v % modulus in residues or -v % modulus in residues]
+    return restricted_counts(n_max, sizes)
 
 
-def _length_rank_crank(mult: list[int]) -> tuple[int, int, int]:
-    # number of parts, rank and crank of the partition of n whose part v
-    # occurs mult[v] times, len(mult) == n + 2 as the walk yields it; the
-    # largest part is at most n - (length - 1), so its search starts there
-    length = sum(mult)
-    if not length:
-        raise ValueError("rank and crank are undefined for the empty partition")
-    largest = len(mult) - 1 - length
-    while not mult[largest]:
-        largest -= 1
-    ones = mult[1]
-    crank = length - sum(mult[: ones + 1]) - ones if ones else largest
-    return length, largest - length, crank
+def _section1_counts(n_max: int) -> tuple[list[int], ...]:
+    # item n, for n <= n_max, of the counts of partitions of n with crank >= 0,
+    # with rank >= -1, and with an even and an odd number of parts: each node
+    # adds one range of n per statistic to a difference array, and the
+    # parities, which alternate in n up to n_max, add stride-2 starts
+    crank, rank = [0] * (n_max + 2), [0] * (n_max + 2)
+    parity_starts = [[0] * (n_max + 2), [0] * (n_max + 2)]  # even, odd
+    for mult in enumerate_partitions(n_max):
+        ones = mult[1]
+        s, count = n_max - ones, sum(mult) - ones
+        largest = s - 2 * count + 2  # the other parts above 1 are at least 2
+        while largest > 1 and not mult[largest]:
+            largest -= 1
+        durfee = 0  # J: #{parts > j} = count - #{parts in 2..j} >= j up to j = J
+        while count - sum(mult[2 : durfee + 2]) > durfee:
+            durfee += 1
+        if count:
+            first, ranges = s, [(crank, min(durfee, ones)), (rank, min(largest - count + 1, ones))]
+        else:  # only 1's: no j = 0, no crank >= 0, and rank 1 - j
+            first, ranges = 1, [(rank, min(2, ones))]
+        for diff, top in ranges:
+            if first <= s + top:
+                diff[first] += 1
+                diff[s + top + 1] -= 1
+        parity = (count + first - s) % 2
+        parity_starts[parity][first] += 1
+        parity_starts[1 - parity][first + 1] += 1
+    for starts in parity_starts:
+        for n in range(2, n_max + 1):
+            starts[n] += starts[n - 2]
+    return list(accumulate(crank)), list(accumulate(rank)), *parity_starts
 
 
 def verify_section1_identities(n_max: int) -> VerificationReport:
@@ -61,21 +92,20 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
         label="combinatorial-identities",
         metadata={"n_max": n_max, "identities": ["crank", "rank", "even-length", "mod32", "mod24"]},
     )
+    crank_nonneg, rank_ge_minus1, even_length, odd_length = _section1_counts(n_max)
+    p11, p33, p21, p42, p63 = (
+        _partition_quotient(support(t, n_max), n_max)
+        for support, t in ((support_p_tt, 1), (support_p_tt, 3), (support_p_2tt, 1),
+                           (support_p_2tt, 2), (support_p_2tt, 3))
+    )
+    mod32, mod24 = _restricted(n_max, 32, (4, 6, 8, 10)), _restricted(n_max, 24, (2, 4, 5, 6, 7, 8))
     for n in range(1, n_max + 1):
-        crank_nonneg = rank_ge_minus1 = 0
-        by_length_parity = [0, 0]
-        for mult in enumerate_partitions(n):
-            length, rank, crank = _length_rank_crank(mult)
-            crank_nonneg += crank >= 0
-            rank_ge_minus1 += rank >= -1
-            by_length_parity[length % 2] += 1
-        even_length, odd_length = by_length_parity
         checks = (
-            ("crank", identity_p_tt(1, n), crank_nonneg),
-            ("rank", identity_p_tt(3, n), rank_ge_minus1),
-            ("even-length", identity_p_2tt(1, n), even_length),
-            ("mod32", identity_p_2tt(2, n) - odd_length, _restricted(n, 32, (4, 6, 8, 10))),
-            ("mod24", identity_p_2tt(3, n) - odd_length, _restricted(n, 24, (2, 4, 5, 6, 7, 8))),
+            ("crank", p11[n], crank_nonneg[n]),
+            ("rank", p33[n], rank_ge_minus1[n]),
+            ("even-length", p21[n], even_length[n]),
+            ("mod32", p42[n] - odd_length[n], mod32[n]),
+            ("mod24", p63[n] - odd_length[n], mod24[n]),
         )
         for identity, lhs, rhs in checks:
             report.checked += 1

@@ -26,16 +26,10 @@ from .congruences import (
     family_catalog,
     smallest_prime_with_symbol,
 )
-from .mex import (
-    MexParams,
-    genfun_p_2tt,
-    genfun_p_tt,
-    identity_p_2tt,
-    identity_p_tt,
-    mex_count_oracle,
-    mex_counts_oracle,
-)
+from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle, mex_counts_oracle
+from .partitions import partition_convolution
 from .reports import VerificationReport
+from .series import support_p_2tt, support_p_tt
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
@@ -66,7 +60,8 @@ def _progressions(family: str, grid, n_max: int) -> list[VerificationReport]:
 
 def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     """Three-way agreement for both closed identities: enumeration oracle,
-    partition-number identity, and series coefficients."""
+    partition-number identity (one convolution of the support with the p(n)
+    table per function and t), and series coefficients."""
     reports = []
     oracle_n = min(ORACLE_N_MAX, n_max)
     # one walk of oracle_n serves every n and t: slot 2(t-1) of row n holds
@@ -74,17 +69,19 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     params = [MexParams(A, t) for t in range(1, t_max + 1) for A in (t, 2 * t)]
     oracle = mex_counts_oracle(oracle_n, params)
     for t in range(1, t_max + 1):
-        families = (
-            ("p_tt", identity_p_tt, genfun_p_tt(t, n_max)),
-            ("p_2tt", identity_p_2tt, genfun_p_2tt(t, n_max)),
-        )
+        families = [
+            (family, partition_convolution(support(t, n_max), n_max).coeffs, genfun(t, n_max))
+            for family, support, genfun in (
+                ("p_tt", support_p_tt, genfun_p_tt), ("p_2tt", support_p_2tt, genfun_p_2tt)
+            )
+        ]
         report = VerificationReport(
             label=f"identity-equivalence-t={t}",
             metadata={"n_max": n_max, "oracle_n_max": oracle_n},
         )
         for n in range(n_max + 1):  # one pass, so failures are found ascending in n
             for slot, (family, identity, series) in enumerate(families, 2 * t - 2):
-                value, coefficient = identity(t, n), series.coefficient(n)
+                value, coefficient = identity[n], series.coefficient(n)
                 report.checked += 1
                 if value != coefficient:
                     report.record_failure(family=family, n=n, identity=value, series=coefficient)

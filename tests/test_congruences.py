@@ -32,7 +32,7 @@ from mexparts.congruences import (
 )
 from mexparts.mex import MexParams, genfun_p_tt, identity_p_tt, mex_count_oracle
 from mexparts.partitions import partition_count
-from mexparts.reports import VerificationReport
+from mexparts.reports import FAILURE_CAP, VerificationReport
 from mexparts.series import support_p_2tt, support_p_tt, theta_support
 from mexparts.singular import SingularParams, genfun_singular, singular_overpartition_oracle
 
@@ -372,8 +372,30 @@ class TestParityRoute:
         assert report.failure_count > 0
         assert check_conditional_parity("thm6_part2", 100).passed
         assert check_parity_characterization("p33", 1000).passed
-        with pytest.raises(AssertionError, match="bitset only"):
-            check_progression(ProgressionSpec("p", 5, 4, 5), 10)
+
+    def test_residue_sweeps_read_no_exact_table(self, monkeypatch):
+        # every modulus other than 2 reads its table of p(n) mod m, whatever
+        # its size: 10^21 takes fields wider than 32 bits, and p(n) > 10^21
+        # for every argument 7n + 505 of its sweep, so each residue is reduced
+        exact = [partition_count(7 * n + 505) for n in range(FAILURE_CAP)]
+        assert min(exact) > 10**21
+
+        def forbidden(*args):
+            raise AssertionError("a residue sweep must read its residue table only")
+
+        monkeypatch.setattr(partitions, "_p_table", [1])
+        monkeypatch.setattr(partitions, "_p_residues", {})
+        monkeypatch.setattr(congruences, "partition_support_sum", forbidden)
+        monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
+        assert check_progression(ProgressionSpec("p", 5, 4, 5), 300).passed
+        assert check_progression(ProgressionSpec("p_2tt", 121, 116, 121, t=121), 200).passed
+        assert all(report.passed for report in check_singular_mod8())
+        report = check_progression(ProgressionSpec("p", 7, 505, 10**21), 100)
+        assert report.checked == report.failure_count == 101
+        assert [f["value_mod_m"] for f in report.failures] == [v % 10**21 for v in exact]
+        assert sorted(partitions._p_residues) == [5, 8, 121, 10**21]
+        with pytest.raises(AssertionError, match="residue table only"):
+            partition_count(1)  # the exact table is really out of reach
 
     def test_the_argument_cap_bounds_the_bitset(self, monkeypatch):
         monkeypatch.setattr(partitions, "_p_parity", 1)

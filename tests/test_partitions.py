@@ -15,6 +15,7 @@ from mexparts.partitions import (
     partition_count,
     partition_generating_series,
     partition_parity_convolution,
+    partition_residue_table,
     partition_support_sum,
     restricted_count,
 )
@@ -196,6 +197,98 @@ class TestPartitionSupportSum:
         for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(-1, 2)], 5)):
             with pytest.raises(ValueError):
                 partition_support_sum(support, n)
+
+
+@pytest.fixture
+def fresh_residues(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(partitions, "_p_residues", tables)
+    return tables
+
+
+def field_width(m):
+    # bytes per field of the mirror of the table of p(n) mod m
+    residues, packed = partitions._p_residues[m]
+    assert len(packed) % len(residues) == 0
+    return len(packed) // len(residues)
+
+
+class TestResidueTable:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        m=st.integers(2, 10**6),
+        requests=st.lists(st.integers(0, 12_000), min_size=1, max_size=4),
+    )
+    def test_is_the_scalar_recurrence_mod_m(self, m, requests):
+        # 12 000 crosses five block boundaries; each request grows the table
+        # from the entries known so far, or reads it
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_p_residues", {})
+            for limit in requests:
+                assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
+            if max(requests):  # p(0) alone is read, not grown
+                assert field_width(m) == 4
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 121, 999_983])
+    def test_matches_series_inversion(self, fresh_residues, m):
+        # the product-inversion route shares no code with either table
+        series = partition_generating_series(2000)
+        assert partition_residue_table(m, 2000) == [series.coefficient(n) % m for n in range(2001)]
+
+    @pytest.mark.parametrize("m", [10**21, 2**64 + 13])
+    def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m):
+        partition_count(12_000)
+        assert partition_residue_table(m, 12_000) == [v % m for v in partitions._p_table[:12_001]]
+        assert field_width(m) == 10
+
+    def test_fields_widen_when_the_lags_outgrow_them(self, fresh_residues):
+        # 51 lags to 1000 times m - 1 stays below 2^31, 178 lags to 12 000 do not
+        m = 2**31 // 100 + 1
+        assert partition_residue_table(m, 1000) == [v % m for v in SCALAR_REFERENCE[:1001]]
+        assert field_width(m) == 4
+        assert partition_residue_table(m, 12_000) == [v % m for v in SCALAR_REFERENCE]
+        assert field_width(m) == 5
+
+    def test_reads_no_exact_table(self, monkeypatch, fresh_residues):
+        def forbidden(needed):
+            raise AssertionError("a residue table must not grow the exact table")
+
+        monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
+        assert partition_residue_table(7, 12_000) == [v % 7 for v in SCALAR_REFERENCE]
+
+    @pytest.mark.parametrize("m, limit, message", [(1, 10, "at least 2"), (0, 10, "at least 2"),
+                                                   (-5, 10, "at least 2"), (5, -1, "non-negative")])
+    def test_refuses_bad_arguments_before_any_growth(self, fresh_residues, m, limit, message):
+        with pytest.raises(ValueError, match=message):
+            partition_residue_table(m, limit)
+        assert fresh_residues == {}
+
+    def test_concurrent_growth_keeps_every_residue(self, fresh_residues):
+        # more threads than cores, each growing one of two tables to its own
+        # limit with a short switch interval; a lost or torn update would show
+        # as a wrong residue or a mirror out of step with its table
+        requests = [(5, 12_000), (121, 37), (5, 5_000), (121, 150), (5, 11_999),
+                    (121, 2_048), (5, 9_001), (121, 12_000)]
+        results = {}
+
+        def grow(m, limit):
+            results[m, limit] = partition_residue_table(m, limit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=request) for request in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {(m, n): [v % m for v in SCALAR_REFERENCE[: n + 1]] for m, n in requests}
+        for m in (5, 121):
+            assert partitions._p_residues[m][0] == [v % m for v in SCALAR_REFERENCE]
+            assert field_width(m) == 4
 
 
 def pentagonal_parity_bits(limit):

@@ -2,10 +2,59 @@
 
 import pytest
 
-from mexparts.mex import identity_p_tt
-from mexparts.partitions import enumerate_partitions
-from mexparts.stats import _length_rank_crank, verify_section1_identities
+from mexparts import stats
+from mexparts.mex import identity_p_2tt, identity_p_tt
+from mexparts.partitions import enumerate_partitions, restricted_count
+from mexparts.stats import verify_section1_identities
 from partition_reference import parts_of
+
+
+def _length_rank_crank(mult):
+    # number of parts, rank and crank of the partition of n whose part v
+    # occurs mult[v] times, len(mult) == n + 2 as the walk yields it; the
+    # largest part is at most n - (length - 1), so its search starts there
+    length = sum(mult)
+    if not length:
+        raise ValueError("rank and crank are undefined for the empty partition")
+    largest = len(mult) - 1 - length
+    while not mult[largest]:
+        largest -= 1
+    ones = mult[1]
+    crank = length - sum(mult[: ones + 1]) - ones if ones else largest
+    return length, largest - length, crank
+
+
+def _restricted(n, modulus, residues):
+    # partitions of n into parts == +-r (mod modulus), r in residues
+    sizes = [v for v in range(1, n + 1) if v % modulus in residues or -v % modulus in residues]
+    return restricted_count(n, sizes)
+
+
+def reference_counts(n):
+    """The partitions of n with crank >= 0, with rank >= -1, and with an even
+    and an odd number of parts, from one walk of n."""
+    crank_nonneg = rank_ge_minus1 = 0
+    by_length_parity = [0, 0]
+    for mult in enumerate_partitions(n):
+        length, rank, crank = _length_rank_crank(mult)
+        crank_nonneg += crank >= 0
+        rank_ge_minus1 += rank >= -1
+        by_length_parity[length % 2] += 1
+    return crank_nonneg, rank_ge_minus1, *by_length_parity
+
+
+def reference_section1_sides(n):
+    """Both sides of identities (a)-(e) at n, one walk of n and one
+    ``identity_p_*`` sum and restricted count per side: the per-n route that
+    ``verify_section1_identities`` replaced."""
+    crank_nonneg, rank_ge_minus1, even_length, odd_length = reference_counts(n)
+    return {
+        "crank": (identity_p_tt(1, n), crank_nonneg),
+        "rank": (identity_p_tt(3, n), rank_ge_minus1),
+        "even-length": (identity_p_2tt(1, n), even_length),
+        "mod32": (identity_p_2tt(2, n) - odd_length, _restricted(n, 32, (4, 6, 8, 10))),
+        "mod24": (identity_p_2tt(3, n) - odd_length, _restricted(n, 24, (2, 4, 5, 6, 7, 8))),
+    }
 
 
 def rank_by_definition(parts):
@@ -70,6 +119,34 @@ def test_multiplicity_statistics_match_the_tuple_definitions():
             assert _length_rank_crank(mult) == (
                 len(parts), rank_by_definition(parts), crank_by_definition(parts)
             )
+
+
+def test_one_walk_counts_match_the_per_n_walks():
+    # the counts of every n <= 35 from one walk of 35, against one walk per n
+    counts = stats._section1_counts(35)
+    for n in range(1, 36):
+        assert tuple(column[n] for column in counts) == reference_counts(n), n
+
+
+def test_sweep_reads_both_sides_of_the_per_n_route(monkeypatch):
+    # every side at every n <= 35 agrees with the per-n route, and one count
+    # too many at n = 7 in each enumerated column is recorded against the
+    # reference's values: one more on the right of (a)-(c), one odd-length
+    # partition more and so one less on the left of (d) and (e)
+    reference = {n: reference_section1_sides(n) for n in range(1, 36)}
+    assert all(lhs == rhs for sides in reference.values() for lhs, rhs in sides.values())
+    assert verify_section1_identities(35).passed
+    counts = stats._section1_counts
+    monkeypatch.setattr(
+        stats, "_section1_counts", lambda n_max: [c[:7] + [c[7] + 1] + c[8:] for c in counts(n_max)]
+    )
+    report = verify_section1_identities(35)
+    assert report.checked == 5 * 35
+    assert report.failures == [
+        {"identity": identity, "n": 7, "lhs": lhs - (identity in ("mod32", "mod24")),
+         "rhs": rhs + (identity not in ("mod32", "mod24"))}
+        for identity, (lhs, rhs) in reference[7].items()
+    ]
 
 
 class TestSectionIdentities:

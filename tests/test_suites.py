@@ -9,7 +9,7 @@ import pytest
 
 from mexparts import partitions, suites
 from mexparts.partitions import partition_generating_series
-from mexparts.series import TruncatedSeries
+from mexparts.series import TruncatedSeries, support_p_tt
 from mexparts.suites import SUITE_NAMES, run_suite, series_order, suite_bounds
 
 
@@ -91,17 +91,22 @@ def test_only_thm1_and_thm3_build_series():
     assert series_order("parity", n_max=5000) == 0
 
 
-def test_verify_all_grows_the_exact_table_only_for_sweeps_not_mod_2(monkeypatch):
-    # 24 316 is ramanujan's 121n + 116 at n = 200, the largest argument of
-    # any sweep whose modulus is not 2; the mod-2 sweeps reach 49 978 on
-    # the parity bitset
+def test_verify_all_grows_the_exact_table_no_further_than_thm1(monkeypatch):
+    # thm1 convolves to its n_max of 500; every sweep reads a table of p(n)
+    # mod m instead: 24 316 is ramanujan's 121n + 116 at n = 200, the largest
+    # argument of any sweep whose modulus is not 2, and the mod-2 sweeps
+    # reach 49 978 on the parity bitset
     requests = []
     grow = partitions._grow_p_table
     monkeypatch.setattr(partitions, "_p_table", [1])
+    monkeypatch.setattr(partitions, "_p_residues", {})
     monkeypatch.setattr(partitions, "_grow_p_table", lambda n: requests.append(n) or grow(n))
     results = suites.run_all()
     assert all(r.passed for reports in results.values() for r in reports)
-    assert requests and max(requests) <= 24_316
+    assert requests and max(requests) == 500
+    assert len(partitions._p_table) == 501
+    assert len(partitions._p_residues[121][0]) == 24_317
+    assert sorted(partitions._p_residues) == [5, 7, 8, 11, 25, 49, 121]
     assert partitions._p_parity_len > 49_978
 
 
@@ -115,10 +120,16 @@ def test_thm6_conditional_sweeps_stop_at_the_argument_cap():
 
 
 def test_thm1_records_failures_ascending_in_n(monkeypatch):
-    identity = suites.identity_p_tt
-    monkeypatch.setattr(
-        suites, "identity_p_tt", lambda t, n: identity(t, n) + (n in (5, 30))
-    )
+    # one too many in p_{1,1}(5) and p_{1,1}(30) on the table route only
+    convolution = suites.partition_convolution
+
+    def bumped(support, order):
+        series = convolution(support, order)
+        if support != support_p_tt(1, order):
+            return series
+        return TruncatedSeries([c + (n in (5, 30)) for n, c in enumerate(series.coeffs)])
+
+    monkeypatch.setattr(suites, "partition_convolution", bumped)
     (report,) = run_suite("thm1", t_max=1, n_max=40)
     found = [failure["n"] for failure in report.failures]
     assert found == sorted(found) == [5, 5, 30, 30]
