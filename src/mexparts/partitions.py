@@ -42,7 +42,6 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from operator import add, itemgetter, sub
-from struct import pack, unpack
 from typing import Iterable, Iterator
 
 from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
@@ -155,7 +154,8 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> Tru
 
 
 def _partition_quotient(support: Iterable[tuple[int, int]], order: int) -> list[int]:
-    # the coefficients of partition_convolution, for a caller that builds no series
+    # the coefficients of partition_convolution, for stats' section1, which
+    # builds no series so that its series order, and its --trunc guard, stay 0
     if order < 0:
         raise ValueError("truncation order must be non-negative")
     _grow_p_table(order)
@@ -201,15 +201,8 @@ def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
 _p_residues: dict[int, tuple[list[int], bytearray]] = {}  # m -> p(n) mod m, and as fields
 
 
-def _fields_to_ints(raw: bytes, width: int) -> Iterable[int]:
-    if width == 4:
-        return unpack(f"<{len(raw) // 4}I", raw)
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
-def _ints_to_fields(values: list[int], width: int) -> bytes:
-    if width == 4:
-        return pack(f"<{len(values)}I", *values)
+def _fields(values: Iterable[int], width: int) -> bytes:
+    # each value as one little-endian field of width bytes
     return b"".join(v.to_bytes(width, "little") for v in values)
 
 
@@ -234,7 +227,7 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
         support = _euler_support(limit)
         width = max(4, (len(support) * (m - 1)).bit_length() // 8 + 1)
         if len(packed) != width * len(residues):  # a new table, or wider fields
-            packed[:] = _ints_to_fields(residues, width)
+            packed[:] = _fields(residues, width)
         half = 1 << (8 * width - 1)
         for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit, support):
             acc = int.from_bytes(half.to_bytes(width, "little") * size, "little")
@@ -242,9 +235,11 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
                 lag = packed[(n0 + lo - e) * width : (n0 + size - e) * width]
                 lag = int.from_bytes(lag, "little") << 8 * width * lo
                 acc = acc - lag if sign > 0 else acc + lag
-            for s in _fields_to_ints(acc.to_bytes(size * width, "little"), width):
-                residues.append((s - half + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
-            packed += _ints_to_fields(residues[n0:], width)
+            sums = acc.to_bytes(size * width, "little")
+            for i in range(0, size * width, width):
+                s = int.from_bytes(sums[i : i + width], "little") - half
+                residues.append((s + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
+            packed += _fields(residues[n0:], width)
         return residues[: limit + 1]
 
 

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+# _partition_quotient is partition_convolution's coefficient list: a series
+# built here would make --trunc limit verify section1 (suites.series_order)
 from .partitions import _partition_quotient, enumerate_partitions, restricted_counts
 from .reports import VerificationReport
 from .series import support_p_2tt, support_p_tt
@@ -55,19 +57,20 @@ def _section1_counts(n_max: int) -> tuple[list[int], ...]:
     # item n, for n <= n_max, of the counts of partitions of n with crank >= 0,
     # with rank >= -1, and with an even and an odd number of parts: each node
     # adds one range of n per statistic to a difference array, and the
-    # parities, which alternate in n up to n_max, add stride-2 starts
-    crank, rank = [0] * (n_max + 2), [0] * (n_max + 2)
-    parity_starts = [[0] * (n_max + 2), [0] * (n_max + 2)]  # even, odd
+    # parities, which alternate in n up to n_max, add stride-2 starts; the
+    # node with no part above 1 starts at n = 1, so a start can reach n_max + 2
+    crank, rank = [0] * (n_max + 3), [0] * (n_max + 3)
+    parity_starts = [[0] * (n_max + 3), [0] * (n_max + 3)]  # even, odd
     for mult in enumerate_partitions(n_max):
         ones = mult[1]
         s, count = n_max - ones, sum(mult) - ones
-        largest = s - 2 * count + 2  # the other parts above 1 are at least 2
-        while largest > 1 and not mult[largest]:
-            largest -= 1
-        durfee = 0  # J: #{parts > j} = count - #{parts in 2..j} >= j up to j = J
-        while count - sum(mult[2 : durfee + 2]) > durfee:
-            durfee += 1
         if count:
+            largest = s - 2 * count + 2  # the other parts above 1 are at least 2
+            while not mult[largest]:
+                largest -= 1
+            durfee = 0  # J: #{parts > j} = count - #{parts in 2..j} >= j up to j = J
+            while count - sum(mult[2 : durfee + 2]) > durfee:
+                durfee += 1
             first, ranges = s, [(crank, min(durfee, ones)), (rank, min(largest - count + 1, ones))]
         else:  # only 1's: no j = 0, no crank >= 0, and rank 1 - j
             first, ranges = 1, [(rank, min(2, ones))]
@@ -81,7 +84,8 @@ def _section1_counts(n_max: int) -> tuple[list[int], ...]:
     for starts in parity_starts:
         for n in range(2, n_max + 1):
             starts[n] += starts[n - 2]
-    return list(accumulate(crank)), list(accumulate(rank)), *parity_starts
+    crank, rank = accumulate(crank[: n_max + 1]), accumulate(rank[: n_max + 1])
+    return list(crank), list(rank), *(starts[: n_max + 1] for starts in parity_starts)
 
 
 def verify_section1_identities(n_max: int) -> VerificationReport:

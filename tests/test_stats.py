@@ -128,6 +128,16 @@ def test_one_walk_counts_match_the_per_n_walks():
         assert tuple(column[n] for column in counts) == reference_counts(n), n
 
 
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_one_walk_counts_hold_item_n_for_every_n_up_to_n_max(n_max):
+    # the walk of 0 is the empty partition alone, which no column counts
+    counts = stats._section1_counts(n_max)
+    assert [len(column) for column in counts] == [n_max + 1] * 4
+    assert [column[0] for column in counts] == [0] * 4
+    for n in range(1, n_max + 1):
+        assert tuple(column[n] for column in counts) == reference_counts(n), n
+
+
 def test_sweep_reads_both_sides_of_the_per_n_route(monkeypatch):
     # every side at every n <= 35 agrees with the per-n route, and one count
     # too many at n = 7 in each enumerated column is recorded against the
