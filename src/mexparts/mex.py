@@ -11,12 +11,12 @@ multiset of parts above 1 with total s <= n_max, and with j ones it is one
 partition of s + j, so each partition of each n <= n_max is one (node, n)
 pair with n >= s.  For a >= 2 the mex never looks at the 1's, so one mex
 serves every n >= s; for a = 1 the partition of s itself has no 1's and
-mex 1, and every n > s takes the mex from 1 + A upward.  The walk reads the
-mex off the multiplicity lists of ``enumerate_partitions``; the tests check
-every row against a recursive enumeration of tuples that shares no code
-with the walk.  The (t, t) and (2t, t)
-families also have a generating-function route and a closed expression in
-ordinary partition numbers:
+mex 1, and every n > s takes the mex from 1 + A upward.  The walk reads one
+mex per run of 2's off the multiplicity lists of ``enumerate_partitions``;
+the tests check every row against a recursive enumeration of tuples that
+shares no code with the walk.  The (t, t) and (2t, t) families also have a
+generating-function route and a closed expression in ordinary partition
+numbers:
 
     sum p_tt(n) q^n  = (1/(q;q)_inf) * sum_{n>=0} (-1)^n q^(t n(n+1)/2)
     sum p_2tt(n) q^n = (1/(q;q)_inf) * sum_{n>=0} (-1)^n q^(t n^2)
@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from .partitions import enumerate_partitions, partition_generating_series, partition_support_sum
 from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
@@ -85,30 +86,42 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple
             f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
             f" (got {n_max})"
         )
-    # per (A, a): hits by total s, A, a and 2A; 1 <= a <= A, so a is already
-    # the least residue of a (mod 2A)
-    slots = [([0] * (n_max + 1), p.A, p.a, 2 * p.A) for p in params_seq]
-    nodes = [0] * (n_max + 1)  # nodes by their total s of the parts above 1
+    # a run's first node (one 2, total s) counts at s, s + 2, ... from slot
+    # size + s; mult[0] == 0 stands in for mult[2], missing when n_max = 0
+    size, two = n_max + 1, 2 if n_max else 0
+    # per (A, a): hits by slot, A, a and 2A; 1 <= a <= A, so a is already the
+    # least residue of a (mod 2A)
+    slots = [([0] * 2 * size, p.A, p.a, 2 * p.A) for p in params_seq]
+    nodes = [0] * 2 * size  # nodes by slot
     for mult in enumerate_partitions(n_max):
-        s = n_max - mult[1]
-        nodes[s] += 1
+        if mult[two] > 1:  # the same distinct parts as its run's first node
+            continue
+        at = n_max - mult[1] + size * mult[two]
+        nodes[at] += 1
         for hits, A, a, period in slots:
             v = a
             while v <= n_max and mult[v]:
                 v += A
             if v % period == a:
-                hits[s] += 1
+                hits[at] += 1
     # a >= 2: the mex never reads mult[1], so a hit at s counts for every
-    # n >= s.  a = 1: mult[1] = n_max - s is nonzero for every s < n_max, so
-    # a hit at s counts for every n > s, and the partition of n with no 1's
-    # has mex 1 and counts at n.
+    # n >= s.  a = 1: mult[1] = n_max - s is nonzero for every s < n_max, also
+    # along a run, so a hit at s counts for every n > s, and the partition of
+    # n with no 1's has mex 1 and counts at n.
     columns = [
-        list(accumulate(hits))
+        list(accumulate(_unrun(hits, size)))
         if a > 1
-        else [b + c for b, c in zip(nodes, accumulate(hits, initial=0))]
+        else [b + c for b, c in zip(_unrun(nodes, size), accumulate(_unrun(hits, size), initial=0))]
         for hits, _, a, _ in slots
     ]
     return [tuple(column[n] for column in columns) for n in range(n_max + 1)]
+
+
+def _unrun(tally: list[int], size: int) -> list[int]:
+    # tally[s] counts at s alone, tally[size + s] at s, s + 2, ... below size
+    alone, starts = tally[:size], tally[size:]
+    starts[0::2], starts[1::2] = accumulate(starts[0::2]), accumulate(starts[1::2])
+    return list(map(add, alone, starts))
 
 
 def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:

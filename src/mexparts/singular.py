@@ -23,7 +23,9 @@ partitions with no part divisible by k, on the multiplicity walk of
 multiset of parts above 1 with total s <= n_max, and with j ones it is one
 partition of s + j.  Its weight W, the product of the factors of its
 overlineable values above 1, counts once at n = s; every n > s adds 1's,
-which double W when 1 is overlineable (i = 1).  The tests check every n
+which double W when 1 is overlineable (i = 1).  The walk leaves out the
+part 2, so a node also stands for its run of c = 1, 2, ... parts 2, whose
+factor is one value at c = 1 and one at c >= 2.  The tests check every n
 against a recursive enumeration of tuples that shares no code with the walk.
 """
 
@@ -78,18 +80,26 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
             f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
             f" (got {n_max})"
         )
-    k = params.k
-    overlineable = [v for v in range(2, n_max + 1) if v % k in params.overline_residues]
+    k, residues = params.k, params.overline_residues
+    overlineable = [v for v in range(3, n_max + 1) if v % k in residues]
     # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
-    factor = [1, 3] + [4] * n_max if params.self_paired else [1] + [2] * n_max
-    weight = [0] * (n_max + 1)  # by the total s of the parts above 1
-    for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k]):
+    once, more = (3, 4) if params.self_paired else (2, 2)
+    factor = [1, once] + [more] * n_max
+    # 2 is the least part above 1 (k >= 3), so a node of weight w at total s
+    # stands for w at s, w * two_once at s + 2 and w * two_more at s + 4, ...
+    two_once, two_more = (once, more) if 2 % k in residues else (1, 1)
+    weight = [0] * (n_max + 5)  # by the total s of the parts above 1, as stride-2 differences
+    for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k], runs=True):
         w = prod(map(factor.__getitem__, map(mult.__getitem__, overlineable)))
-        weight[n_max - mult[1]] += w
+        s = n_max - mult[1]
+        weight[s] += w
+        weight[s + 2] += w * (two_once - 1)
+        weight[s + 4] += w * (two_more - two_once)
+    weight[0::2], weight[1::2] = accumulate(weight[0::2]), accumulate(weight[1::2])
     # the partition of s carries weight W, and every n > s adds 1's: 2W when
     # 1 is overlineable (i = 1, never self-paired since k >= 3), else W
-    ones = 2 if 1 % k in params.overline_residues else 1
-    return [w + ones * below for w, below in zip(weight, accumulate(weight, initial=0))]
+    ones = 2 if 1 % k in residues else 1
+    return [w + ones * below for w, below in zip(weight[: n_max + 1], accumulate(weight, initial=0))]
 
 
 def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:

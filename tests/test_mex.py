@@ -179,6 +179,13 @@ class TestMultiOracle:
         rows = mex_counts_oracle(n_max, params)
         assert rows == [reference_mex_counts(n, params) for n in range(n_max + 1)]
 
+    @pytest.mark.parametrize("n_max", range(5))
+    def test_small_n_max_matches_the_enumeration_reference(self, n_max):
+        # runs of one and two 2's, and n_max = 0, where mult has no slot 2
+        params = [MexParams(A, a) for A in range(1, 5) for a in range(1, A + 1)]
+        rows = mex_counts_oracle(n_max, params)
+        assert rows == [reference_mex_counts(n, params) for n in range(n_max + 1)]
+
     @pytest.mark.parametrize("n", [0, 1, 17, 30])
     def test_visits_each_partition_once(self, monkeypatch, n):
         nodes = []
@@ -302,10 +309,12 @@ class TestSupportRoutes:
                 genfun(0, 20_000)
 
     def test_genfun_does_not_read_the_table(self, monkeypatch, capsys):
-        # thm1, oracle-check, the parity bridge and the eta form compare the
-        # genfun route with the identity and compute routes; a corrupted p(n)
-        # table entry must reach those two and never the genfun, or the three
-        # routes would share the code path they check
+        # thm1 compares the genfun route with the table route that identity
+        # and compute read, and the parity bridge and the eta form compare it
+        # with genfun_singular, also on the table (oracle-check compares the
+        # walk with compute); a corrupted p(n) table entry must reach identity
+        # and compute and never the genfun, or those checks would share the
+        # code path they check
         order, t, bad = 120, 2, 100
         partition_count(order)
         corrupted = list(partitions._p_table)

@@ -65,16 +65,19 @@ class TestOracle:
 
     @pytest.mark.parametrize("k,i,n", [(3, 1, 0), (5, 2, 20), (6, 3, 30)])
     def test_visits_each_partition_without_a_multiple_of_k_once(self, monkeypatch, k, i, n):
+        # the walk leaves out the runs of 2's, so it visits once each such
+        # partition that has no part 2: 147 at (5, 2, 20), 1 160 at (6, 3, 30)
         nodes = []
 
-        def counting_walk(n, sizes):
-            for mult in partitions._walk_multiplicities(n, sizes):
+        def counting_walk(n, sizes, runs=False):
+            for mult in partitions._walk_multiplicities(n, sizes, runs):
                 nodes.append(None)
                 yield mult
 
         monkeypatch.setattr("mexparts.singular._walk_multiplicities", counting_walk)
         singular_overpartition_oracle(n, SingularParams(k, i))
-        assert len(nodes) == restricted_count(n, [v for v in range(1, n + 1) if v % k])
+        sizes = [v for v in range(1, n + 1) if v % k]
+        assert len(nodes) == restricted_count(n, [v for v in sizes if v != 2])
 
 
 class TestSeries:
@@ -137,6 +140,16 @@ def test_oracle_matches_the_enumeration_reference(k, i):
     params = SingularParams(k, i)
     expected = [reference_singular_oracle(n, params) for n in range(31)]
     assert singular_overpartition_oracle(30, params) == expected
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_small_n_max_matches_the_enumeration_reference(n_max):
+    # runs of one and two 2's, and n_max = 0, where no 2 fits
+    for k in range(3, 9):
+        for i in range(1, k // 2 + 1):
+            params = SingularParams(k, i)
+            expected = [reference_singular_oracle(n, params) for n in range(n_max + 1)]
+            assert singular_overpartition_oracle(n_max, params) == expected
 
 
 @st.composite
