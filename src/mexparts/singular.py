@@ -81,12 +81,12 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
             f" (got {n_max})"
         )
     k, residues = params.k, params.overline_residues
-    overlineable = [v for v in range(3, n_max + 1) if v % k in residues]
     # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
     once, more = (3, 4) if params.self_paired else (2, 2)
     factor = [1, once] + [more] * n_max
-    # 2 is the least part above 1 (k >= 3), so a node of weight w at total s
-    # stands for w at s, w * two_once at s + 2 and w * two_more at s + 4, ...
+    # 2 is the least part above 1 (k >= 3) and the walk leaves it out: a node of
+    # weight w at total s stands for w at s, w * two_once at s + 2, w * two_more at s + 4, ...
+    overlineable = [v for v in range(3, n_max + 1) if v % k in residues]
     two_once, two_more = (once, more) if 2 % k in residues else (1, 1)
     weight = [0] * (n_max + 5)  # by the total s of the parts above 1, as stride-2 differences
     for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k], runs=True):

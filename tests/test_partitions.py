@@ -485,7 +485,8 @@ class TestMultiplicityWalk:
             above, ones = [v for v in parts_of(mult) if v > 1], mult[1]
             assert least not in above
             for c in range(ones // least + 1):
-                seen.append(tuple(sorted(above + [least] * c, reverse=True)) + (1,) * (ones - c * least))
+                parts = sorted(above + [least] * c, reverse=True) + [1] * (ones - c * least)
+                seen.append(tuple(parts))
         expected = [parts for parts in partitions_of(n) if set(parts) <= sizes]
         assert sorted(seen) == sorted(expected)
 
