@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .partitions import enumerate_partitions, partition_generating_series, partition_support_sum
+from .partitions import _stride2_prefix, enumerate_partitions, partition_generating_series, partition_support_sum
 from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
 
 __all__ = [
@@ -87,7 +87,8 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple
             f" (got {n_max})"
         )
     # a run's first node (one 2, total s) counts at s, s + 2, ... from slot
-    # size + s; mult[0] == 0 stands in for mult[2], missing when n_max = 0
+    # size + s, one add per hit where stride-2 differences would take two;
+    # mult[0] == 0 stands in for mult[2], missing when n_max = 0
     size, two = n_max + 1, 2 if n_max else 0
     # per (A, a): hits by slot, A, a and 2A; 1 <= a <= A, so a is already the
     # least residue of a (mod 2A)
@@ -104,24 +105,20 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple
                 v += A
             if v % period == a:
                 hits[at] += 1
+    for tally in (nodes, *(hits for hits, *_ in slots)):  # fold the starts into slots 0 .. n_max
+        _stride2_prefix(starts := tally[size:])
+        tally[:] = map(add, tally[:size], starts)
     # a >= 2: the mex never reads mult[1], so a hit at s counts for every
     # n >= s.  a = 1: mult[1] = n_max - s is nonzero for every s < n_max, also
     # along a run, so a hit at s counts for every n > s, and the partition of
     # n with no 1's has mex 1 and counts at n.
     columns = [
-        list(accumulate(_unrun(hits, size)))
+        list(accumulate(hits))
         if a > 1
-        else [b + c for b, c in zip(_unrun(nodes, size), accumulate(_unrun(hits, size), initial=0))]
+        else [b + c for b, c in zip(nodes, accumulate(hits, initial=0))]
         for hits, _, a, _ in slots
     ]
     return [tuple(column[n] for column in columns) for n in range(n_max + 1)]
-
-
-def _unrun(tally: list[int], size: int) -> list[int]:
-    # tally[s] counts at s alone, tally[size + s] at s, s + 2, ... below size
-    alone, starts = tally[:size], tally[size:]
-    starts[0::2], starts[1::2] = accumulate(starts[0::2]), accumulate(starts[1::2])
-    return list(map(add, alone, starts))
 
 
 def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:

@@ -25,13 +25,13 @@ Python 3.11).
 ``partition_generating_series`` stays the independent product-inversion
 route, so tests that compare it with the table compare two sources of p(n).
 ``enumerate_partitions`` visits each partition of n once through
-``_walk_multiplicities``, which yields one shared list of part multiplicities,
-changed in place, so no tuple or set is built per partition; the singular
-oracle walks a subset of part sizes, each node standing for its run of the
-least part above 1.  One walk of n holds every partition of every m <= n once
-(see ``enumerate_partitions``), so the oracles count all m <= n from it.  The
-test suite checks the walk, and the oracles on it, against a plain recursive
-enumeration of tuples.
+``_walk_multiplicities``, which yields one shared list of part
+multiplicities, changed in place, so no tuple or set is built per
+partition; the singular oracle walks the same way over a subset of part
+sizes.  One walk of n holds every partition of every m <= n once (see
+``enumerate_partitions``), so the oracles count all m <= n from it.  The
+test suite checks the walk, and the oracles on it, against a plain
+recursive enumeration of tuples.
 ``restricted_counts(n_max, sizes)`` counts the partitions of every n <= n_max
 into parts from an iterable of sizes, one geometric series per size, without
 enumerating, and ``restricted_count(n, sizes)`` is its item n.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator
 
@@ -335,13 +336,11 @@ def enumerate_partitions(n: int) -> Iterator[list[int]]:
     return _walk_multiplicities(n, range(1, n + 1))
 
 
-def _walk_multiplicities(n: int, sizes: Iterable[int], runs: bool = False) -> Iterator[list[int]]:
+def _walk_multiplicities(n: int, sizes: Iterable[int]) -> Iterator[list[int]]:
     # every partition of n with parts in sizes (1 among them) exactly once, as
     # one shared list mult, mult[v] the multiplicity of v, changed in place
     # between yields: depth first over the parts above 1 in non-increasing
-    # order with total at most n, and the rest of n is the multiplicity of 1.
-    # With runs, the least part above 1 is left out: each node stands for its
-    # run, itself and c = 1 .. mult[1] // least copies of that part for 1's.
+    # order with total at most n, and the rest of n is the multiplicity of 1
     big = sorted({v for v in sizes if 1 < v <= n}, reverse=True) or [n + 1]  # n + 1 never fits
     fits = [sum(v > rest for v in big) for rest in range(n + 1)]  # first big[j] <= rest
     last, least = len(big) - 1, big[-1]
@@ -359,7 +358,7 @@ def _walk_multiplicities(n: int, sizes: Iterable[int], runs: bool = False) -> It
             mult[1] = rest
             yield mult
             continue
-        if j == last and not runs:  # nothing goes after the least part: add it while it fits
+        if j == last:  # nothing goes after the least part: add it while it fits
             for c in range(1, rest // least + 1):
                 mult[least] = c
                 mult[1] = rest - c * least
@@ -371,6 +370,11 @@ def _walk_multiplicities(n: int, sizes: Iterable[int], runs: bool = False) -> It
         mult[big[j]] -= 1
         rest += big[j]
         j += 1
+
+
+def _stride2_prefix(tally: list[int]) -> None:
+    # in place: item s becomes the sum of items s, s - 2, s - 4, ...
+    tally[0::2], tally[1::2] = accumulate(tally[0::2]), accumulate(tally[1::2])
 
 
 # ---------------------------------------------------------------------------

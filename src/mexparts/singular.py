@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 
-from .partitions import _walk_multiplicities, partition_convolution
+from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution
 from .series import TruncatedSeries, theta_support
 
 __all__ = [
@@ -82,20 +82,19 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
         )
     k, residues = params.k, params.overline_residues
     # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
-    once, more = (3, 4) if params.self_paired else (2, 2)
-    factor = [1, once] + [more] * n_max
-    # 2 is the least part above 1 (k >= 3) and the walk leaves it out: a node of
-    # weight w at total s stands for w at s, w * two_once at s + 2, w * two_more at s + 4, ...
+    factor = [1, 3] + [4] * (n_max + 1) if params.self_paired else [1] + [2] * (n_max + 2)
+    # the walk leaves out the part 2 (k >= 3): a node of weight w at total s
+    # stands for w at s, w * two_once at s + 2, w * two_more at s + 4, ...
     overlineable = [v for v in range(3, n_max + 1) if v % k in residues]
-    two_once, two_more = (once, more) if 2 % k in residues else (1, 1)
+    two_once, two_more = factor[1:3] if 2 % k in residues else (1, 1)
     weight = [0] * (n_max + 5)  # by the total s of the parts above 1, as stride-2 differences
-    for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k], runs=True):
+    for mult in _walk_multiplicities(n_max, [v for v in range(1, n_max + 1) if v % k and v != 2]):
         w = prod(map(factor.__getitem__, map(mult.__getitem__, overlineable)))
         s = n_max - mult[1]
         weight[s] += w
         weight[s + 2] += w * (two_once - 1)
         weight[s + 4] += w * (two_more - two_once)
-    weight[0::2], weight[1::2] = accumulate(weight[0::2]), accumulate(weight[1::2])
+    _stride2_prefix(weight)
     # the partition of s carries weight W, and every n > s adds 1's: 2W when
     # 1 is overlineable (i = 1, never self-paired since k >= 3), else W
     ones = 2 if 1 % k in residues else 1

@@ -473,23 +473,6 @@ class TestMultiplicityWalk:
         assert len(seen) == len(set(seen))
         assert sorted(seen) == sorted(expected)
 
-    @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(st.integers(min_value=0, max_value=25), st.sets(st.integers(2, 25)))
-    def test_runs_expand_to_the_partitions_over_sizes_once(self, n, extra):
-        # each node stands for itself and for c = 1 .. mult[1] // least more
-        # copies of the least part above 1, taken from its 1's
-        sizes = {1} | extra
-        least = min(extra, default=n + 1)
-        seen = []
-        for mult in partitions._walk_multiplicities(n, sizes, runs=True):
-            above, ones = [v for v in parts_of(mult) if v > 1], mult[1]
-            assert least not in above
-            for c in range(ones // least + 1):
-                parts = sorted(above + [least] * c, reverse=True) + [1] * (ones - c * least)
-                seen.append(tuple(parts))
-        expected = [parts for parts in partitions_of(n) if set(parts) <= sizes]
-        assert sorted(seen) == sorted(expected)
-
     def test_all_sizes_give_p_n_nodes(self):
         for n in range(41):
             walk = partitions._walk_multiplicities(n, range(1, n + 1))

@@ -65,12 +65,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("k,i,n", [(3, 1, 0), (5, 2, 20), (6, 3, 30)])
     def test_visits_each_partition_without_a_multiple_of_k_once(self, monkeypatch, k, i, n):
-        # the walk leaves out the runs of 2's, so it visits once each such
+        # the walk leaves out the part 2, so it visits once each such
         # partition that has no part 2: 147 at (5, 2, 20), 1 160 at (6, 3, 30)
         nodes = []
 
-        def counting_walk(n, sizes, runs=False):
-            for mult in partitions._walk_multiplicities(n, sizes, runs):
+        def counting_walk(n, sizes):
+            for mult in partitions._walk_multiplicities(n, sizes):
                 nodes.append(None)
                 yield mult
 
