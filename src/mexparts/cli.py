@@ -63,7 +63,7 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     if args.function in FUNCTIONS:
         params = _table_params(args)
         support = FUNCTIONS[args.function][1](*params.values(), n_max)
-        return args.function, params, list(enumerate(partition_convolution(support, n_max).coeffs))
+        return args.function, params, list(enumerate(partition_convolution(support, n_max)))
     if args.function == "p_Aa_oracle":
         params = MexParams(args.A, args.a)
         rows = list(enumerate(mex_count_oracle(n_max, params)))

@@ -28,9 +28,10 @@ with p(m) = 0 for negative m.  ``series.support_p_tt`` and ``support_p_2tt``
 list the two alternating sums as (exponent, +-1) terms.  ``genfun_p_*``
 multiply them by 1/(q;q)_inf built by product inversion, never from the
 p(n) table; ``identity_p_*`` take one signed sum of p(n - e) over the
-support from the table, and ``compute p_tt|p_2tt`` convolves the support
-with the table (``partitions.partition_convolution``).  The routes agree
-with each other and with the enumeration oracle; the test suite pins it.
+support from the table, and thm1 and ``compute p_tt|p_2tt`` read every
+n <= n_max from one list, the support convolved with the table
+(``partitions.partition_convolution``).  The routes agree with each other
+and with the enumeration oracle; the test suite pins it.
 """
 
 from __future__ import annotations

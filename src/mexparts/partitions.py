@@ -8,8 +8,9 @@ before the block, so it is added to the whole block in one slice pass; only
 the few shorter lags run per n.  The exact big-integer table to n = 5*10^4
 costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution`` reads the same table to divide any sparse theta
-support by (q;q)_inf: coefficient n of (sum c q^e) / (q;q)_inf is
-sum c * p(n - e), and ``partition_support_sum`` takes that sum for one n.
+support by (q;q)_inf, as the list whose item n is coefficient n of
+(sum c q^e) / (q;q)_inf, sum c * p(n - e); ``partition_support_sum`` takes
+that sum for one n.
 ``partition_residue_table(m, limit)`` runs the same blocks modulo m, on one
 process-wide table per modulus, with each long lag one addition of packed
 fixed-width fields, so the progression sweeps need no big p(n).
@@ -143,20 +144,15 @@ def partition_generating_series(order: int) -> TruncatedSeries:
     return pochhammer_inf(1, 1, order).invert()
 
 
-def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
-    """(sum c q^e) / (q;q)_inf truncated at ``order``, for a sparse support of
-    (exponent, coefficient) pairs: coefficient n is sum c * p(n - e).
+def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> list[int]:
+    """Coefficients 0 .. ``order`` of (sum c q^e) / (q;q)_inf, for a sparse
+    support of (exponent, coefficient) pairs: item n is sum c * p(n - e).
 
     Grows the p(n) table once to ``order`` and adds one shifted, scaled copy
     of it per support term, so the cost is (terms) x (order) additions.
-    Exponents past the order are dropped; repeated exponents add up.
+    Exponents past the order are dropped; repeated exponents add up.  No
+    series is built, so a caller that reads only coefficients builds none.
     """
-    return TruncatedSeries(_partition_quotient(support, order))
-
-
-def _partition_quotient(support: Iterable[tuple[int, int]], order: int) -> list[int]:
-    # the coefficients of partition_convolution, for stats' section1, which
-    # builds no series so that its series order, and its --trunc guard, stay 0
     if order < 0:
         raise ValueError("truncation order must be non-negative")
     _grow_p_table(order)
@@ -250,23 +246,6 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
 
 _p_parity = 1  # bit n is p(n) mod 2, for n < _p_parity_len
 _p_parity_len = 1
-_SPREAD4: list[bytes] = []  # translate tables, built on first use
-
-
-def _spread4(bits: int, count: int) -> int:
-    # bit j of bits moves to bit 4j, for j < count: byte b of the input
-    # becomes output bytes 4b .. 4b + 3, and output byte k takes the input
-    # byte's bits 2k and 2k + 1 as its bits 0 and 4
-    if not _SPREAD4:
-        _SPREAD4.extend(
-            bytes((b >> 2 * k & 1) | (b >> (2 * k + 1) & 1) << 4 for b in range(256))
-            for k in range(4)
-        )
-    src = (bits & ((1 << count) - 1)).to_bytes((count + 7) // 8, "little")
-    out = bytearray(4 * len(src))
-    for k, table in enumerate(_SPREAD4):
-        out[k::4] = src.translate(table)
-    return int.from_bytes(out, "little")
 
 
 def _grow_p_parity(limit: int) -> None:
@@ -280,7 +259,8 @@ def _grow_p_parity(limit: int) -> None:
         bits, known = _p_parity, _p_parity_len - 1
         while known < limit:
             known = min(4 * known + 3, limit)
-            spread = _spread4(bits, known // 4 + 1)
+            mask = (1 << (known // 4 + 1)) - 1
+            spread = int("000".join(f"{bits & mask:b}"), 2)  # bit j moves to bit 4j
             bits = 0
             for e, _ in support_p_tt(1, known):
                 bits ^= spread << e

@@ -115,4 +115,4 @@ def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:
     i m^2, which then carries multiplicity 2.  The three-product form is kept
     in the test suite as an independent reference route.
     """
-    return partition_convolution(theta_support(params.k, params.i, order), order)
+    return TruncatedSeries(partition_convolution(theta_support(params.k, params.i, order), order))

@@ -20,7 +20,7 @@ counts of (d) and (e) take the part sizes in the listed classes):
 where po(n) is the number of partitions of n with an odd number of parts.
 n = 0 is excluded: rank and crank are undefined for the empty partition.
 Every n <= n_max is read from one convolution with the p(n) table per left
-side (``partition_convolution``'s coefficients, with no series built),
+side (``partition_convolution``, which builds no series),
 one restricted-count table per residue set and one walk of n_max.  A node
 of that walk has parts above 1 with total s, count c and largest part b;
 with j ones it is one partition of n = s + j, and for j >= 1 (j >= 0 when
@@ -38,9 +38,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-# _partition_quotient is partition_convolution's coefficient list: a series
-# built here would make --trunc limit verify section1 (suites.series_order)
-from .partitions import _partition_quotient, enumerate_partitions, restricted_counts
+from .partitions import _stride2_prefix, enumerate_partitions, partition_convolution, restricted_counts
 from .reports import VerificationReport
 from .series import support_p_2tt, support_p_tt
 
@@ -82,8 +80,7 @@ def _section1_counts(n_max: int) -> tuple[list[int], ...]:
         parity_starts[parity][first] += 1
         parity_starts[1 - parity][first + 1] += 1
     for starts in parity_starts:
-        for n in range(2, n_max + 1):
-            starts[n] += starts[n - 2]
+        _stride2_prefix(starts)
     crank, rank = accumulate(crank[: n_max + 1]), accumulate(rank[: n_max + 1])
     return list(crank), list(rank), *(starts[: n_max + 1] for starts in parity_starts)
 
@@ -98,7 +95,7 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
     )
     crank_nonneg, rank_ge_minus1, even_length, odd_length = _section1_counts(n_max)
     p11, p33, p21, p42, p63 = (
-        _partition_quotient(support(t, n_max), n_max)
+        partition_convolution(support(t, n_max), n_max)
         for support, t in ((support_p_tt, 1), (support_p_tt, 3), (support_p_2tt, 1),
                            (support_p_2tt, 2), (support_p_2tt, 3))
     )

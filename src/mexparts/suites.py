@@ -70,7 +70,7 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     oracle = mex_counts_oracle(oracle_n, params)
     for t in range(1, t_max + 1):
         families = [
-            (family, partition_convolution(support(t, n_max), n_max).coeffs, genfun(t, n_max))
+            (family, partition_convolution(support(t, n_max), n_max), genfun(t, n_max))
             for family, support, genfun in (
                 ("p_tt", support_p_tt, genfun_p_tt), ("p_2tt", support_p_2tt, genfun_p_2tt)
             )

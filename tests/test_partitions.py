@@ -20,6 +20,7 @@ from mexparts.partitions import (
     restricted_count,
 )
 from mexparts.congruences import ARG_CAP
+from mexparts.cli import main
 from mexparts.series import TruncatedSeries, pochhammer_inf, theta_support
 from partition_reference import partitions_of, parts_of
 
@@ -95,7 +96,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("order", [2047, 2048, 2049])
     def test_table_matches_series_inversion_at_the_block_edge(self, fresh_table, order):
-        assert partition_convolution([(0, 1)], order) == partition_generating_series(order)
+        assert partition_convolution([(0, 1)], order) == list(partition_generating_series(order).coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -153,18 +154,35 @@ class TestBlockKernel:
 
 class TestPartitionConvolution:
     def test_unit_support_is_the_table(self):
-        assert partition_convolution([(0, 1)], 300) == partition_generating_series(300)
+        assert partition_convolution([(0, 1)], 300) == list(partition_generating_series(300).coeffs)
 
     def test_euler_support_gives_one(self):
         support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
-        assert partition_convolution(support, 20) == TruncatedSeries.one(20)
+        assert partition_convolution(support, 20) == [1] + [0] * 20
 
     def test_repeated_exponents_add_and_far_exponents_drop(self):
         order = 30
         merged = partition_convolution([(3, 5), (10, -2)], order)
         split = partition_convolution([(3, 2), (10, -1), (3, 3), (10, -1), (31, 7)], order)
         assert split == merged
-        assert merged.coefficient(12) == 5 * partition_count(9) - 2 * partition_count(2)
+        assert len(merged) == order + 1
+        assert merged[12] == 5 * partition_count(9) - 2 * partition_count(2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["p_tt", "--t", "2"], ["p_2tt", "--t", "1"], ["singular", "--k", "5", "--i", "2"]],
+    )
+    def test_compute_builds_no_series(self, monkeypatch, capsys, argv):
+        # compute reads the coefficient list; only series arithmetic builds a
+        # TruncatedSeries
+        def forbidden(self, coeffs):
+            raise AssertionError("compute must not build a series")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", forbidden)
+        assert main(["compute", *argv, "--n-max", "60"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 61
+        coeffs = partition_convolution(theta_support(5, 2, 60), 60)
+        assert type(coeffs) is list and all(type(c) is int for c in coeffs)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -182,7 +200,7 @@ class TestPartitionSupportSum:
     def test_is_one_coefficient_of_the_convolution(self, support, n):
         # any integer coefficient, as in the convolution: repeated exponents
         # add up and exponents past n drop
-        assert partition_support_sum(support, n) == partition_convolution(support, n).coefficient(n)
+        assert partition_support_sum(support, n) == partition_convolution(support, n)[n]
 
     def test_euler_support_gives_zero_past_the_constant_term(self):
         support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
@@ -325,6 +343,20 @@ class TestParityBitset:
         limit = 200_000
         assert partition_parity_convolution([(0, 1)], limit) == pentagonal_parity_bits(limit)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_growth_ignores_the_int_str_digit_limit(self, fresh_parity):
+        # the bit spread parses a base-2 string: int(s, 2) is exempt from the
+        # limit, which binds only bases that are not powers of two
+        limit = 200_000
+        reference = pentagonal_parity_bits(limit)
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            bits = partition_parity_convolution([(0, 1)], limit)
+        finally:
+            sys.set_int_max_str_digits(digits)
+        assert bits == reference
+
     def test_pentagonal_reference_matches_the_scalar_recurrence(self):
         assert pentagonal_parity_bits(12_000) == SCALAR_PARITY
 
@@ -348,9 +380,10 @@ class TestParityBitset:
     )
     def test_is_the_convolution_mod_2(self, support, limit):
         # even coefficients and exponents past the limit drop out
-        series = partition_convolution(support, limit)
+        coeffs = partition_convolution(support, limit)
         parity = partition_parity_convolution(support, limit)
-        assert parity == sum((series.coefficient(n) % 2) << n for n in range(limit + 1))
+        assert len(coeffs) == limit + 1
+        assert parity == sum((c % 2) << n for n, c in enumerate(coeffs))
 
     def test_reads_no_exact_table(self, monkeypatch, fresh_parity):
         def forbidden(needed):
