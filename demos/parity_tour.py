@@ -6,6 +6,7 @@ Run: python demos/parity_tour.py
 """
 
 from mexparts import (
+    TruncatedSeries,
     check_parity_bridge,
     check_parity_characterization,
     eta_form_mod2_report,
@@ -13,6 +14,7 @@ from mexparts import (
     is_3np1_square,
     is_k3km1,
     pochhammer_inf,
+    support_p_tt,
 )
 
 # --- the bridge ---------------------------------------------------------------
@@ -49,10 +51,9 @@ print("3n+1 square:            ", [n for n in range(1, 41) if is_3np1_square(n)]
 
 # --- why the bridge works: the even part of the partition series ---------------
 # Mod 2, psi(q^t) = (q^2t;q^2t)^2/(q^t;q^t) collapses to (q^t;q^t)^3, which is
-# where both generating functions meet.  Spot-check the first identity:
+# where both generating functions meet.  psi(q) = sum q^(n(n+1)/2) has the
+# exponents of the (1,1) support with every sign +1.  Spot-check the identity:
 n = 60
 lhs = pochhammer_inf(2, 2, n) * pochhammer_inf(2, 2, n) * pochhammer_inf(1, 1, n).invert()
-from mexparts import psi
-
-assert lhs == psi(1, n)
+assert lhs == TruncatedSeries.from_terms(((e, 1) for e, _ in support_p_tt(1, n)), n)
 print("\npsi(q) = (q^2;q^2)^2/(q;q) verified to order", n)

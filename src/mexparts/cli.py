@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
-from .partitions import enumerate_partitions, partition_convolution, partition_count
+from .partitions import _require_p_table_bound, enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
 from .singular import SingularParams, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, series_order, suite_bounds
@@ -57,8 +57,9 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     if n_max < 0:
         raise ValueError("--n-max must be non-negative")
     # p row by row from the p(n) table itself: a convolution by the support 1
-    # would copy every entry
+    # would copy every entry; refused past the table's bound before any growth
     if args.function == "p":
+        _require_p_table_bound(n_max)
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
     if args.function in FUNCTIONS:
         params = _table_params(args)

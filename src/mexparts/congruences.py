@@ -34,10 +34,10 @@ from typing import Callable
 
 from .mex import genfun_p_tt
 from .partitions import (
+    partition_count,
     partition_generating_series,
     partition_parity_convolution,
     partition_residue_table,
-    partition_support_sum,
 )
 from .reports import VerificationReport
 from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
@@ -174,16 +174,11 @@ def is_triangular(x: int) -> bool:
     return r * r == disc
 
 
-def _generalized_pentagonals_up_to(limit: int) -> list[int]:
-    # exponents of Euler's (3, 1) theta support: m(3m - 1)/2 over m in Z
-    return [e for e, _ in theta_support(3, 1, limit)]
-
-
 def is_pent_plus_4pent(n: int) -> bool:
     """True iff n = x + 4y with x, y generalized pentagonal numbers."""
     if n < 0:
         return False
-    for y in _generalized_pentagonals_up_to(n // 4):
+    for y, _ in theta_support(3, 1, n // 4):  # Euler's exponents m(3m - 1)/2
         if is_generalized_pentagonal(n - 4 * y):
             return True
     return False
@@ -193,7 +188,7 @@ def is_2pent_plus_3tri(n: int) -> bool:
     """True iff n = 2x + 3y with x generalized pentagonal and y triangular."""
     if n < 0:
         return False
-    for x in _generalized_pentagonals_up_to(n // 2):
+    for x, _ in theta_support(3, 1, n // 2):
         rem = n - 2 * x
         if rem % 3 == 0 and is_triangular(rem // 3):
             return True
@@ -535,7 +530,7 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
 
     Swept over n in [1, n_max], stopping at ``ARG_CAP``; both parities are
     bits of support quotients over the p(n) mod 2 bitset, and a failure
-    record takes its exact value as a support sum over the exact p(n) table.
+    record takes its exact value as sum c * p(n - e) over the support.
     """
     if which not in ("p11", "p33"):
         raise ValueError("which must be 'p11' or 'p33'")
@@ -564,7 +559,8 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
         report.checked += 2
         for name, support, bits in routes:
             if bits[n] != expected:
-                report.record_failure(function=name, n=n, value=partition_support_sum(support, n))
+                value = sum(c * partition_count(n - e) for e, c in support)
+                report.record_failure(function=name, n=n, value=value)
     return report
 
 

@@ -26,9 +26,9 @@ numbers:
 
 with p(m) = 0 for negative m.  ``series.support_p_tt`` and ``support_p_2tt``
 list the two alternating sums as (exponent, +-1) terms.  ``genfun_p_*``
-multiply them by 1/(q;q)_inf built by product inversion, never from the
-p(n) table; ``identity_p_*`` take one signed sum of p(n - e) over the
-support from the table, and thm1 and ``compute p_tt|p_2tt`` read every
+multiply each support's series by 1/(q;q)_inf built by product inversion,
+never from the p(n) table; ``identity_p_*`` take the sum above as written,
+one ``partition_count`` per term; thm1 and ``compute p_tt|p_2tt`` read every
 n <= n_max from one list, the support convolved with the table
 (``partitions.partition_convolution``).  The routes agree with each other
 and with the enumeration oracle; the test suite pins it.
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
-from .partitions import _stride2_prefix, enumerate_partitions, partition_generating_series, partition_support_sum
-from .series import TruncatedSeries, alternating_squares, alternating_triangular, support_p_2tt, support_p_tt
+from .partitions import _stride2_prefix, enumerate_partitions, partition_count, partition_generating_series
+from .series import TruncatedSeries, support_p_2tt, support_p_tt
 
 __all__ = [
     "MexParams",
@@ -130,19 +130,21 @@ def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
 
 def genfun_p_tt(t: int, order: int) -> TruncatedSeries:
     """Series whose coefficient of q^n is p_{t,t}(n), by product inversion."""
-    return alternating_triangular(t, order) * partition_generating_series(order)  # t checked first
+    numerator = TruncatedSeries.from_terms(support_p_tt(t, order), order)  # t checked first
+    return numerator * partition_generating_series(order)
 
 
 def genfun_p_2tt(t: int, order: int) -> TruncatedSeries:
     """Series whose coefficient of q^n is p_{2t,t}(n), by product inversion."""
-    return alternating_squares(t, order) * partition_generating_series(order)  # t checked first
+    numerator = TruncatedSeries.from_terms(support_p_2tt(t, order), order)  # t checked first
+    return numerator * partition_generating_series(order)
 
 
 def identity_p_tt(t: int, n: int) -> int:
     """p_{t,t}(n) from ordinary partition numbers: a signed sum over the support."""
-    return partition_support_sum(support_p_tt(t, n), n)
+    return sum(c * partition_count(n - e) for e, c in support_p_tt(t, n))
 
 
 def identity_p_2tt(t: int, n: int) -> int:
     """p_{2t,t}(n) from ordinary partition numbers: a signed sum over the support."""
-    return partition_support_sum(support_p_2tt(t, n), n)
+    return sum(c * partition_count(n - e) for e, c in support_p_2tt(t, n))

@@ -9,11 +9,11 @@ the few shorter lags run per n.  The exact big-integer table to n = 5*10^4
 costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution`` reads the same table to divide any sparse theta
 support by (q;q)_inf, as the list whose item n is coefficient n of
-(sum c q^e) / (q;q)_inf, sum c * p(n - e); ``partition_support_sum`` takes
-that sum for one n.
+(sum c q^e) / (q;q)_inf, sum c * p(n - e).
 ``partition_residue_table(m, limit)`` runs the same blocks modulo m, on one
 process-wide table per modulus, with each long lag one addition of packed
-fixed-width fields, so the progression sweeps need no big p(n).
+fixed-width fields, so the progression sweeps need no big p(n).  Neither
+table grows past ``P_TABLE_BOUND``; a request beyond it raises at the call.
 ``partition_parity_convolution`` gives the same quotient modulo 2 as one
 Python int, bit n the parity of coefficient n, from a second process-wide
 bitset of p(n) mod 2 that needs no exact p(n).  Over GF(2),
@@ -55,7 +55,6 @@ __all__ = [
     "restricted_counts",
     "partition_generating_series",
     "partition_convolution",
-    "partition_support_sum",
     "partition_residue_table",
     "partition_parity_convolution",
 ]
@@ -68,6 +67,12 @@ __all__ = [
 _table_lock = threading.Lock()
 _p_table: list[int] = [1]
 _P_TABLE_BLOCK = 2048  # entries filled per block, and the least growth step
+P_TABLE_BOUND = 100_000  # the exact table to here takes about 4 s and 30 MiB
+
+
+def _require_p_table_bound(n: int) -> None:
+    if n > P_TABLE_BOUND:
+        raise ValueError(f"p(n) tables are limited to n <= {P_TABLE_BOUND} (got {n})")
 
 
 def _euler_support(limit: int) -> list[tuple[int, int]]:
@@ -104,12 +109,14 @@ def _grow_p_table(needed: int) -> None:
     # _pentagonal_blocks, each long lag one slice pass over the block.  A
     # first request is met exactly; later growths add at least
     # min(len - 1, _P_TABLE_BLOCK) entries, ramping the length 2^j + 1 onto
-    # the grid 1 + m * _P_TABLE_BLOCK; a larger request is met exactly.
+    # the grid 1 + m * _P_TABLE_BLOCK; a larger request is met exactly, and
+    # no growth passes P_TABLE_BOUND.
+    _require_p_table_bound(needed)
     with _table_lock:
         table = _p_table
         if needed < len(table):
             return
-        target = max(needed, len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1)
+        target = max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND))
         support = _euler_support(target)
         for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, target, support):
             acc = [0] * size
@@ -172,25 +179,6 @@ def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> lis
     return out
 
 
-def partition_support_sum(support: Iterable[tuple[int, int]], n: int) -> int:
-    """Coefficient n of (sum c q^e) / (q;q)_inf for a sparse support of
-    (exponent, coefficient) pairs: sum c * p(n - e), one p(n) table entry
-    per term.  Exponents past n are dropped; repeated exponents add up.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n >= len(_p_table):
-        _grow_p_table(n)
-    p = _p_table
-    total = 0
-    for e, c in support:
-        if e < 0:
-            raise ValueError("negative exponent in a power series")
-        if e <= n:
-            total += c * p[n - e]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # p(n) mod m tables
 # ---------------------------------------------------------------------------
@@ -217,6 +205,7 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
         raise ValueError(f"modulus must be at least 2 (got {m})")
     if limit < 0:
         raise ValueError("limit must be non-negative")
+    _require_p_table_bound(limit)
     with _table_lock:
         residues, packed = _p_residues.setdefault(m, ([1], bytearray()))
         if limit < len(residues):

@@ -3,18 +3,16 @@
 A :class:`TruncatedSeries` stores coefficients of q^0 .. q^N for a fixed
 truncation order N.  All arithmetic is exact integer arithmetic; mixing two
 series truncates the result to the smaller order.  The module also provides
-the standard infinite products and theta-type sums that partition generating
-functions are assembled from:
+the infinite product and the sparse sums that partition generating functions
+are assembled from:
 
-    pochhammer_inf(a, b, N)       (q^a; q^b)_inf  = prod_{j>=0} (1 - q^(a+jb))
-    neg_pochhammer_inf(a, b, N)   (-q^a; q^b)_inf = prod_{j>=0} (1 + q^(a+jb))
-    alternating_triangular(t, N)  sum_{n>=0} (-1)^n q^(t n(n+1)/2)
-    alternating_squares(t, N)     sum_{n>=0} (-1)^n q^(t n^2)
-    psi(t, N)                     sum_{n>=0} q^(t n(n+1)/2)
+    pochhammer_inf(a, b, N)   (q^a; q^b)_inf = prod_{j>=0} (1 - q^(a+jb))
+    support_p_tt(t, N)        sum_{n>=0} (-1)^n q^(t n(n+1)/2)
+    support_p_2tt(t, N)       sum_{n>=0} (-1)^n q^(t n^2)
 
-``support_p_tt(t, N)`` and ``support_p_2tt(t, N)`` list the nonzero terms
-of the two alternating sums as sparse (exponent, +-1) pairs; the series
-above are built from them, and the mex counts divide them by (q;q)_inf.
+The two supports list the nonzero terms of their alternating sums as sparse
+(exponent, +-1) pairs, the numerators of p_{t,t} and p_{2t,t} over
+(q;q)_inf; ``TruncatedSeries.from_terms(support, N)`` is the series.
 
 ``theta_support(k, i, N)`` lists the nonzero terms of the two-sided theta
 sum of the Jacobi triple product,
@@ -36,10 +34,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "TruncatedSeries",
     "pochhammer_inf",
-    "neg_pochhammer_inf",
-    "alternating_triangular",
-    "alternating_squares",
-    "psi",
     "support_p_tt",
     "support_p_2tt",
     "theta_support",
@@ -164,9 +158,9 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}, ...], order={self.trunc_order})"
 
 
-def _product_of_binomials(a: int, b: int, order: int, sign: int) -> TruncatedSeries:
-    # prod over e = a, a+b, a+2b, ... <= order of (1 + sign*q^e); each factor
-    # is one slice update, and the comprehension reads the old coefficients
+def _product_of_binomials(a: int, b: int, order: int) -> TruncatedSeries:
+    # prod over e = a, a+b, a+2b, ... <= order of (1 - q^e); each factor is
+    # one slice update, and the comprehension reads the old coefficients
     # before the slice is overwritten
     if a < 1 or b < 1:
         raise ValueError("pochhammer parameters must be positive")
@@ -174,21 +168,13 @@ def _product_of_binomials(a: int, b: int, order: int, sign: int) -> TruncatedSer
         raise ValueError("truncation order must be non-negative")
     c = [1] + [0] * order
     for e in range(a, order + 1, b):
-        if sign > 0:
-            c[e:] = [x + y for x, y in zip(c[e:], c)]
-        else:
-            c[e:] = [x - y for x, y in zip(c[e:], c)]
+        c[e:] = [x - y for x, y in zip(c[e:], c)]
     return TruncatedSeries(c)
 
 
 def pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     """(q^a; q^b)_inf truncated: only factors with a + j*b <= order matter."""
-    return _product_of_binomials(a, b, order, -1)
-
-
-def neg_pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
-    """(-q^a; q^b)_inf truncated."""
-    return _product_of_binomials(a, b, order, +1)
+    return _product_of_binomials(a, b, order)
 
 
 def _support_length(t: int, limit: int, largest_index) -> int:
@@ -215,25 +201,6 @@ def support_p_2tt(t: int, limit: int) -> list[tuple[int, int]]:
     count = _support_length(t, limit, isqrt)
     # t n^2 is the running sum of t (2j - 1) over j = 1 .. n
     return list(zip(accumulate(range(t, t * (2 * count - 1), 2 * t), initial=0), cycle((1, -1))))
-
-
-def alternating_triangular(t: int, order: int) -> TruncatedSeries:
-    """sum_{n>=0} (-1)^n q^(t*n(n+1)/2) truncated."""
-    return TruncatedSeries.from_terms(support_p_tt(t, order), order)
-
-
-def alternating_squares(t: int, order: int) -> TruncatedSeries:
-    """sum_{n>=0} (-1)^n q^(t*n^2) truncated."""
-    return TruncatedSeries.from_terms(support_p_2tt(t, order), order)
-
-
-def psi(t: int, order: int) -> TruncatedSeries:
-    """Ramanujan theta psi(q^t) = sum_{n>=0} q^(t*n(n+1)/2) truncated.
-
-    Satisfies psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf, which the test suite
-    checks coefficient by coefficient.
-    """
-    return TruncatedSeries.from_terms(((e, 1) for e, _ in support_p_tt(t, order)), order)
 
 
 def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list[tuple[int, int]]:

@@ -138,11 +138,10 @@ class TestPredicates:
             assert is_generalized_pentagonal(x) == (x in known)
 
     def test_generalized_pentagonals_up_to(self):
-        from mexparts.congruences import _generalized_pentagonals_up_to
-
+        # the pentagonal predicates iterate the exponents of this support
         for limit in (0, 1, 6, 40, 500):
             expected = sorted({k * (3 * k - 1) // 2 for k in range(-30, 31)} & set(range(limit + 1)))
-            assert _generalized_pentagonals_up_to(limit) == expected
+            assert [e for e, _ in theta_support(3, 1, limit)] == expected
 
     def test_triangular(self):
         known = {0, 1, 3, 6, 10, 15, 21, 28, 36, 45}
@@ -364,7 +363,7 @@ class TestParityRoute:
         def forbidden(*args):
             raise AssertionError("a mod-2 sweep must read the parity bitset only")
 
-        monkeypatch.setattr(congruences, "partition_support_sum", forbidden)
+        monkeypatch.setattr(congruences, "partition_count", forbidden)
         monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
         for spec in _TRUE_PARITY_SPECS:
             assert check_progression(spec, 100).passed
@@ -385,7 +384,7 @@ class TestParityRoute:
 
         monkeypatch.setattr(partitions, "_p_table", [1])
         monkeypatch.setattr(partitions, "_p_residues", {})
-        monkeypatch.setattr(congruences, "partition_support_sum", forbidden)
+        monkeypatch.setattr(congruences, "partition_count", forbidden)
         monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
         assert check_progression(ProgressionSpec("p", 5, 4, 5), 300).passed
         assert check_progression(ProgressionSpec("p_2tt", 121, 116, 121, t=121), 200).passed

@@ -23,13 +23,7 @@ from mexparts.partitions import (
     partition_count,
     partition_generating_series,
 )
-from mexparts.series import (
-    alternating_squares,
-    alternating_triangular,
-    pochhammer_inf,
-    support_p_2tt,
-    support_p_tt,
-)
+from mexparts.series import TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt
 from partition_reference import partitions_of
 
 
@@ -275,8 +269,8 @@ class TestThreeWayEquivalence:
 
 
 FAMILIES = [
-    (support_p_tt, genfun_p_tt, identity_p_tt, alternating_triangular),
-    (support_p_2tt, genfun_p_2tt, identity_p_2tt, alternating_squares),
+    (support_p_tt, genfun_p_tt, identity_p_tt),
+    (support_p_2tt, genfun_p_2tt, identity_p_2tt),
 ]
 
 
@@ -285,15 +279,23 @@ class TestSupportRoutes:
     @given(st.integers(1, 12), st.integers(0, 400), st.data())
     def test_convolution_and_identity_equal_the_genfun(self, t, order, data):
         n = data.draw(st.integers(0, order))
-        for support, genfun, identity, _ in FAMILIES:
+        for support, genfun, identity in FAMILIES:
             series = genfun(t, order)
             assert partition_convolution(support(t, order), order) == list(series.coeffs)
             assert identity(t, n) == series.coefficient(n)
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(1, 12), st.integers(0, 3000))
+    def test_identity_is_one_coefficient_of_the_convolution(self, t, n):
+        # two readings of the p(n) table that share no loop: one table entry
+        # per support term, and one shifted copy of the table per term
+        for support, _, identity in FAMILIES:
+            assert identity(t, n) == partition_convolution(support(t, n), n)[n]
+
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.integers(-5, 0), st.integers(0, 400))
     def test_nonpositive_t_raises_on_every_route(self, t, n):
-        for _, genfun, identity, _ in FAMILIES:
+        for _, genfun, identity in FAMILIES:
             with pytest.raises(ValueError):
                 genfun(t, n)
             with pytest.raises(ValueError):
@@ -304,7 +306,7 @@ class TestSupportRoutes:
             raise AssertionError("the product was inverted before t was checked")
 
         monkeypatch.setattr("mexparts.mex.partition_generating_series", refuse)
-        for _, genfun, _, _ in FAMILIES:
+        for _, genfun, _ in FAMILIES:
             with pytest.raises(ValueError, match="t must be positive"):
                 genfun(0, 20_000)
 
@@ -323,9 +325,9 @@ class TestSupportRoutes:
         partition_generating_series.cache_clear()
         try:
             inverted = pochhammer_inf(1, 1, order).invert()
-            for (_, genfun, identity, numerator), name in zip(FAMILIES, ("p_tt", "p_2tt")):
+            for (support, genfun, identity), name in zip(FAMILIES, ("p_tt", "p_2tt")):
                 series = genfun(t, order)
-                assert series == inverted * numerator(t, order)
+                assert series == inverted * TruncatedSeries.from_terms(support(t, order), order)
                 # the support's constant term +1 carries the corruption to n = bad
                 assert identity(t, bad) == series.coefficient(bad) + 1
                 assert main(["compute", name, "--t", str(t), "--n-max", str(order)]) == 0

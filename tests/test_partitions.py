@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from mexparts import partitions
 from mexparts.partitions import (
     ENUMERATION_BOUND,
+    P_TABLE_BOUND,
     enumerate_partitions,
     partition_convolution,
     partition_count,
     partition_generating_series,
     partition_parity_convolution,
     partition_residue_table,
-    partition_support_sum,
     restricted_count,
 )
 from mexparts.congruences import ARG_CAP
@@ -191,37 +191,46 @@ class TestPartitionConvolution:
             partition_convolution([(-1, 1)], 5)
 
 
-class TestPartitionSupportSum:
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        st.lists(st.tuples(st.integers(0, 250), st.integers(-3, 3)), max_size=20),
-        st.integers(0, 200),
-    )
-    def test_is_one_coefficient_of_the_convolution(self, support, n):
-        # any integer coefficient, as in the convolution: repeated exponents
-        # add up and exponents past n drop
-        assert partition_support_sum(support, n) == partition_convolution(support, n)[n]
-
-    def test_euler_support_gives_zero_past_the_constant_term(self):
-        support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
-        assert partition_support_sum(support, 0) == 1
-        assert [partition_support_sum(support, n) for n in range(1, 16)] == [0] * 15
-
-    def test_reads_the_table_at_call_time(self, fresh_table):
-        assert partition_support_sum([(0, 1), (3, -1)], 9) == 30 - 11  # p(9) - p(6)
-        assert len(fresh_table) > 9  # it grew the patched table, bound at no import
-
-    def test_rejects_bad_input(self):
-        for support, n in (([(0, 1)], -1), ([(-1, 1)], 5), ([(-1, 2)], 5)):
-            with pytest.raises(ValueError):
-                partition_support_sum(support, n)
-
-
 @pytest.fixture
 def fresh_residues(monkeypatch):
     tables = {}
     monkeypatch.setattr(partitions, "_p_residues", tables)
     return tables
+
+
+class TestTableBound:
+    def test_every_table_refuses_past_the_bound_at_the_call(self, fresh_table, fresh_residues):
+        too_far = P_TABLE_BOUND + 1
+        message = f"limited to n <= {P_TABLE_BOUND} \\(got {too_far}\\)"
+        asks = [
+            partition_count,
+            lambda n: partition_convolution([(0, 1)], n),
+            lambda n: partition_residue_table(7, n),
+        ]
+        for ask in asks:
+            with pytest.raises(ValueError, match=message):
+                ask(too_far)
+        assert fresh_table == [1] and fresh_residues == {}
+
+    def test_growth_stops_at_the_bound(self, monkeypatch, fresh_table):
+        # a growth step that would pass the bound ends at it, and the bound
+        # itself is still served
+        monkeypatch.setattr(partitions, "P_TABLE_BOUND", 300)
+        partition_count(200)
+        partition_count(201)  # the growth step to 400 is cut at 300
+        assert len(fresh_table) == 301
+        assert partition_count(300) == SCALAR_REFERENCE[300]
+        with pytest.raises(ValueError, match="n <= 300"):
+            partition_count(301)
+        assert len(fresh_table) == 301
+
+    @pytest.mark.parametrize("function", ["p", "singular"])
+    def test_compute_refuses_before_any_growth(self, capsys, fresh_table, function):
+        too_far = str(P_TABLE_BOUND + 1)
+        params = [] if function == "p" else ["--k", "3", "--i", "1", "--trunc", too_far]
+        assert main(["compute", function, *params, "--n-max", too_far]) == 2
+        assert f"n <= {P_TABLE_BOUND}" in capsys.readouterr().err
+        assert fresh_table == [1]
 
 
 def field_width(m):

@@ -7,22 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexparts.mex import genfun_p_2tt, genfun_p_tt
 from mexparts.series import (
     TruncatedSeries,
     _product_of_binomials,
-    alternating_squares,
-    alternating_triangular,
-    neg_pochhammer_inf,
     pochhammer_inf,
-    psi,
     support_p_2tt,
     support_p_tt,
     theta_support,
 )
+from partition_reference import neg_pochhammer_inf
 
 
 def S(*coeffs):
     return TruncatedSeries(coeffs)
+
+
+def series_of_support(support, t, order):
+    return TruncatedSeries.from_terms(support(t, order), order)
+
+
+def psi(t, order):
+    # Ramanujan's psi(q^t) = sum_{n>=0} q^(t n(n+1)/2): the (t,t) support unsigned
+    return TruncatedSeries.from_terms(((e, 1) for e, _ in support_p_tt(t, order)), order)
 
 
 class TestArithmetic:
@@ -123,17 +130,17 @@ class TestProducts:
         with pytest.raises(ValueError):
             pochhammer_inf(0, 1, 5)
         with pytest.raises(ValueError):
-            neg_pochhammer_inf(1, 0, 5)
+            pochhammer_inf(1, 0, 5)
 
     def test_alternating_triangular(self):
-        assert alternating_triangular(1, 10) == S(1, -1, 0, 1, 0, 0, -1, 0, 0, 0, 1)
-        assert alternating_triangular(3, 8) == S(1, 0, 0, -1, 0, 0, 0, 0, 0)
-        assert alternating_triangular(1, 0) == S(1)
+        assert series_of_support(support_p_tt, 1, 10) == S(1, -1, 0, 1, 0, 0, -1, 0, 0, 0, 1)
+        assert series_of_support(support_p_tt, 3, 8) == S(1, 0, 0, -1, 0, 0, 0, 0, 0)
+        assert series_of_support(support_p_tt, 1, 0) == S(1)
 
     def test_alternating_squares(self):
-        assert alternating_squares(1, 9) == S(1, -1, 0, 0, 1, 0, 0, 0, 0, -1)
-        assert alternating_squares(2, 7) == S(1, 0, -1, 0, 0, 0, 0, 0)
-        assert alternating_squares(5, 4) == S(1, 0, 0, 0, 0)
+        assert series_of_support(support_p_2tt, 1, 9) == S(1, -1, 0, 0, 1, 0, 0, 0, 0, -1)
+        assert series_of_support(support_p_2tt, 2, 7) == S(1, 0, -1, 0, 0, 0, 0, 0)
+        assert series_of_support(support_p_2tt, 5, 4) == S(1, 0, 0, 0, 0)
 
     def test_psi_values(self):
         assert psi(1, 6) == S(1, 1, 0, 1, 0, 0, 1)
@@ -182,9 +189,8 @@ class TestThetaSupport:
     @pytest.mark.parametrize("alternating", [False, True])
     def test_jacobi_triple_product(self, k, i, alternating):
         n = 200
-        s = -1 if alternating else 1
-        product = _product_of_binomials(k, k, n, -1) * _product_of_binomials(i, k, n, s)
-        product = product * _product_of_binomials(k - i, k, n, s)
+        factor = pochhammer_inf if alternating else neg_pochhammer_inf
+        product = _product_of_binomials(k, k, n) * factor(i, k, n) * factor(k - i, k, n)
         assert TruncatedSeries.from_terms(theta_support(k, i, n, alternating), n) == product
 
     def test_self_paired_multiplicity(self):
@@ -243,9 +249,10 @@ class TestMexSupports:
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(st.integers(1, 12), st.integers(0, 400))
     def test_series_are_the_supports(self, t, order):
-        pairs = ((alternating_triangular, support_p_tt), (alternating_squares, support_p_2tt))
-        for series, support in pairs:
-            assert series(t, order) == TruncatedSeries.from_terms(support(t, order), order)
+        # each generating function is its support's series over (q;q)_inf
+        euler = pochhammer_inf(1, 1, order)
+        for genfun, support in ((genfun_p_tt, support_p_tt), (genfun_p_2tt, support_p_2tt)):
+            assert genfun(t, order) * euler == series_of_support(support, t, order)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
@@ -307,4 +314,6 @@ class TestSeriesProperties:
             for e in range(a, order + 1, b)
         ]
         naive = reduce(lambda x, y: x * y, factors, TruncatedSeries.one(order))
-        assert _product_of_binomials(a, b, order, sign) == naive
+        # sign +1 checks the reference (-q^a; q^b)_inf that the tests build on
+        product = _product_of_binomials if sign < 0 else neg_pochhammer_inf
+        assert product(a, b, order) == naive

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from mexparts import partitions
 from mexparts.partitions import partition_generating_series, restricted_count
-from mexparts.series import neg_pochhammer_inf, pochhammer_inf
+from mexparts.series import pochhammer_inf
 from mexparts.singular import (
     SingularParams,
     genfun_singular,
     singular_overpartition_oracle,
 )
-from partition_reference import partitions_of
+from partition_reference import neg_pochhammer_inf, partitions_of
 
 
 class TestParams:
