@@ -33,7 +33,7 @@ p = smallest_prime_with_symbol(-10)
 print(f"\nsmallest prime with (-10/p) = -1: {p}")
 for j in (1, p - 1):
     (spec,) = family_catalog("thm13", p=p, alpha=0, j=j)
-    report = check_progression(spec, 80, arg_cap=50_000)
+    report = check_progression(spec, 80)
     print(f"{report.label}: {'pass' if report.passed else 'FAIL'} ({report.checked} values)")
 
 # --- a negative control ------------------------------------------------------

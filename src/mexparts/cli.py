@@ -7,6 +7,9 @@ Three subcommands:
                 and print one report per line; exit 1 on any counterexample
   oracle-check  diff an enumeration oracle against the values compute prints
 
+``verify`` targets take no ``--trunc``: the suites bound their own series
+orders.  In ``compute`` and ``oracle-check`` it caps p_tt, p_2tt and singular.
+
 Formats are JSON (one object per line) and CSV.  Exit codes: 0 all passed,
 1 at least one counterexample, 2 usage or resource errors.  Output contains
 no timestamps and no floats, so runs with identical flags diff clean.
@@ -22,19 +25,12 @@ from typing import Iterable
 
 from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
-from .partitions import _require_p_table_bound, enumerate_partitions, partition_convolution, partition_count
+from .partitions import enumerate_partitions, partition_convolution, partition_count
 from .reports import VerificationReport
 from .singular import SingularParams, singular_overpartition_oracle
-from .suites import SUITE_NAMES, run_all, run_suite, series_order, suite_bounds
+from .suites import SUITE_NAMES, run_all, run_suite, suite_bounds
 
 DEFAULT_TRUNC = 2000
-
-
-def _require_trunc(needed: int, trunc: int) -> None:
-    if needed > trunc:
-        raise ValueError(
-            f"this command needs series order {needed}; raise --trunc (currently {trunc})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +40,8 @@ def _require_trunc(needed: int, trunc: int) -> None:
 def _table_params(args) -> dict:
     """The t, k, i that ``args`` gives a function of the table, checked
     before any work: the series order against --trunc, then the values."""
-    _require_trunc(args.n_max, args.trunc)
+    if (n_max := args.n_max) > args.trunc:
+        raise ValueError(f"this command needs series order {n_max}; raise --trunc (currently {args.trunc})")
     if args.function == "singular":  # theta_support would take k = 2
         SingularParams(args.k, args.i)
     elif args.t < 1:
@@ -57,9 +54,10 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     if n_max < 0:
         raise ValueError("--n-max must be non-negative")
     # p row by row from the p(n) table itself: a convolution by the support 1
-    # would copy every entry; refused past the table's bound before any growth
+    # would copy every entry.  One growth to n_max first, refused past the
+    # table's bound, so the rows never grow it a ramp step at a time
     if args.function == "p":
-        _require_p_table_bound(n_max)
+        partition_count(n_max)
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
     if args.function in FUNCTIONS:
         params = _table_params(args)
@@ -128,12 +126,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
         return _emit_reports([("progression", report)], args.format)
     if args.suite == "all":
-        _require_trunc(max(series_order(name) for name in SUITE_NAMES), args.trunc)
         results = run_all()
         pairs = [(suite, report) for suite, reports in results.items() for report in reports]
         return _emit_reports(pairs, args.format)
     bounds = {key: getattr(args, key) for key in suite_bounds(args.suite)}
-    _require_trunc(series_order(args.suite, **bounds), args.trunc)
     reports = run_suite(args.suite, **bounds)
     return _emit_reports([(args.suite, r) for r in reports], args.format)
 
@@ -190,13 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument(
         "--trunc",
         type=int,
         default=DEFAULT_TRUNC,
-        help="cap on series truncation order (default %(default)s)",
+        help="cap on --n-max for p_tt, p_2tt and singular (default %(default)s)",
     )
 
     p_compute = sub.add_parser("compute", parents=[common], help="print n, value rows")
@@ -215,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.set_defaults(run=cmd_verify)
     # one parser per target, holding only that target's flags; no
-    # abbreviations, so --t cannot stand for --trunc
+    # abbreviations, so --t cannot stand for --t-max
     targets = p_verify.add_subparsers(dest="suite", required=True)
-    target_options = {"parents": [common], "allow_abbrev": False}
+    target_options = {"parents": [output], "allow_abbrev": False}
     targets.add_parser("all", help="every suite at its default bounds", **target_options)
     for name in SUITE_NAMES:
         target = targets.add_parser(name, **target_options)

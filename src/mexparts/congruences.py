@@ -317,13 +317,11 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_ca
     return report
 
 
-def check_progression(
-    spec: ProgressionSpec, n_max: int, arg_cap: int = ARG_CAP
-) -> VerificationReport:
+def check_progression(spec: ProgressionSpec, n_max: int) -> VerificationReport:
     """Sweep a progression claim for n in [0, n_max], skipping indices
-    divisible by ``spec.exclude_prime``.  ``arg_cap`` (default ``ARG_CAP``)
-    trims the sweep to arguments step*n + offset <= arg_cap (the trimmed-off
-    tail is reported in the metadata, not silently dropped).
+    divisible by ``spec.exclude_prime``.  The sweep stops at arguments
+    step*n + offset <= ``ARG_CAP``, read at call time (the trimmed-off tail
+    is reported in the metadata, not silently dropped).
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -331,7 +329,7 @@ def check_progression(
     report.metadata["n_max"] = n_max
     prime = spec.exclude_prime
     skip = None if prime is None else lambda n: n % prime == 0
-    return _sweep(report, spec, n_max, arg_cap, skip)
+    return _sweep(report, spec, n_max, ARG_CAP, skip)
 
 
 # ---------------------------------------------------------------------------

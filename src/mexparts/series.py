@@ -2,9 +2,10 @@
 
 A :class:`TruncatedSeries` stores coefficients of q^0 .. q^N for a fixed
 truncation order N.  All arithmetic is exact integer arithmetic; mixing two
-series truncates the result to the smaller order.  The module also provides
-the infinite product and the sparse sums that partition generating functions
-are assembled from:
+series truncates the result to the smaller order; ``from_terms`` and
+``pochhammer_inf`` refuse an order past ``SERIES_ORDER_BOUND`` at the call.
+The module also provides the infinite product and the sparse sums that
+partition generating functions are assembled from:
 
     pochhammer_inf(a, b, N)   (q^a; q^b)_inf = prod_{j>=0} (1 - q^(a+jb))
     support_p_tt(t, N)        sum_{n>=0} (-1)^n q^(t n(n+1)/2)
@@ -32,12 +33,20 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 __all__ = [
+    "SERIES_ORDER_BOUND",
     "TruncatedSeries",
     "pochhammer_inf",
     "support_p_tt",
     "support_p_2tt",
     "theta_support",
 ]
+
+SERIES_ORDER_BOUND = 10_000  # inverting (q;q)_inf to here takes about 2.7 s
+
+
+def _require_series_order(order: int) -> None:
+    if order > SERIES_ORDER_BOUND:
+        raise ValueError(f"series orders are limited to {SERIES_ORDER_BOUND} (got {order})")
 
 
 class TruncatedSeries:
@@ -54,16 +63,17 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
+        return cls.from_terms((), order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
+        return cls.from_terms([(0, 1)], order)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]], order: int) -> "TruncatedSeries":
         """Build a series from (exponent, coefficient) pairs; exponents beyond
         the order are dropped, repeated exponents accumulate."""
+        _require_series_order(order)
         c = [0] * (order + 1)
         for e, v in terms:
             if e < 0:
@@ -166,6 +176,7 @@ def _product_of_binomials(a: int, b: int, order: int) -> TruncatedSeries:
         raise ValueError("pochhammer parameters must be positive")
     if order < 0:
         raise ValueError("truncation order must be non-negative")
+    _require_series_order(order)
     c = [1] + [0] * order
     for e in range(a, order + 1, b):
         c[e:] = [x - y for x, y in zip(c[e:], c)]

@@ -7,8 +7,9 @@ bounds.
 are exactly the bounds a caller may set (``n_max``, ``t_max``, ``k_max``),
 and their defaults are the acceptance-scale defaults; every other setting
 is a module constant.  ``suite_bounds`` validates overrides against that
-signature, and ``series_order`` gives the largest series order a run at
-those bounds builds, so the CLI checks ``--trunc`` before any work starts.
+signature and ``T_MAX_BOUND``, ``K_MAX_BOUND``.  Only thm1 and thm3 build
+series, each one first, so ``series.SERIES_ORDER_BOUND`` refuses a bad
+``n_max`` before any walk or table growth.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .congruences import (
     smallest_prime_with_symbol,
 )
 from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle, mex_counts_oracle
-from .partitions import partition_convolution
+from .partitions import partition_convolution, partition_generating_series
 from .reports import VerificationReport
 from .series import support_p_2tt, support_p_tt
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds", "series_order"]
+__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds"]
 
 ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
 N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis
@@ -43,6 +44,8 @@ N_MAX_PART1 = 120  # thm6: the unconditional mod-16 progressions
 COR1_PRIME = smallest_prime_with_symbol(-2)  # 5
 THM13_PRIME = smallest_prime_with_symbol(-10)  # 17
 FINAL_PRIME = smallest_prime_with_symbol(-21)  # 13
+T_MAX_BOUND = 100  # thm1, ramanujan, thm3: largest settable t_max
+K_MAX_BOUND = 6  # ramanujan: from k = 7 every sweep starts past ARG_CAP
 P77_ROWS = ({"r": 3}, {"r": 4}, {"r": 6}, {"s": 2}, {"s": 4}, {"s": 5})  # thm14
 P77_BRANCHES = (  # final
     {"branch": 1, "r": 3}, {"branch": 1, "r": 4}, {"branch": 1, "r": 6},
@@ -62,6 +65,7 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     """Three-way agreement for both closed identities: enumeration oracle,
     partition-number identity (one convolution of the support with the p(n)
     table per function and t), and series coefficients."""
+    partition_generating_series(n_max)  # first: refuses a bad n_max before any walk or growth
     reports = []
     oracle_n = min(ORACLE_N_MAX, n_max)
     # one walk of oracle_n serves every n and t: slot 2(t-1) of row n holds
@@ -211,18 +215,12 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# largest series order a suite builds at the given bounds; the suites not
-# listed build none (their sweeps read the p(n) table or its mod-2 bitset)
-_SERIES_ORDER = {
-    "thm1": lambda t_max, n_max: n_max,
-    "thm3": lambda t_max, n_max: max(n_max, ETA_ORDER),
-}
-
 
 def suite_bounds(name: str, **overrides: int) -> dict[str, int]:
     """The bounds a run of suite ``name`` uses: its defaults with ``overrides``
     merged in.  Raises ``ValueError`` for an unknown suite, a bound the suite
-    does not take, ``t_max`` or ``k_max`` below 1 and ``n_max`` below 0."""
+    does not take, ``t_max`` or ``k_max`` below 1 or above its bound, and
+    ``n_max`` below 0."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     # read at call time, through any wrapper's __wrapped__
@@ -237,15 +235,10 @@ def suite_bounds(name: str, **overrides: int) -> dict[str, int]:
         least = 0 if key == "n_max" else 1
         if value < least:
             raise ValueError(f"suite {name!r} needs {key} >= {least} (got {value})")
+        most = {"t_max": T_MAX_BOUND, "k_max": K_MAX_BOUND}.get(key, value)
+        if value > most:
+            raise ValueError(f"suite {name!r} needs {key} <= {most} (got {value})")
     return bounds
-
-
-def series_order(name: str, **overrides: int) -> int:
-    """Largest truncation order of any series suite ``name`` builds at these
-    bounds; 0 when it builds none."""
-    bounds = suite_bounds(name, **overrides)
-    order = _SERIES_ORDER.get(name)
-    return order(**bounds) if order else 0
 
 
 def run_suite(name: str, **overrides: int) -> list[VerificationReport]:

@@ -154,7 +154,7 @@ def test_criterion_7_congruence_families():
                 specs += family_catalog("final", p=p_final, alpha=alpha, beta=beta, branch=2, s=s)
             specs += family_catalog("final", p=p_final, alpha=alpha, beta=beta, branch=3)
     for spec in specs:
-        report = check_progression(spec, 100, arg_cap=ARG_CAP)
+        report = check_progression(spec, 100)
         assert report.passed, report.label
     # part (1) of the mod-16 statement at its larger bound, then the
     # conditional parts

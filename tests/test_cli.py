@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from mexparts import partitions, singular, suites
 from mexparts.cli import build_parser, main
-from mexparts.suites import SUITE_NAMES, suite_bounds
+from mexparts.series import SERIES_ORDER_BOUND
+from mexparts.suites import K_MAX_BOUND, SUITE_NAMES, suite_bounds
 
 
 def run_cli(capsys, *argv):
@@ -173,12 +175,12 @@ class TestVerify:
         assert all(line.endswith("True") for line in lines[1:])
 
     def test_thm6_builds_no_series(self, capsys):
-        # every thm6 sweep reads the p(n) table, so no --trunc is too small
-        code, out, _ = run_cli(capsys, "verify", "thm6", "--n-max", "5", "--trunc", "100")
+        # every thm6 sweep reads the p(n) table
+        code, out, _ = run_cli(capsys, "verify", "thm6", "--n-max", "5")
         assert code == 0 and len(json_lines(out)) == 8
 
     def test_parity_trunc_guard(self, capsys):
-        # the parity sweeps read the p(n) table, so no --trunc is too small
+        # the parity sweeps read the p(n) table, so no series order binds
         code, out, _ = run_cli(capsys, "verify", "parity", "--n-max", "2500")
         assert code == 0
         assert [r["checked"] for r in json_lines(out)] == [5000, 5000]
@@ -186,9 +188,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["thm1", "--n-max", "2500"], "series order 2500"),
-            (["thm3", "--n-max", "100", "--trunc", "200"], "series order 300"),
-            (["all", "--trunc", "499"], "series order 500"),
+            (["thm1", "--n-max", str(SERIES_ORDER_BOUND + 1)], f"orders are limited to {SERIES_ORDER_BOUND}"),
+            (["thm3", "--n-max", str(SERIES_ORDER_BOUND + 1)], f"orders are limited to {SERIES_ORDER_BOUND}"),
+            (["ramanujan", "--k-max", str(K_MAX_BOUND + 1)], f"k_max <= {K_MAX_BOUND}"),
             (["ramanujan", "--k-max", "0"], "k_max >= 1"),
             (["thm1", "--t-max", "0"], "t_max >= 1"),
             (["parity", "--n-max", "-1"], "n_max >= 0"),
@@ -279,11 +281,39 @@ class TestVerify:
         _, second, _ = run_cli(capsys, "verify", "thm14", "--n-max", "30")
         assert first == second
 
+    @pytest.mark.parametrize("target", ["all", *SUITE_NAMES, "progression"])
+    def test_trunc_is_a_usage_error(self, capsys, target):
+        # the suites bound their own series orders; no verify target takes --trunc
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", target, "--trunc", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trunc 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("suite", ["thm1", "thm3"])
+    def test_series_bound_is_refused_before_any_work(self, capsys, monkeypatch, suite):
+        # each suite builds a series of order n_max before it walks or reads
+        # the p(n) table
+        def fail(*args):
+            raise AssertionError("work started before the series bound was checked")
+
+        table = partitions._p_table
+        length = len(table)
+        monkeypatch.setattr(partitions, "_grow_p_table", fail)
+        for module in (suites, singular):
+            monkeypatch.setattr(module, "partition_convolution", fail)
+        monkeypatch.setattr(suites, "mex_counts_oracle", fail)
+        code, out, err = run_cli(capsys, "verify", suite, "--n-max", str(SERIES_ORDER_BOUND + 1))
+        assert code == 2 and out == ""
+        assert f"series orders are limited to {SERIES_ORDER_BOUND} (got {SERIES_ORDER_BOUND + 1})" in err
+        assert partitions._p_table is table and len(table) == length
+
 
 class TestVerifyParser:
     """Each verify target has its own parser, with only its own flags."""
 
-    OUTPUT_FLAGS = {"command", "run", "suite", "format", "trunc"}
+    OUTPUT_FLAGS = {"command", "run", "suite", "format"}
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_suite_flags_are_its_bounds(self, name):
@@ -304,7 +334,7 @@ class TestVerifyParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["thm12", "--t", "3"],  # no abbreviation: --t is not --trunc
+            ["thm1", "--t", "3"],  # no abbreviation: --t is not --t-max
             ["--format", "csv", "thm6"],  # output flags come after the target
         ],
     )
@@ -320,8 +350,8 @@ class TestVerifyParser:
         out = capsys.readouterr().out
         assert exc.value.code == 0
         assert re.search(r"--n-max N_MAX\s+\(default 100\)", out)
-        assert "--format" in out and "--trunc" in out
-        for flag in ("--t-max", "--k-max", "--function", "--step", "--t ", "--k ", "--i "):
+        assert "--format" in out
+        for flag in ("--trunc", "--t-max", "--k-max", "--function", "--step", "--t ", "--k ", "--i "):
             assert flag not in out
 
 

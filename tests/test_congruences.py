@@ -2,6 +2,7 @@
 
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -254,9 +255,10 @@ class TestCheckProgression:
         assert report.skipped == 20
         assert report.checked == 80
 
-    def test_argument_cap_trims_sweep(self):
+    def test_argument_cap_trims_sweep(self, monkeypatch):
+        monkeypatch.setattr(congruences, "ARG_CAP", 500)
         spec = ProgressionSpec("p", 100, 1, 5)
-        report = check_progression(spec, 1000, arg_cap=500)
+        report = check_progression(spec, 1000)
         assert report.metadata["n_max_effective"] == 4
         assert report.checked == 5
 
@@ -265,9 +267,10 @@ class TestCheckProgression:
         assert report.checked == 4
         assert report.metadata == {"n_max": 5, "n_max_effective": 3, "argument_cap": 50_000}
 
-    def test_offset_beyond_cap_checks_nothing(self):
+    def test_offset_beyond_cap_checks_nothing(self, monkeypatch):
+        monkeypatch.setattr(congruences, "ARG_CAP", 500)
         spec = ProgressionSpec("p", 10, 600, 5)
-        report = check_progression(spec, 10, arg_cap=500)
+        report = check_progression(spec, 10)
         assert report.checked == 0
         assert report.passed
 
@@ -296,7 +299,7 @@ def reference_sweep(spec, n_max, arg_cap):
     n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
     if n_eff < n_max:
         report.metadata.update(n_max_effective=n_eff, argument_cap=arg_cap)
-    largest = spec.step * n_eff + spec.offset
+    largest = spec.step * max(n_eff, 0) + spec.offset  # n_eff = -1 sweeps nothing
     support = {
         "p": lambda: [(0, 1)],
         "p_tt": lambda: support_p_tt(spec.t, largest),
@@ -349,7 +352,8 @@ class TestParityRoute:
         arg_cap=st.sampled_from([ARG_CAP, 3000, 500, 100]),
     )
     def test_sweep_matches_the_exact_table_reference(self, spec, n_max, arg_cap):
-        report = check_progression(spec, n_max, arg_cap)
+        with patch.object(congruences, "ARG_CAP", arg_cap):
+            report = check_progression(spec, n_max)
         assert report.to_json() == reference_sweep(spec, n_max, arg_cap).to_json()
 
     def test_the_strategy_reaches_true_false_and_self_paired_claims(self):

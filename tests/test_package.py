@@ -35,7 +35,7 @@ def test_every_name_resolves_to_its_module_object():
 def test_the_added_names_are_exported():
     added = {
         "ARG_CAP", "FAILURE_CAP", "FAMILY_IDS", "MEX_ORACLE_BOUND", "SINGULAR_ORACLE_BOUND",
-        "series_order", "suite_bounds", "support_p_tt", "support_p_2tt",
+        "SERIES_ORDER_BOUND", "suite_bounds", "support_p_tt", "support_p_2tt",
     }
     assert added <= set(mexparts.__all__)
 

@@ -232,6 +232,16 @@ class TestTableBound:
         assert f"n <= {P_TABLE_BOUND}" in capsys.readouterr().err
         assert fresh_table == [1]
 
+    def test_compute_p_grows_the_table_once(self, capsys, monkeypatch, fresh_table):
+        # one growth to n_max before the rows, not one ramp step per row
+        requests = []
+        grow = partitions._grow_p_table
+        monkeypatch.setattr(partitions, "_grow_p_table", lambda n: requests.append(n) or grow(n))
+        assert main(["compute", "p", "--n-max", "3000"]) == 0
+        assert requests == [3000]
+        assert len(fresh_table) == 3001
+        assert capsys.readouterr().out.count("\n") == 3001
+
 
 def field_width(m):
     # bytes per field of the mirror of the table of p(n) mod m

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mexparts.mex import genfun_p_2tt, genfun_p_tt
 from mexparts.series import (
+    SERIES_ORDER_BOUND,
     TruncatedSeries,
     _product_of_binomials,
     pochhammer_inf,
@@ -153,6 +154,28 @@ class TestProducts:
             1, 1, n
         ).invert()
         assert psi(1, n) == product
+
+
+class TestSeriesOrderBound:
+    # an order no list could hold is refused with the bound, not a MemoryError
+    @pytest.mark.parametrize("order", [SERIES_ORDER_BOUND + 1, 10**18])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda order: TruncatedSeries.from_terms([(0, 1)], order),
+            lambda order: TruncatedSeries.one(order),
+            lambda order: pochhammer_inf(1, 1, order),
+        ],
+        ids=["from_terms", "one", "pochhammer_inf"],
+    )
+    def test_refused_at_the_call(self, build, order):
+        message = f"series orders are limited to {SERIES_ORDER_BOUND} .got {order}."
+        with pytest.raises(ValueError, match=message):
+            build(order)
+
+    def test_the_bound_itself_is_built(self):
+        series = TruncatedSeries.from_terms(support_p_tt(1, SERIES_ORDER_BOUND), SERIES_ORDER_BOUND)
+        assert series.trunc_order == SERIES_ORDER_BOUND
 
 
 class TestEulerInvariants:

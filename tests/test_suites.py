@@ -1,5 +1,5 @@
-"""The suite table: settable bounds, their validation, and the series order
-the CLI checks ``--trunc`` against before any work starts."""
+"""The suite table: settable bounds and their validation before any work
+starts."""
 
 import functools
 import inspect
@@ -8,9 +8,8 @@ import re
 import pytest
 
 from mexparts import partitions, suites
-from mexparts.partitions import partition_generating_series
 from mexparts.series import TruncatedSeries, support_p_tt
-from mexparts.suites import SUITE_NAMES, run_suite, series_order, suite_bounds
+from mexparts.suites import K_MAX_BOUND, SUITE_NAMES, T_MAX_BOUND, run_suite, suite_bounds
 
 
 def test_suite_parameters_are_the_settable_bounds():
@@ -33,10 +32,14 @@ def test_overrides_merge_into_the_defaults():
         ("thm1", {"t_max": 0}, "t_max >= 1"),
         ("ramanujan", {"k_max": 0}, "k_max >= 1"),
         ("parity", {"n_max": -1}, "n_max >= 0"),
+        ("thm1", {"t_max": T_MAX_BOUND + 1}, f"t_max <= {T_MAX_BOUND} (got {T_MAX_BOUND + 1})"),
+        ("thm3", {"t_max": T_MAX_BOUND + 1}, f"t_max <= {T_MAX_BOUND}"),
+        ("ramanujan", {"t_max": T_MAX_BOUND + 1}, f"t_max <= {T_MAX_BOUND}"),
+        ("ramanujan", {"k_max": K_MAX_BOUND + 1}, f"k_max <= {K_MAX_BOUND} (got {K_MAX_BOUND + 1})"),
     ],
 )
 def test_bad_bounds_are_value_errors(name, overrides, message):
-    for fn in (suite_bounds, series_order, run_suite):
+    for fn in (suite_bounds, run_suite):
         with pytest.raises(ValueError, match=re.escape(message)):
             fn(name, **overrides)
 
@@ -57,38 +60,20 @@ def test_the_table_is_read_at_call_time(monkeypatch):
     assert calls == [{"n_max": 5}]
 
 
-_OVERRIDES = {
-    "thm1": {"t_max": 2, "n_max": 60},
-    "ramanujan": {"k_max": 1, "t_max": 1, "n_max": 20},
-    "thm3": {"t_max": 2, "n_max": 100},
-    "parity": {"n_max": 50},
-    "section1": {"n_max": 5},
-}
-
-
-@pytest.mark.parametrize(
-    "name, overrides",
-    [(name, {}) for name in SUITE_NAMES]
-    + [(name, _OVERRIDES.get(name, {"n_max": 10})) for name in SUITE_NAMES],
-)
-def test_series_order_is_the_largest_order_built(monkeypatch, name, overrides):
-    orders = []
+def test_only_thm1_and_thm3_build_series(monkeypatch):
+    # every other suite reads the p(n) table or its mod-2 bitset, so the
+    # series bound never limits it
+    built = []
     init = TruncatedSeries.__init__
 
     def recording_init(self, coeffs):
         init(self, coeffs)
-        orders.append(self.trunc_order)
+        built.append(name)
 
     monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
-    partition_generating_series.cache_clear()
-    run_suite(name, **overrides)
-    assert max(orders, default=0) == series_order(name, **overrides)
-
-
-def test_only_thm1_and_thm3_build_series():
-    # every other suite reads the p(n) table, so --trunc never limits it
-    assert {name for name in SUITE_NAMES if series_order(name)} == {"thm1", "thm3"}
-    assert series_order("parity", n_max=5000) == 0
+    for name in SUITE_NAMES:
+        run_suite(name)
+    assert set(built) == {"thm1", "thm3"}
 
 
 def test_verify_all_grows_the_exact_table_no_further_than_thm1(monkeypatch):
