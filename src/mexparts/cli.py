@@ -8,17 +8,20 @@ Three subcommands:
   oracle-check  diff an enumeration oracle against the values compute prints
 
 ``verify`` targets take no ``--trunc``: the suites bound their own series
-orders.  In ``compute`` and ``oracle-check`` it caps p_tt, p_2tt and singular.
+orders.  In ``compute`` and ``oracle-check`` it caps p_tt, p_2tt and
+singular, and a flag the function does not take is refused.
 
 Formats are JSON (one object per line) and CSV.  Exit codes: 0 all passed,
-1 at least one counterexample, 2 usage or resource errors.  Output contains
-no timestamps and no floats, so runs with identical flags diff clean.
+1 at least one counterexample, 2 usage or resource errors or a closed
+stdout.  Output contains no timestamps and no floats, so runs with
+identical flags diff clean.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import accumulate
 from typing import Iterable
@@ -31,46 +34,51 @@ from .singular import SingularParams, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, suite_bounds
 
 DEFAULT_TRUNC = 2000
+_FLAG_DEFAULTS = {"t": 1, "k": 3, "i": 1, "A": 1, "a": 1}  # the parsers give none: a given flag shows
+_TAKES = {name: entry[0] for name, entry in FUNCTIONS.items()}  # the flags of each function
+_TAKES.update(p_Aa_oracle=("A", "a"), C_ki_oracle=("k", "i"))
 
 
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
 
-def _table_params(args) -> dict:
-    """The t, k, i that ``args`` gives a function of the table, checked
-    before any work: the series order against --trunc, then the values."""
-    if (n_max := args.n_max) > args.trunc:
+def _params(args) -> dict:
+    """The flags ``args.function`` takes, defaults filled in, checked before
+    any work: --n-max, a given flag the function does not take, then for
+    p_tt, p_2tt and singular the series order against --trunc and the values."""
+    if args.n_max < 0:
+        raise ValueError("--n-max must be non-negative")
+    flags = [key for key in _FLAG_DEFAULTS if hasattr(args, key)]
+    given = [key for key in flags if getattr(args, key) is not None]
+    if not set(given) <= set(takes := _TAKES[args.function]):
+        names = " and ".join(takes) or "none of " + ", ".join(flags)
+        raise ValueError(f"{args.function} takes {names}; given: {', '.join(given)}")
+    params = {key: _FLAG_DEFAULTS[key] if getattr(args, key) is None else getattr(args, key) for key in takes}
+    if args.function in ("p_tt", "p_2tt", "singular") and (n_max := args.n_max) > args.trunc:
         raise ValueError(f"this command needs series order {n_max}; raise --trunc (currently {args.trunc})")
     if args.function == "singular":  # theta_support would take k = 2
-        SingularParams(args.k, args.i)
-    elif args.t < 1:
+        SingularParams(**params)
+    elif params.get("t", 1) < 1:
         raise ValueError("t must be positive")
-    return {key: getattr(args, key) for key in FUNCTIONS[args.function][0]}
+    return params
 
 
 def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
-    n_max = args.n_max
-    if n_max < 0:
-        raise ValueError("--n-max must be non-negative")
+    n_max, name, params = args.n_max, args.function, _params(args)
     # p row by row from the p(n) table itself: a convolution by the support 1
     # would copy every entry.  One growth to n_max first, refused past the
     # table's bound, so the rows never grow it a ramp step at a time
-    if args.function == "p":
+    if name == "p":
         partition_count(n_max)
         return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
-    if args.function in FUNCTIONS:
-        params = _table_params(args)
-        support = FUNCTIONS[args.function][1](*params.values(), n_max)
-        return args.function, params, list(enumerate(partition_convolution(support, n_max)))
-    if args.function == "p_Aa_oracle":
-        params = MexParams(args.A, args.a)
-        rows = list(enumerate(mex_count_oracle(n_max, params)))
-        return "p_Aa_oracle", {"A": args.A, "a": args.a}, rows
+    if name in FUNCTIONS:
+        support = FUNCTIONS[name][1](*params.values(), n_max)
+        return name, params, list(enumerate(partition_convolution(support, n_max)))
+    if name == "p_Aa_oracle":
+        return name, params, list(enumerate(mex_count_oracle(n_max, MexParams(**params))))
     # C_ki_oracle, the last of the parser's choices
-    params = SingularParams(args.k, args.i)
-    rows = list(enumerate(singular_overpartition_oracle(n_max, params)))
-    return "C_ki_oracle", {"k": args.k, "i": args.i}, rows
+    return name, params, list(enumerate(singular_overpartition_oracle(n_max, SingularParams(**params))))
 
 
 def _params_csv(params: dict) -> str:
@@ -139,9 +147,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle_check(args) -> int:
-    n_max = args.n_max
-    if n_max < 0:
-        raise ValueError("--n-max must be non-negative")
+    n_max, params = args.n_max, _params(args)
     # each oracle refuses an n_max past its bound at the call, before any
     # series or per-n list is built
     if args.function == "p":  # counts walk nodes and builds no series
@@ -153,9 +159,9 @@ def cmd_oracle_check(args) -> int:
             nodes[n_max - mult[1]] += 1
         oracle = accumulate(nodes)
     elif args.function == "singular":
-        oracle = singular_overpartition_oracle(n_max, SingularParams(**_table_params(args)))
+        oracle = singular_overpartition_oracle(n_max, SingularParams(**params))
     else:  # p_tt or p_2tt, t refused as t here: MexParams(A * t, t) would name A
-        t = _table_params(args)["t"]
+        t = params["t"]
         oracle = mex_count_oracle(n_max, MexParams(t if args.function == "p_tt" else 2 * t, t))
     # against the table route, the values compute prints
     name, _, expected = _compute_rows(args)
@@ -202,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*FUNCTIONS, "p_Aa_oracle", "C_ki_oracle"),
     )
     p_compute.add_argument("--n-max", type=int, required=True)
-    p_compute.add_argument("--t", type=int, default=1, help="t for p_tt / p_2tt")
-    p_compute.add_argument("--k", type=int, default=3, help="k for singular / C_ki_oracle")
-    p_compute.add_argument("--i", type=int, default=1, help="i for singular / C_ki_oracle")
-    p_compute.add_argument("--A", type=int, default=1, help="A for p_Aa_oracle")
-    p_compute.add_argument("--a", type=int, default=1, help="a for p_Aa_oracle")
+    p_compute.add_argument("--t", type=int, help="t for p_tt / p_2tt (default 1)")
+    p_compute.add_argument("--k", type=int, help="k for singular / C_ki_oracle (default 3)")
+    p_compute.add_argument("--i", type=int, help="i for singular / C_ki_oracle (default 1)")
+    p_compute.add_argument("--A", type=int, help="A for p_Aa_oracle (default 1)")
+    p_compute.add_argument("--a", type=int, help="a for p_Aa_oracle (default 1)")
     p_compute.set_defaults(run=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
@@ -237,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--function", choices=FUNCTIONS, required=True)
     p_oracle.add_argument("--n-max", type=int, required=True)
-    p_oracle.add_argument("--t", type=int, default=1)
-    p_oracle.add_argument("--k", type=int, default=3)
-    p_oracle.add_argument("--i", type=int, default=1)
+    p_oracle.add_argument("--t", type=int, help="t for p_tt / p_2tt (default 1)")
+    p_oracle.add_argument("--k", type=int, help="k for singular (default 3)")
+    p_oracle.add_argument("--i", type=int, help="i for singular (default 1)")
     p_oracle.set_defaults(run=cmd_oracle_check)
 
     return parser
@@ -249,9 +255,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader closed stdout; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

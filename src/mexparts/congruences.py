@@ -280,21 +280,22 @@ def _parity_digits(support: list[tuple[int, int]], limit: int) -> str:
     return f"{partition_parity_convolution(support, limit):0{limit + 1}b}"[::-1]
 
 
-def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int, arg_cap: int,
+def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
            skip: Callable[[int], bool] | None) -> VerificationReport:
     """The one loop over f(step*n + offset) mod m, for n in [0, n_max].
 
-    Trims the sweep to arguments <= ``arg_cap`` (recording the trim in the
-    metadata), takes the function's support once at the largest argument,
-    counts the indices ``skip`` exempts, and records each nonzero residue.
+    Trims the sweep to arguments <= ``ARG_CAP``, read at call time
+    (recording the trim in the metadata), takes the function's support
+    once at the largest argument, counts the indices ``skip`` exempts, and
+    records each nonzero residue.
     Modulo 2 each residue is one bit of the support's quotient by
     (q;q)_inf from the p(n) mod 2 bitset; for any other modulus it is
     sum c * r(arg - e) modulo m, from the table r of p(n) mod m.
     """
-    n_eff = min(n_max, (arg_cap - spec.offset) // spec.step) if spec.offset <= arg_cap else -1
+    n_eff = min(n_max, (ARG_CAP - spec.offset) // spec.step) if spec.offset <= ARG_CAP else -1
     if n_eff < n_max:
         report.metadata["n_max_effective"] = n_eff
-        report.metadata["argument_cap"] = arg_cap
+        report.metadata["argument_cap"] = ARG_CAP
     if n_eff < 0:
         return report
     largest = spec.step * n_eff + spec.offset
@@ -329,7 +330,7 @@ def check_progression(spec: ProgressionSpec, n_max: int) -> VerificationReport:
     report.metadata["n_max"] = n_max
     prime = spec.exclude_prime
     skip = None if prime is None else lambda n: n % prime == 0
-    return _sweep(report, spec, n_max, ARG_CAP, skip)
+    return _sweep(report, spec, n_max, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +597,7 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
             "pentagonal_convention": "generalized, k in Z, 0 included",
         },
     )
-    return _sweep(report, ProgressionSpec("p_tt", 16, offset, 2, t=3), n_max, ARG_CAP, predicate)
+    return _sweep(report, ProgressionSpec("p_tt", 16, offset, 2, t=3), n_max, predicate)
 
 
 def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
@@ -664,5 +665,5 @@ def check_singular_mod8() -> list[VerificationReport]:
             spec=spec.to_json(),
             metadata={"argument_cap": MOD8_ARG_MAX, "condition": condition},
         )
-        out.append(_sweep(report, spec, (MOD8_ARG_MAX - offset) // 16, MOD8_ARG_MAX, predicate))
+        out.append(_sweep(report, spec, (MOD8_ARG_MAX - offset) // 16, predicate))
     return out

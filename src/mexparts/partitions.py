@@ -22,7 +22,7 @@ with psi(q) = (q^2;q^2)_inf^2 / (q;q)_inf = sum q^(j(j+1)/2): the parities
 known to L give those to 4L + 3 by spreading the known bits four apart and
 XOR-ing one shifted copy per triangular exponent.  The bitset to 5*10^4
 takes about 2 ms, the exact table to the same n about 1.4 s (2-vCPU Xeon,
-Python 3.11).
+Python 3.11); the bitset does not grow past ``P_PARITY_BOUND`` either.
 ``partition_generating_series`` stays the independent product-inversion
 route, so tests that compare it with the table compare two sources of p(n).
 ``enumerate_partitions`` visits each partition of n once through
@@ -235,6 +235,7 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
 
 _p_parity = 1  # bit n is p(n) mod 2, for n < _p_parity_len
 _p_parity_len = 1
+P_PARITY_BOUND = 4_000_000  # the bitset to here takes about 1 s and 28 MiB
 
 
 def _grow_p_parity(limit: int) -> None:
@@ -244,6 +245,8 @@ def _grow_p_parity(limit: int) -> None:
     global _p_parity, _p_parity_len
     if limit < 0:
         raise ValueError("limit must be non-negative")
+    if limit > P_PARITY_BOUND:
+        raise ValueError(f"the p(n) mod 2 bitset is limited to n <= {P_PARITY_BOUND} (got {limit})")
     with _table_lock:
         bits, known = _p_parity, _p_parity_len - 1
         while known < limit:

@@ -3,10 +3,11 @@ claims at desk scale.  The CLI's ``verify`` command and the acceptance tests
 both run these, so this module is the one place that knows each suite's
 bounds.
 
-``_SUITES`` maps a suite name to a plain function.  Its keyword parameters
-are exactly the bounds a caller may set (``n_max``, ``t_max``, ``k_max``),
-and their defaults are the acceptance-scale defaults; every other setting
-is a module constant.  ``suite_bounds`` validates overrides against that
+``_SUITES`` maps a suite name to a function, ``_progressions`` with its
+family and grid bound for a grid-only suite.  Its keyword parameters are
+exactly the bounds a caller may set (``n_max``, ``t_max``, ``k_max``), and
+their defaults are the acceptance-scale defaults; every other setting is
+a module constant.  ``suite_bounds`` validates overrides against that
 signature and ``T_MAX_BOUND``, ``K_MAX_BOUND``.  Only thm1 and thm3 build
 series, each one first, so ``series.SERIES_ORDER_BOUND`` refuses a bad
 ``n_max`` before any walk or table growth.
@@ -15,6 +16,7 @@ series, each one first, so ``series.SERIES_ORDER_BOUND`` refuses a bad
 from __future__ import annotations
 
 import inspect
+from functools import partial
 
 from .congruences import (
     ProgressionSpec,
@@ -54,7 +56,7 @@ P77_BRANCHES = (  # final
 )
 
 
-def _progressions(family: str, grid, n_max: int) -> list[VerificationReport]:
+def _progressions(family: str, grid, n_max: int = 100) -> list[VerificationReport]:
     """One capped sweep per claim of ``family`` at each parameter set of
     ``grid``, in grid order."""
     specs = [spec for params in grid for spec in family_catalog(family, **params)]
@@ -130,15 +132,6 @@ def suite_section1(n_max: int = 35) -> list[VerificationReport]:
     return [verify_section1_identities(n_max)]
 
 
-def suite_thm5(n_max: int = 100) -> list[VerificationReport]:
-    return _progressions("thm5", [dict(p=p, k=k) for p in (5, 7, 11) for k in (0, 1)], n_max)
-
-
-def suite_thm11(n_max: int = 100) -> list[VerificationReport]:
-    grid = [dict(p=7, alpha=alpha, j=j) for alpha in (0, 1) for j in range(1, 7)]
-    return _progressions("thm11", grid, n_max)
-
-
 def suite_thm6(n_max: int = 60) -> list[VerificationReport]:
     """``n_max`` bounds the two conditional sweeps; the mod-16 progressions
     and the mod-8 singular sweeps run at fixed bounds."""
@@ -147,34 +140,6 @@ def suite_thm6(n_max: int = 60) -> list[VerificationReport]:
     reports.append(check_conditional_parity("thm6_part3", n_max))
     reports += check_singular_mod8()
     return reports
-
-
-def suite_cor1(n_max: int = 100) -> list[VerificationReport]:
-    grid = [dict(p=7, alpha=0, branch=1), dict(p=COR1_PRIME, alpha=0, branch=2)]
-    return _progressions("cor1", grid, n_max)
-
-
-def suite_thm12(n_max: int = 100) -> list[VerificationReport]:
-    return _progressions("thm12", [dict(alpha=a, row=r) for a in (0, 1) for r in (1, 2, 3, 4)], n_max)
-
-
-def suite_thm13(n_max: int = 100) -> list[VerificationReport]:
-    grid = [dict(p=THM13_PRIME, alpha=a, j=j) for a in (0, 1) for j in range(1, THM13_PRIME)]
-    return _progressions("thm13", grid, n_max)
-
-
-def suite_thm14(n_max: int = 100) -> list[VerificationReport]:
-    return _progressions("thm14", [dict(alpha=a, **rs) for a in (0, 1) for rs in P77_ROWS], n_max)
-
-
-def suite_final(n_max: int = 100) -> list[VerificationReport]:
-    grid = [
-        dict(p=FINAL_PRIME, alpha=a, beta=b, **branch)
-        for a in (0, 1)
-        for b in (0, 1)
-        for branch in P77_BRANCHES
-    ]
-    return _progressions("final", grid, n_max)
 
 
 def worked_examples_report() -> VerificationReport:
@@ -203,14 +168,18 @@ _SUITES = {
     "thm3": suite_thm3,
     "parity": suite_parity,
     "section1": suite_section1,
-    "thm5": suite_thm5,
-    "thm11": suite_thm11,
+    "thm5": partial(_progressions, "thm5", [dict(p=p, k=k) for p in (5, 7, 11) for k in (0, 1)]),
+    "thm11": partial(_progressions, "thm11", [dict(p=7, alpha=a, j=j) for a in (0, 1) for j in range(1, 7)]),
     "thm6": suite_thm6,
-    "cor1": suite_cor1,
-    "thm12": suite_thm12,
-    "thm13": suite_thm13,
-    "thm14": suite_thm14,
-    "final": suite_final,
+    "cor1": partial(_progressions, "cor1", [dict(p=p, alpha=0, branch=b) for p, b in ((7, 1), (COR1_PRIME, 2))]),
+    "thm12": partial(_progressions, "thm12", [dict(alpha=a, row=r) for a in (0, 1) for r in (1, 2, 3, 4)]),
+    "thm13": partial(_progressions, "thm13", [
+        dict(p=THM13_PRIME, alpha=a, j=j) for a in (0, 1) for j in range(1, THM13_PRIME)
+    ]),
+    "thm14": partial(_progressions, "thm14", [dict(alpha=a, **rs) for a in (0, 1) for rs in P77_ROWS]),
+    "final": partial(_progressions, "final", [
+        dict(p=FINAL_PRIME, alpha=a, beta=b, **br) for a in (0, 1) for b in (0, 1) for br in P77_BRANCHES
+    ]),
 }
 
 SUITE_NAMES = tuple(_SUITES)

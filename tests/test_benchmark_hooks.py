@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mexparts.suites import SUITE_NAMES
+
 ROOT = Path(__file__).resolve().parent.parent
 ARGV = ["compute", "p_Aa_oracle", "--A", "2", "--a", "2", "--n-max", "10"]
 
@@ -34,3 +36,18 @@ def test_traced_runner_counts_every_walk_node(tmp_path):
     # one oracle call walks the p(10) = 42 partitions of 10 for every n <= 10
     assert layers["partitions.enumerated"] == 42
     assert layers["mex.oracle_calls"] == 1
+
+
+def test_traced_runner_prints_the_golden_verify_all_and_times_every_suite(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(tmp_path / "t"),
+         "verify", "all", "--format", "json"],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == (ROOT / "tests" / "golden" / "verify_all.jsonl").read_bytes()
+    layers = json.loads((tmp_path / "t.layers.json").read_text())
+    assert [name for name in SUITE_NAMES if not layers[f"suites.{name}_s"] > 0] == []

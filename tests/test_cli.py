@@ -1,8 +1,12 @@
 """CLI behaviour: formats, exit codes, precondition errors."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from mexparts import partitions, singular, suites
 from mexparts.cli import build_parser, main
 from mexparts.series import SERIES_ORDER_BOUND
 from mexparts.suites import K_MAX_BOUND, SUITE_NAMES, suite_bounds
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +111,49 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", "unknown-function", "--n-max", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "p", "--n-max", "3", "--t", "5"], "p takes none of t, k, i, A, a; given: t"),
+            (["compute", "p_Aa_oracle", "--t", "4", "--n-max", "3"], "p_Aa_oracle takes A and a; given: t"),
+            (["compute", "C_ki_oracle", "--A", "2", "--n-max", "3"], "C_ki_oracle takes k and i; given: A"),
+            (["compute", "p_tt", "--i", "2", "--n-max", "3"], "p_tt takes t; given: i"),
+            (["compute", "singular", "--t", "1", "--k", "5", "--n-max", "3"], "singular takes k and i; given: t, k"),
+            (["oracle-check", "--function", "p", "--n-max", "3", "--k", "9"], "p takes none of t, k, i; given: k"),
+            (["oracle-check", "--function", "p_2tt", "--k", "9", "--n-max", "3"], "p_2tt takes t; given: k"),
+        ],
+    )
+    def test_a_flag_the_function_does_not_take_is_refused(self, capsys, argv, message):
+        code, out, err, elapsed = run_cli_timed(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert elapsed < 1.0
+
+    def test_omitted_flags_take_their_defaults(self, capsys):
+        for argv, params in [
+            (["compute", "p_tt", "--n-max", "3"], {"t": 1}),
+            (["compute", "singular", "--n-max", "3"], {"k": 3, "i": 1}),
+            (["compute", "p_Aa_oracle", "--n-max", "3"], {"A": 1, "a": 1}),
+            (["compute", "C_ki_oracle", "--i", "1", "--n-max", "3"], {"k": 3, "i": 1}),
+        ]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert all(row["params"] == params for row in json_lines(out))
+
+    def test_a_closed_stdout_exits_2_without_a_traceback(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with open(tmp_path / "err", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mexparts.cli", "compute", "p", "--n-max", "20000"],
+                stdout=subprocess.PIPE, stderr=err, env=env,
+            )
+            assert proc.stdout.readline() == b'{"function": "p", "params": {}, "n": 0, "value": "1"}\n'
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+            err.seek(0)
+            assert "Traceback" not in err.read()
 
 
 class TestVerify:

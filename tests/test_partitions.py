@@ -351,6 +351,12 @@ def fresh_parity(monkeypatch):
 
 
 class TestParityBitset:
+    def test_refuses_past_the_bound_before_any_growth(self, fresh_parity):
+        too_far = partitions.P_PARITY_BOUND + 1
+        with pytest.raises(ValueError, match=f"n <= {partitions.P_PARITY_BOUND} \\(got {too_far}\\)"):
+            partition_parity_convolution([(0, 1)], too_far)
+        assert partitions._p_parity_len == 1
+
     def test_matches_the_exact_table_up_to_the_argument_cap(self, fresh_parity):
         partition_count(ARG_CAP)
         parity = partition_parity_convolution([(0, 1)], ARG_CAP)
