@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from itertools import accumulate
-from typing import Iterable
 
 from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
@@ -104,21 +103,18 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _emit_reports(pairs: Iterable[tuple[str, VerificationReport]], fmt: str) -> int:
-    all_passed = True
-    pairs = list(pairs)
+_REPORT_COLUMNS = ("suite", "label", "checked", "skipped", "failure_count", "passed")  # CSV
+
+
+def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int:
+    # one record per report, {suite, **to_json()}: a JSON line, or its columns
     if fmt == "csv":
-        print("suite,label,checked,skipped,failure_count,passed")
-    for suite, report in pairs:
-        all_passed = all_passed and report.passed
-        if fmt == "json":
-            print(json.dumps({"suite": suite, **report.to_json()}))
-        else:
-            print(
-                f"{suite},{report.label},{report.checked},{report.skipped},"
-                f"{report.failure_count},{report.passed}"
-            )
-    return 0 if all_passed else 1
+        print(",".join(_REPORT_COLUMNS))
+    for suite, reports in results.items():
+        for report in reports:
+            record = {"suite": suite, **report.to_json()}
+            print(json.dumps(record) if fmt == "json" else ",".join(str(record[c]) for c in _REPORT_COLUMNS))
+    return 0 if all(r.passed for reports in results.values() for r in reports) else 1
 
 
 def cmd_verify(args) -> int:
@@ -132,14 +128,13 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--offset {spec.offset} is past the argument cap {ARG_CAP}")
         if not report.checked:
             raise ValueError(f"--exclude-prime {spec.exclude_prime} skips every swept index")
-        return _emit_reports([("progression", report)], args.format)
-    if args.suite == "all":
+        results = {"progression": [report]}
+    elif args.suite == "all":
         results = run_all()
-        pairs = [(suite, report) for suite, reports in results.items() for report in reports]
-        return _emit_reports(pairs, args.format)
-    bounds = {key: getattr(args, key) for key in suite_bounds(args.suite)}
-    reports = run_suite(args.suite, **bounds)
-    return _emit_reports([(args.suite, r) for r in reports], args.format)
+    else:
+        bounds = {key: getattr(args, key) for key in suite_bounds(args.suite)}
+        results = {args.suite: run_suite(args.suite, **bounds)}
+    return _emit_reports(results, args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -262,16 +262,8 @@ class ProgressionSpec:
         return f"{name}({self.step}n+{self.offset}) == 0 mod {self.modulus}{cond}"
 
     def to_json(self) -> dict:
-        out = {
-            "function": self.function,
-            "step": self.step,
-            "offset": self.offset,
-            "modulus": self.modulus,
-        }
-        out.update(self.params)
-        if self.exclude_prime is not None:
-            out["exclude_prime"] = self.exclude_prime
-        return out
+        """The fields that are not None, in declaration order."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def _parity_digits(support: list[tuple[int, int]], limit: int) -> str:

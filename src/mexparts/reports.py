@@ -50,15 +50,8 @@ class VerificationReport:
             self.failures.append(dict(fields))
 
     def to_json(self) -> dict[str, Any]:
-        """JSON-ready dict; integers with |v| > 2^53 in ``spec``, ``failures``
-        and ``metadata`` are written as decimal strings."""
-        return {
-            "label": self.label,
-            "spec": _json_safe(self.spec),
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "failures": _json_safe(self.failures),
-            "failure_count": self.failure_count,
-            "passed": self.passed,
-            "metadata": _json_safe(self.metadata),
-        }
+        """Every field in declaration order, ``passed`` before ``metadata``;
+        integers with |v| > 2^53 are written as decimal strings."""
+        out = _json_safe(vars(self))
+        out["passed"], out["metadata"] = self.passed, out.pop("metadata")  # metadata moves last
+        return out

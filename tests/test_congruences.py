@@ -1,5 +1,6 @@
 """Number-theoretic helpers, the family catalog, and the sweep checkers."""
 
+import json
 import random
 import time
 from unittest.mock import patch
@@ -211,16 +212,21 @@ class TestProgressionSpec:
         text = spec.describe()
         assert "5n+4" in text and "mod 5" in text
 
-    def test_json_round(self):
-        spec = ProgressionSpec("singular", 16, 3, 8, k=12, i=3)
-        assert spec.to_json() == {
-            "function": "singular",
-            "step": 16,
-            "offset": 3,
-            "modulus": 8,
-            "k": 12,
-            "i": 3,
-        }
+    @pytest.mark.parametrize("exclude_prime", [None, 5], ids=["all-n", "exclude-5"])
+    @pytest.mark.parametrize(
+        "function, params",
+        [("p", {}), ("p_tt", {"t": 2}), ("p_2tt", {"t": 3}), ("singular", {"k": 12, "i": 3})],
+        ids=["p", "p_tt", "p_2tt", "singular"],
+    )
+    def test_json_round(self, function, params, exclude_prime):
+        # function, step, offset, modulus, the function's params, then
+        # exclude_prime when given; the record builds the same spec again
+        spec = ProgressionSpec(function, 16, 3, 8, **params, exclude_prime=exclude_prime)
+        out = spec.to_json()
+        excluded = {} if exclude_prime is None else {"exclude_prime": exclude_prime}
+        expected = {"function": function, "step": 16, "offset": 3, "modulus": 8, **params, **excluded}
+        assert list(out.items()) == list(expected.items())
+        assert ProgressionSpec(**json.loads(json.dumps(out))) == spec
 
 
 class TestCheckProgression:

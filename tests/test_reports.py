@@ -2,6 +2,7 @@
 
 import json
 
+from mexparts.cli import _emit_reports
 from mexparts.reports import VerificationReport
 
 
@@ -30,3 +31,20 @@ def test_small_values_and_none_pass_through():
     out = VerificationReport("x", metadata={"flag": True, "name": "p"}).to_json()
     assert out["spec"] is None
     assert out["metadata"] == {"flag": True, "name": "p"}
+
+
+def test_record_keys_are_the_fields_with_passed_before_metadata():
+    out = VerificationReport("x").to_json()
+    assert list(out) == [
+        "label", "spec", "checked", "skipped", "failures", "failure_count", "passed", "metadata"
+    ]
+
+
+def test_csv_header_and_row_come_from_the_json_record(capsys):
+    big = 2**60
+    report = VerificationReport("x", spec={"offset": big}, checked=3, skipped=1, metadata={"n_max": big})
+    report.record_failure(n=2, value=big)
+    assert _emit_reports({"s": [report]}, "csv") == 1
+    assert capsys.readouterr().out == "suite,label,checked,skipped,failure_count,passed\ns,x,3,1,1,False\n"
+    assert _emit_reports({"s": [report]}, "json") == 1
+    assert json.loads(capsys.readouterr().out) == {"suite": "s", **report.to_json()}
