@@ -65,13 +65,13 @@ def _params(args) -> dict:
 
 def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     n_max, name, params = args.n_max, args.function, _params(args)
-    # p row by row from the p(n) table itself: a convolution by the support 1
-    # would copy every entry.  One growth to n_max first, refused past the
-    # table's bound, so the rows never grow it a ramp step at a time
-    if name == "p":
-        partition_count(n_max)
-        return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
+    # one growth of the p(n) table to n_max first, refused past the table's
+    # bound before any support is built; p row by row from the table itself:
+    # a convolution by the support 1 would copy every entry
     if name in FUNCTIONS:
+        partition_count(n_max)
+        if name == "p":
+            return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
         support = FUNCTIONS[name][1](*params.values(), n_max)
         return name, params, list(enumerate(partition_convolution(support, n_max)))
     if name == "p_Aa_oracle":

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 
-from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution
+from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution, partition_count
 from .series import TruncatedSeries, theta_support
 
 __all__ = [
@@ -115,4 +115,5 @@ def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:
     i m^2, which then carries multiplicity 2.  The three-product form is kept
     in the test suite as an independent reference route.
     """
+    partition_count(order)  # grown first: past the table's bound, no support is built
     return TruncatedSeries(partition_convolution(theta_support(params.k, params.i, order), order))

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from mexparts import partitions, singular, suites
+from mexparts import mex, partitions, singular, suites
 from mexparts.cli import build_parser, main
+from mexparts.congruences import FUNCTIONS
+from mexparts.partitions import P_TABLE_BOUND
 from mexparts.series import SERIES_ORDER_BOUND
 from mexparts.suites import K_MAX_BOUND, SUITE_NAMES, suite_bounds
 
@@ -154,6 +156,23 @@ class TestCompute:
             assert proc.wait(timeout=120) == 2
             err.seek(0)
             assert "Traceback" not in err.read()
+
+
+    @pytest.mark.parametrize("function", ["p", "p_tt", "p_2tt", "singular"])
+    def test_table_bound_is_refused_before_the_support_is_built(self, capsys, monkeypatch, function):
+        # the p(n) table is grown to n_max first, so past its bound no
+        # support of about sqrt(n_max) terms is ever built
+        takes, build, name = FUNCTIONS[function]
+
+        def spy(*args):
+            assert args[-1] <= P_TABLE_BOUND, "support built past the table bound"
+            return build(*args)
+
+        monkeypatch.setitem(FUNCTIONS, function, (takes, spy, name))
+        n_max = str(10**12)
+        code, out, err = run_cli(capsys, "compute", function, "--n-max", n_max, "--trunc", n_max)
+        assert code == 2 and out == ""
+        assert f"p(n) tables are limited to n <= {P_TABLE_BOUND} (got {n_max})" in err
 
 
 class TestVerify:
@@ -357,6 +376,18 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"series orders are limited to {SERIES_ORDER_BOUND} (got {SERIES_ORDER_BOUND + 1})" in err
         assert partitions._p_table is table and len(table) == length
+
+    def test_thm3_refuses_the_series_bound_before_the_support_is_built(self, capsys, monkeypatch):
+        build = mex.support_p_tt
+
+        def spy(t, limit):
+            assert limit <= SERIES_ORDER_BOUND, "support built past the series bound"
+            return build(t, limit)
+
+        monkeypatch.setattr(mex, "support_p_tt", spy)
+        code, out, err = run_cli(capsys, "verify", "thm3", "--n-max", str(10**12))
+        assert code == 2 and out == ""
+        assert f"series orders are limited to {SERIES_ORDER_BOUND} (got {10**12})" in err
 
 
 class TestVerifyParser:

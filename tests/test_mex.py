@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexparts import partitions
+from mexparts import mex, partitions
 from mexparts.cli import main
 from mexparts.mex import (
     MexParams,
@@ -23,7 +23,7 @@ from mexparts.partitions import (
     partition_count,
     partition_generating_series,
 )
-from mexparts.series import TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt
+from mexparts.series import SERIES_ORDER_BOUND, TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt
 from partition_reference import partitions_of
 
 
@@ -213,6 +213,23 @@ class TestGeneratingFunctions:
         for t in (1, 2, 3, 5, 7):
             assert all(c >= 0 for c in genfun_p_tt(t, 500).coeffs)
             assert all(c >= 0 for c in genfun_p_2tt(t, 500).coeffs)
+
+
+    @pytest.mark.parametrize("genfun, support", [(genfun_p_tt, "support_p_tt"), (genfun_p_2tt, "support_p_2tt")])
+    def test_series_bound_is_refused_before_the_support_is_built(self, monkeypatch, genfun, support):
+        build = getattr(mex, support)
+
+        def spy(t, limit):
+            assert limit <= SERIES_ORDER_BOUND, "support built past the series bound"
+            return build(t, limit)
+
+        monkeypatch.setattr(mex, support, spy)
+        order = 10**12
+        with pytest.raises(ValueError, match=rf"series orders are limited to {SERIES_ORDER_BOUND} \(got {order}\)"):
+            genfun(1, order)
+        with pytest.raises(ValueError, match="t must be positive"):  # t is still refused first
+            genfun(0, order)
+        assert genfun(2, 40) == TruncatedSeries.from_terms(build(2, 40), 40) * partition_generating_series(40)
 
 
 class TestIdentities:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexparts import partitions
+from mexparts import partitions, singular
 from mexparts.partitions import partition_generating_series, restricted_count
 from mexparts.series import pochhammer_inf
 from mexparts.singular import (
@@ -181,6 +181,19 @@ def product_form_singular(params, order):
 def test_triple_product_matches_product_form_to_600(k, i):
     params = SingularParams(k, i)
     assert genfun_singular(params, 600) == product_form_singular(params, 600)
+
+
+def test_table_bound_is_refused_before_the_support_is_built(monkeypatch):
+    build = singular.theta_support
+
+    def spy(k, i, limit):
+        assert limit <= partitions.P_TABLE_BOUND, "support built past the table bound"
+        return build(k, i, limit)
+
+    monkeypatch.setattr(singular, "theta_support", spy)
+    with pytest.raises(ValueError, match=rf"limited to n <= {partitions.P_TABLE_BOUND} \(got {10**12}\)"):
+        genfun_singular(SingularParams(3, 1), 10**12)
+    assert list(genfun_singular(SingularParams(3, 1), 4).coeffs) == singular_overpartition_oracle(4, SingularParams(3, 1))
 
 
 def test_series_rejects_negative_order():
