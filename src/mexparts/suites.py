@@ -40,7 +40,6 @@ __all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds"]
 
 ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
 N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis
-BRIDGE_T_VALUES = (1, 2, 3, 5, 7)  # thm3: t swept by the parity bridge, up to t_max
 ETA_T, ETA_ORDER = (1, 3), 300  # thm3: the mod-2 eta-form checks
 N_MAX_PART1 = 120  # thm6: the unconditional mod-16 progressions
 COR1_PRIME = smallest_prime_with_symbol(-2)  # 5
@@ -116,7 +115,7 @@ def suite_ramanujan(k_max: int = 2, t_max: int = 2, n_max: int = 200) -> list[Ve
 
 
 def suite_thm3(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
-    reports = [check_parity_bridge(t, n_max) for t in BRIDGE_T_VALUES if t <= t_max]
+    reports = [check_parity_bridge(t, n_max) for t in range(1, t_max + 1)]
     reports += [eta_form_mod2_report(t, ETA_ORDER) for t in ETA_T]
     return reports
 

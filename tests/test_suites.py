@@ -120,3 +120,12 @@ def test_thm1_records_failures_ascending_in_n(monkeypatch):
     assert found == sorted(found) == [5, 5, 30, 30]
     assert report.failure_count == 4
     assert report.checked == 4 * 41
+
+
+@pytest.mark.parametrize("t_max", [1, 4, 6, 9])
+def test_thm3_bridges_every_t_up_to_t_max(t_max):
+    # Theorem 3 holds for every t >= 1, so no t <= t_max is left out
+    reports = run_suite("thm3", t_max=t_max, n_max=30)
+    bridges = [r for r in reports if r.label.startswith("parity-bridge")]
+    assert [r.label for r in bridges] == [f"parity-bridge-t={t}" for t in range(1, t_max + 1)]
+    assert all(r.passed and r.checked == 31 for r in bridges)
