@@ -130,14 +130,14 @@ def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
 
 def genfun_p_tt(t: int, order: int) -> TruncatedSeries:
     """Series whose coefficient of q^n is p_{t,t}(n), by product inversion."""
-    if t < 1:  # first; then an order past the series bound, before the support is built
+    if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
         raise ValueError("t must be positive")
     return partition_generating_series(order) * TruncatedSeries.from_terms(support_p_tt(t, order), order)
 
 
 def genfun_p_2tt(t: int, order: int) -> TruncatedSeries:
     """Series whose coefficient of q^n is p_{2t,t}(n), by product inversion."""
-    if t < 1:  # first; then an order past the series bound, before the support is built
+    if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
         raise ValueError("t must be positive")
     return partition_generating_series(order) * TruncatedSeries.from_terms(support_p_2tt(t, order), order)
 

@@ -184,7 +184,7 @@ def pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-_product_of_binomials = pochhammer_inf  # the name a tracer rebinds, with every alias of it
+_product_of_binomials = pochhammer_inf  # perfbench/traced.py wraps this object under every name it has
 
 
 def _support_length(t: int, limit: int, largest_index) -> int:
