@@ -38,14 +38,14 @@ for which in ("p11", "p33"):
     print(f"parity characterization {which} up to n=800: "
           f"{'pass' if report.passed else 'FAIL'}")
 
-# the first few odd positions, straight from the series
+# the first few odd positions, straight from the coefficients of the series
 series = genfun_p_tt(1, 40)
-odd_positions = [n for n in range(1, 41) if series.coefficient(n) % 2]
+odd_positions = [n for n in range(1, 41) if series[n] % 2]
 print("\nodd positions of p_(1,1):", odd_positions)
 print("k(3k-1) values:        ", [n for n in range(1, 41) if is_k3km1(n)])
 
 series33 = genfun_p_tt(3, 40)
-odd33 = [n for n in range(1, 41) if series33.coefficient(n) % 2]
+odd33 = [n for n in range(1, 41) if series33[n] % 2]
 print("odd positions of p_(3,3):", odd33)
 print("3n+1 square:            ", [n for n in range(1, 41) if is_3np1_square(n)])
 

@@ -44,7 +44,7 @@ for parts, value in sorted(rows, reverse=True):
 print("\np_{2,2}(n) for n = 0..5 from one walk of 5:", mex_count_oracle(5, params))
 print("p_{2,2}(5) three ways:")
 print("  enumeration oracle :", mex_count_oracle(5, params)[5])
-print("  generating function:", genfun_p_tt(2, 5).coefficient(5))
+print("  generating function:", genfun_p_tt(2, 5)[5])
 print("  partition identity :", identity_p_tt(2, 5))
 
 # --- the identity in ordinary partition numbers ----------------------------
@@ -66,7 +66,7 @@ assert sum(v for _, v in terms) == identity_p_tt(1, 10)
 # congruent to 1 or 2 (mod 3) may carry one overline on their first copy.
 print("\nC(3,1; 4) counted two ways:")
 print("  enumeration oracle :", singular_overpartition_oracle(4, SingularParams(3, 1))[4])
-print("  generating function:", genfun_singular(SingularParams(3, 1), 4).coefficient(4))
+print("  generating function:", genfun_singular(SingularParams(3, 1), 4)[4])
 
 # the ten objects, written out
 print("""  the ten objects:

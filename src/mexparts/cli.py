@@ -63,7 +63,7 @@ def _params(args) -> dict:
     return params
 
 
-def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
+def _compute_rows(args) -> tuple[str, dict, list[int]]:
     n_max, name, params = args.n_max, args.function, _params(args)
     # one growth of the p(n) table to n_max first, refused past the table's
     # bound before any support is built; p row by row from the table itself:
@@ -71,13 +71,13 @@ def _compute_rows(args) -> tuple[str, dict, list[tuple[int, int]]]:
     if name in FUNCTIONS:
         partition_count(n_max)
         if name == "p":
-            return "p", {}, [(n, partition_count(n)) for n in range(n_max + 1)]
+            return "p", {}, [partition_count(n) for n in range(n_max + 1)]
         support = FUNCTIONS[name][1](*params.values(), n_max)
-        return name, params, list(enumerate(partition_convolution(support, n_max)))
+        return name, params, partition_convolution(support, n_max)
     if name == "p_Aa_oracle":
-        return name, params, list(enumerate(mex_count_oracle(n_max, MexParams(**params))))
+        return name, params, mex_count_oracle(n_max, MexParams(**params))
     # C_ki_oracle, the last of the parser's choices
-    return name, params, list(enumerate(singular_overpartition_oracle(n_max, SingularParams(**params))))
+    return name, params, singular_overpartition_oracle(n_max, SingularParams(**params))
 
 
 def _params_csv(params: dict) -> str:
@@ -85,17 +85,17 @@ def _params_csv(params: dict) -> str:
 
 
 def cmd_compute(args) -> int:
-    name, params, rows = _compute_rows(args)
+    name, params, values = _compute_rows(args)
     # one writelines call over a generator: a row per write, never the whole
     # output in one string
     out = sys.stdout
     if args.format == "json":
         head = json.dumps({"function": name, "params": params})[:-1]
-        out.writelines(f'{head}, "n": {n}, "value": "{value}"}}\n' for n, value in rows)
+        out.writelines(f'{head}, "n": {n}, "value": "{value}"}}\n' for n, value in enumerate(values))
     else:
         head = f"{name},{_params_csv(params)}"
         out.write("function,params,n,value\n")
-        out.writelines(f"{head},{n},{value}\n" for n, value in rows)
+        out.writelines(f"{head},{n},{value}\n" for n, value in enumerate(values))
     return 0
 
 
@@ -160,7 +160,7 @@ def cmd_oracle_check(args) -> int:
         oracle = mex_count_oracle(n_max, MexParams(t if args.function == "p_tt" else 2 * t, t))
     # against the table route, the values compute prints
     name, _, expected = _compute_rows(args)
-    rows = [(n, value, series, value == series) for value, (n, series) in zip(oracle, expected)]
+    rows = [(n, value, series, value == series) for n, (value, series) in enumerate(zip(oracle, expected))]
     out = sys.stdout
     if args.format == "json":
         head = json.dumps({"function": name})[:-1]

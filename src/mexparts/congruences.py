@@ -604,12 +604,10 @@ def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
     report = VerificationReport(
         label=f"parity-bridge-t={t}", metadata={"n_max": n_max, "t": t}
     )
-    for n in range(n_max + 1):
+    for n, (p_tt, singular) in enumerate(zip(left, right, strict=True)):
         report.checked += 1
-        if (left.coefficient(n) - right.coefficient(n)) % 2 != 0:
-            report.record_failure(
-                n=n, p_tt=left.coefficient(n), singular=right.coefficient(n)
-            )
+        if (p_tt - singular) % 2 != 0:
+            report.record_failure(n=n, p_tt=p_tt, singular=singular)
     return report
 
 
@@ -620,22 +618,16 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
         raise ValueError("t must be positive")
     pt = pochhammer_inf(t, t, order)
     eta = (pt * pt) * (pt * partition_generating_series(order))
-    eta2 = eta.reduce_mod(2)
-    left = genfun_p_tt(t, order).reduce_mod(2)
-    right = genfun_singular(SingularParams(4 * t, t), order).reduce_mod(2)
+    left = genfun_p_tt(t, order)
+    right = genfun_singular(SingularParams(4 * t, t), order)
     report = VerificationReport(
         label=f"eta-form-mod2-t={t}", metadata={"order": order, "t": t}
     )
-    for n in range(order + 1):
+    for n, values in enumerate(zip(left, right, eta.coeffs, strict=True)):
+        p_tt, singular, eta_n = (v % 2 for v in values)
         report.checked += 1
-        ok = left.coefficient(n) == eta2.coefficient(n) == right.coefficient(n)
-        if not ok:
-            report.record_failure(
-                n=n,
-                p_tt_mod2=left.coefficient(n),
-                singular_mod2=right.coefficient(n),
-                eta_mod2=eta2.coefficient(n),
-            )
+        if not p_tt == eta_n == singular:
+            report.record_failure(n=n, p_tt_mod2=p_tt, singular_mod2=singular, eta_mod2=eta_n)
     return report
 
 

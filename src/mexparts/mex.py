@@ -72,10 +72,10 @@ class MexParams:
             raise ValueError("a must satisfy 1 <= a <= A")
 
 
-def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple[int, ...]]:
-    """Row n, for 0 <= n <= n_max, holds for each (A, a) in ``params_seq``
-    the number of partitions of n with mex == a (mod 2A); every row comes
-    from one walk over the partitions of n_max.
+def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[list[int]]:
+    """One list per (A, a) in ``params_seq``, in order: item n, for
+    0 <= n <= n_max, counts the partitions of n with mex == a (mod 2A); every
+    list comes from one walk over the partitions of n_max.
 
     Exponential in n_max; refuses n_max beyond the documented bound before
     enumerating anything rather than silently grinding.
@@ -113,33 +113,36 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[tuple
     # n >= s.  a = 1: mult[1] = n_max - s is nonzero for every s < n_max, also
     # along a run, so a hit at s counts for every n > s, and the partition of
     # n with no 1's has mex 1 and counts at n.
-    columns = [
+    return [
         list(accumulate(hits))
         if a > 1
         else [b + c for b, c in zip(nodes, accumulate(hits, initial=0))]
         for hits, _, a, _ in slots
     ]
-    return [tuple(column[n] for column in columns) for n in range(n_max + 1)]
 
 
 def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
     """Item n, for 0 <= n <= n_max, counts partitions of n with
     mex == a (mod 2A), by full enumeration of the partitions of n_max."""
-    return [row[0] for row in mex_counts_oracle(n_max, (params,))]
+    return mex_counts_oracle(n_max, (params,))[0]
 
 
-def genfun_p_tt(t: int, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is p_{t,t}(n), by product inversion."""
+def _over_inverse(support, t: int, order: int) -> list[int]:
+    # coefficients 0 .. order of the support's series times 1/(q;q)_inf
     if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
         raise ValueError("t must be positive")
-    return partition_generating_series(order) * TruncatedSeries.from_terms(support_p_tt(t, order), order)
+    inverse = partition_generating_series(order)
+    return list((inverse * TruncatedSeries.from_terms(support(t, order), order)).coeffs)
 
 
-def genfun_p_2tt(t: int, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is p_{2t,t}(n), by product inversion."""
-    if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
-        raise ValueError("t must be positive")
-    return partition_generating_series(order) * TruncatedSeries.from_terms(support_p_2tt(t, order), order)
+def genfun_p_tt(t: int, order: int) -> list[int]:
+    """Item n, for 0 <= n <= order, is p_{t,t}(n), by product inversion."""
+    return _over_inverse(support_p_tt, t, order)
+
+
+def genfun_p_2tt(t: int, order: int) -> list[int]:
+    """Item n, for 0 <= n <= order, is p_{2t,t}(n), by product inversion."""
+    return _over_inverse(support_p_2tt, t, order)
 
 
 def identity_p_tt(t: int, n: int) -> int:

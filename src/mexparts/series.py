@@ -1,9 +1,11 @@
 """Exact truncated power series in q with arbitrary-precision integer coefficients.
 
 A :class:`TruncatedSeries` stores coefficients of q^0 .. q^N for a fixed
-truncation order N.  All arithmetic is exact integer arithmetic; mixing two
-series truncates the result to the smaller order; ``from_terms`` and
-``pochhammer_inf`` refuse an order past ``SERIES_ORDER_BOUND`` at the call.
+truncation order N.  It keeps the arithmetic of product inversion: products,
+inverses and (q^a; q^b)_inf, all exact; a product truncates to the smaller
+order; ``from_terms`` and ``pochhammer_inf`` refuse an order past
+``SERIES_ORDER_BOUND`` at the call.  Callers read ``coeffs``, item n the
+coefficient of q^n.
 The module also provides the infinite product and the sparse sums that
 partition generating functions are assembled from:
 
@@ -62,14 +64,6 @@ class TruncatedSeries:
         self.trunc_order = len(coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_terms((), order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_terms([(0, 1)], order)
-
-    @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]], order: int) -> "TruncatedSeries":
         """Build a series from (exponent, coefficient) pairs; exponents beyond
         the order are dropped, repeated exponents accumulate."""
@@ -82,24 +76,8 @@ class TruncatedSeries:
                 c[e] += v
         return cls(c)
 
-    def coefficient(self, n: int) -> int:
-        """Coefficient of q^n.  Raises ValueError past the order."""
-        if n < 0:
-            raise ValueError("coefficient index must be non-negative")
-        if n > self.trunc_order:
-            raise ValueError(
-                f"coefficient {n} requested from a series truncated at order {self.trunc_order}"
-            )
-        return self.coeffs[n]
-
     def _nonzero_count(self, upto: int) -> int:
         return sum(1 for c in self.coeffs[: upto + 1] if c)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(self.trunc_order, other.trunc_order)
-        return TruncatedSeries([x + y for x, y in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated at the smaller order.
@@ -149,12 +127,6 @@ class TruncatedSeries:
                 s += aj * b[n - j]
             b[n] = -a0 * s
         return TruncatedSeries(b)
-
-    def reduce_mod(self, m: int) -> "TruncatedSeries":
-        """Each coefficient replaced by its least non-negative residue mod m."""
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        return TruncatedSeries([c % m for c in self.coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import prod
 
 from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution, partition_count
-from .series import TruncatedSeries, theta_support
+from .series import theta_support
 
 __all__ = [
     "SingularParams",
@@ -101,8 +101,8 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
     return [w + ones * below for w, below in zip(weight[: n_max + 1], accumulate(weight, initial=0))]
 
 
-def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:
-    """Series whose coefficient of q^n is C(k, i; n), for n <= order.
+def genfun_singular(params: SingularParams, order: int) -> list[int]:
+    """Item n, for 0 <= n <= order, is C(k, i; n).
 
     By the Jacobi triple product the numerator of the generating function is
     the sparse theta sum
@@ -116,4 +116,4 @@ def genfun_singular(params: SingularParams, order: int) -> TruncatedSeries:
     in the test suite as an independent reference route.
     """
     partition_count(order)  # grown first: past the table's bound, no support is built
-    return TruncatedSeries(partition_convolution(theta_support(params.k, params.i, order), order))
+    return partition_convolution(theta_support(params.k, params.i, order), order)

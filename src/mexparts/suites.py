@@ -69,8 +69,8 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     partition_generating_series(n_max)  # first: refuses a bad n_max before any walk or growth
     reports = []
     oracle_n = min(ORACLE_N_MAX, n_max)
-    # one walk of oracle_n serves every n and t: slot 2(t-1) of row n holds
-    # p_{t,t}(n), slot 2(t-1)+1 holds p_{2t,t}(n)
+    # one walk of oracle_n serves every n and t: list 2(t-1) holds p_{t,t},
+    # list 2(t-1)+1 holds p_{2t,t}
     params = [MexParams(A, t) for t in range(1, t_max + 1) for A in (t, 2 * t)]
     oracle = mex_counts_oracle(oracle_n, params)
     for t in range(1, t_max + 1):
@@ -86,13 +86,13 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
         )
         for n in range(n_max + 1):  # one pass, so failures are found ascending in n
             for slot, (family, identity, series) in enumerate(families, 2 * t - 2):
-                value, coefficient = identity[n], series.coefficient(n)
+                value, coefficient = identity[n], series[n]
                 report.checked += 1
                 if value != coefficient:
                     report.record_failure(family=family, n=n, identity=value, series=coefficient)
                 if n <= oracle_n:
                     report.checked += 1
-                    count = oracle[n][slot]
+                    count = oracle[slot][n]
                     if count != value:
                         report.record_failure(family=family, n=n, oracle=count, identity=value)
         reports.append(report)
@@ -145,11 +145,11 @@ def worked_examples_report() -> VerificationReport:
     """The two pinned worked examples, each computed by oracle and by series."""
     report = VerificationReport(label="worked-examples")
     cases = [
-        ("p[2,2](5)", mex_count_oracle(5, MexParams(2, 2))[5], genfun_p_tt(2, 5).coefficient(5), 4),
+        ("p[2,2](5)", mex_count_oracle(5, MexParams(2, 2))[5], genfun_p_tt(2, 5)[5], 4),
         (
             "C[3,1](4)",
             singular_overpartition_oracle(4, SingularParams(3, 1))[4],
-            genfun_singular(SingularParams(3, 1), 4).coefficient(4),
+            genfun_singular(SingularParams(3, 1), 4)[4],
             10,
         ),
     ]

@@ -289,9 +289,9 @@ class TestCheckProgression:
         report = check_progression(ProgressionSpec("singular", step, offset, modulus, k=k, i=i), 24)
         series = genfun_singular(SingularParams(k, i), step * 24 + offset)
         expected = [
-            {"n": n, "argument": a, "value_mod_m": series.coefficient(a) % modulus}
+            {"n": n, "argument": a, "value_mod_m": series[a] % modulus}
             for n, a in ((n, step * n + offset) for n in range(25))
-            if series.coefficient(a) % modulus
+            if series[a] % modulus
         ]
         assert max(e["argument"] for e in expected) > 2000
         assert report.failures == expected
@@ -648,7 +648,7 @@ class TestParityCharacterizations:
             {"function": function, "n": n, "value": value}
             for n in (5, 7)
             for function, value in (
-                ("p_tt[t=1]", identity_p_tt(1, n)), ("C[4,1]", series.coefficient(n)),
+                ("p_tt[t=1]", identity_p_tt(1, n)), ("C[4,1]", series[n]),
             )
         ]
         assert report.checked == 40
@@ -746,7 +746,7 @@ class TestSingularMod8:
                 n for n in range((500 - offset) // 16 + 1) if predicate is None or not predicate(n)
             ]
             assert report.checked == len(swept)
-            values = [series.coefficient(16 * n + offset) for n in swept]
+            values = [series[16 * n + offset] for n in swept]
             assert report.failure_count == sum(value % 8 != 0 for value in values)
 
     def test_unconditional_rows_fail_without_condition(self):

@@ -33,22 +33,11 @@ def psi(t, order):
     return TruncatedSeries.from_terms(((e, 1) for e, _ in support_p_tt(t, order)), order)
 
 
+def one(order):
+    return TruncatedSeries.from_terms([(0, 1)], order)
+
+
 class TestArithmetic:
-    def test_add_cancellation(self):
-        assert S(1, 1) + S(1, -1) == S(2, 0)
-
-    def test_add_identity(self):
-        s = S(3, -2, 7)
-        assert TruncatedSeries.zero(2) + s == s
-
-    def test_add_by_hand(self):
-        left = S(1, -1, -1, 0, 0, 1)
-        right = S(0, 1, 1, 0, 0, 0)
-        assert left + right == S(1, 0, 0, 0, 0, 1)
-
-    def test_add_truncates_to_min_order(self):
-        assert (S(1, 2, 3) + S(1, 1)).trunc_order == 1
-
     def test_mul_telescoping(self):
         # (1-q)(1+q+q^2+q^3) = 1 - q^4, and q^4 falls off at order 3
         assert S(1, -1, 0, 0) * S(1, 1, 1, 1) == S(1, 0, 0, 0)
@@ -58,7 +47,7 @@ class TestArithmetic:
 
     def test_mul_identity(self):
         s = S(2, 0, -5, 1)
-        assert s * TruncatedSeries.one(3) == s
+        assert s * one(3) == s
 
     def test_mul_binomial_square(self):
         assert S(1, 1, 0) * S(1, 1, 0) == S(1, 2, 1)
@@ -92,24 +81,7 @@ class TestArithmetic:
         for _ in range(30):
             coeffs = [rng.choice((1, -1))] + [rng.randint(-4, 4) for _ in range(12)]
             s = TruncatedSeries(coeffs)
-            assert s * s.invert() == TruncatedSeries.one(12)
-
-    def test_reduce_mod(self):
-        assert S(1, -1).reduce_mod(2) == S(1, 1)
-        assert S(1, 1, 2, 3, 5, 7).reduce_mod(5) == S(1, 1, 2, 3, 0, 2)
-
-    def test_reduce_mod_idempotent(self):
-        rng = random.Random(3)
-        s = TruncatedSeries([rng.randint(-50, 50) for _ in range(20)])
-        assert s.reduce_mod(7).reduce_mod(7) == s.reduce_mod(7)
-
-    def test_coefficient_bounds(self):
-        s = S(4, 5, 6)
-        assert s.coefficient(2) == 6
-        with pytest.raises(ValueError, match="coefficient 3 requested .* truncated at order 2"):
-            s.coefficient(3)
-        with pytest.raises(ValueError):
-            s.coefficient(-1)
+            assert s * s.invert() == one(12)
 
 
 class TestProducts:
@@ -124,7 +96,7 @@ class TestProducts:
 
     def test_neg_pochhammer(self):
         assert neg_pochhammer_inf(1, 4, 5) == S(1, 1, 0, 0, 0, 1)
-        assert neg_pochhammer_inf(7, 7, 6) == TruncatedSeries.one(6)
+        assert neg_pochhammer_inf(7, 7, 6) == one(6)
         assert neg_pochhammer_inf(1, 1, 3) == S(1, 1, 1, 2)
 
     def test_pochhammer_validation(self):
@@ -162,8 +134,8 @@ class TestSeriesOrderBound:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda order: TruncatedSeries.from_terms([(0, 1)], order),
-            lambda order: TruncatedSeries.one(order),
+            lambda order: TruncatedSeries.from_terms((), order),
+            lambda order: one(order),
             lambda order: pochhammer_inf(1, 1, order),
         ],
         ids=["from_terms", "one", "pochhammer_inf"],
@@ -194,7 +166,7 @@ class TestEulerInvariants:
         for t in (1, 2, 3, 5, 7):
             pt = pochhammer_inf(t, t, n)
             eta = (pt * pt) * (pt * inv)
-            assert genfun_p_tt(t, n).reduce_mod(2) == eta.reduce_mod(2)
+            assert [c % 2 for c in genfun_p_tt(t, n)] == [c % 2 for c in eta.coeffs]
 
 
 class TestThetaSupport:
@@ -275,7 +247,7 @@ class TestMexSupports:
         # each generating function is its support's series over (q;q)_inf
         euler = pochhammer_inf(1, 1, order)
         for genfun, support in ((genfun_p_tt, support_p_tt), (genfun_p_2tt, support_p_2tt)):
-            assert genfun(t, order) * euler == series_of_support(support, t, order)
+            assert TruncatedSeries(genfun(t, order)) * euler == series_of_support(support, t, order)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(
@@ -301,21 +273,21 @@ class TestSeriesProperties:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(series_of(), series_of(), series_of())
     def test_ring_laws(self, a, b, c):
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
+        def add(x, y):  # coefficientwise, truncated to the smaller order
+            return TruncatedSeries([u + v for u, v in zip(x.coeffs, y.coeffs)])
+
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * TruncatedSeries.one(a.trunc_order) == a
-        assert a + TruncatedSeries.zero(a.trunc_order) == a
+        assert a * add(b, c) == add(a * b, a * c)
+        assert a * one(a.trunc_order) == a
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.sampled_from((1, -1)), st.lists(st.integers(-20, 20), max_size=15))
     def test_invert_round_trip(self, unit, tail):
         s = TruncatedSeries([unit, *tail])
-        one = TruncatedSeries.one(s.trunc_order)
-        assert s * s.invert() == one
-        assert s.invert() * s == one
+        unit = one(s.trunc_order)
+        assert s * s.invert() == unit
+        assert s.invert() * s == unit
         assert s.invert().invert() == s
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -336,7 +308,7 @@ class TestSeriesProperties:
             TruncatedSeries.from_terms([(0, 1), (e, sign)], order)
             for e in range(a, order + 1, b)
         ]
-        naive = reduce(lambda x, y: x * y, factors, TruncatedSeries.one(order))
+        naive = reduce(lambda x, y: x * y, factors, one(order))
         # sign +1 checks the reference (-q^a; q^b)_inf that the tests build on
         product = _product_of_binomials if sign < 0 else neg_pochhammer_inf
         assert product(a, b, order) == naive
