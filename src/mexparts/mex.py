@@ -145,11 +145,18 @@ def genfun_p_2tt(t: int, order: int) -> list[int]:
     return _over_inverse(support_p_2tt, t, order)
 
 
+def _signed_sum(support, t: int, n: int) -> int:
+    if t < 1:
+        raise ValueError("t must be positive")
+    partition_count(n)  # grown first: past the table's bound, no support is built
+    return sum(c * partition_count(n - e) for e, c in support(t, n))
+
+
 def identity_p_tt(t: int, n: int) -> int:
     """p_{t,t}(n) from ordinary partition numbers: a signed sum over the support."""
-    return sum(c * partition_count(n - e) for e, c in support_p_tt(t, n))
+    return _signed_sum(support_p_tt, t, n)
 
 
 def identity_p_2tt(t: int, n: int) -> int:
     """p_{2t,t}(n) from ordinary partition numbers: a signed sum over the support."""
-    return sum(c * partition_count(n - e) for e, c in support_p_2tt(t, n))
+    return _signed_sum(support_p_2tt, t, n)

@@ -261,6 +261,22 @@ class TestIdentities:
         with pytest.raises(ValueError):
             identity_p_2tt(1, -1)
 
+    @pytest.mark.parametrize("identity, support", [(identity_p_tt, "support_p_tt"), (identity_p_2tt, "support_p_2tt")])
+    def test_table_bound_is_refused_before_the_support_is_built(self, monkeypatch, identity, support):
+        build = getattr(mex, support)
+
+        def spy(t, limit):
+            assert limit <= partitions.P_TABLE_BOUND, "support built past the table bound"
+            return build(t, limit)
+
+        monkeypatch.setattr(mex, support, spy)
+        n = 10**12
+        with pytest.raises(ValueError, match=rf"p\(n\) tables are limited to n <= {partitions.P_TABLE_BOUND} \(got {n}\)"):
+            identity(1, n)
+        with pytest.raises(ValueError, match="t must be positive"):  # t is still refused first
+            identity(0, n)
+        assert [identity(2, n) for n in range(41)] == partition_convolution(build(2, 40), 40)
+
 
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 7])
