@@ -601,9 +601,7 @@ def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
         raise ValueError("n_max must be non-negative")
     left = genfun_p_tt(t, n_max)
     right = genfun_singular(SingularParams(4 * t, t), n_max)
-    report = VerificationReport(
-        label=f"parity-bridge-t={t}", metadata={"n_max": n_max, "t": t}
-    )
+    report = VerificationReport(label=f"parity-bridge-t={t}", metadata={"n_max": n_max, "t": t})
     for n, (p_tt, singular) in enumerate(zip(left, right, strict=True)):
         report.checked += 1
         if (p_tt - singular) % 2 != 0:
@@ -620,9 +618,7 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
     eta = (pt * pt) * (pt * partition_generating_series(order))
     left = genfun_p_tt(t, order)
     right = genfun_singular(SingularParams(4 * t, t), order)
-    report = VerificationReport(
-        label=f"eta-form-mod2-t={t}", metadata={"order": order, "t": t}
-    )
+    report = VerificationReport(label=f"eta-form-mod2-t={t}", metadata={"order": order, "t": t})
     for n, values in enumerate(zip(left, right, eta.coeffs, strict=True)):
         p_tt, singular, eta_n = (v % 2 for v in values)
         report.checked += 1

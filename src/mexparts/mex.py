@@ -128,7 +128,6 @@ def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
 
 
 def _over_inverse(support, t: int, order: int) -> list[int]:
-    # coefficients 0 .. order of the support's series times 1/(q;q)_inf
     if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
         raise ValueError("t must be positive")
     inverse = partition_generating_series(order)

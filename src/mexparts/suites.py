@@ -146,12 +146,8 @@ def worked_examples_report() -> VerificationReport:
     report = VerificationReport(label="worked-examples")
     cases = [
         ("p[2,2](5)", mex_count_oracle(5, MexParams(2, 2))[5], genfun_p_tt(2, 5)[5], 4),
-        (
-            "C[3,1](4)",
-            singular_overpartition_oracle(4, SingularParams(3, 1))[4],
-            genfun_singular(SingularParams(3, 1), 4)[4],
-            10,
-        ),
+        ("C[3,1](4)", singular_overpartition_oracle(4, SingularParams(3, 1))[4],
+         genfun_singular(SingularParams(3, 1), 4)[4], 10),
     ]
     for name, oracle_value, series_value, expected in cases:
         report.checked += 1
