@@ -20,6 +20,7 @@ identical flags diff clean.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -107,14 +108,15 @@ _REPORT_COLUMNS = ("suite", "label", "checked", "skipped", "failure_count", "pas
 
 
 def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int:
-    # one record per report, {suite, **to_json()}: a JSON line, or its columns
-    if fmt == "csv":
-        print(",".join(_REPORT_COLUMNS))
-    for suite, reports in results.items():
-        for report in reports:
-            record = {"suite": suite, **report.to_json()}
-            print(json.dumps(record) if fmt == "json" else ",".join(str(record[c]) for c in _REPORT_COLUMNS))
-    return 0 if all(r.passed for reports in results.values() for r in reports) else 1
+    # one record per report, {suite, **to_json()}: a JSON line, or a CSV row of its columns
+    records = [{"suite": suite, **report.to_json()} for suite, reports in results.items() for report in reports]
+    if fmt == "json":
+        sys.stdout.writelines(json.dumps(record) + "\n" for record in records)
+    else:  # the csv module quotes the labels that hold a comma
+        rows = csv.DictWriter(sys.stdout, _REPORT_COLUMNS, extrasaction="ignore", lineterminator="\n")
+        rows.writeheader()
+        rows.writerows(records)
+    return 0 if all(record["passed"] for record in records) else 1
 
 
 def cmd_verify(args) -> int:

@@ -6,6 +6,8 @@ A change that alters output on purpose re-records the capture, e.g.
     PYTHONPATH=src python -m mexparts.cli verify all --format json > tests/golden/verify_all.jsonl
 """
 
+import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,20 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_stdout_matches_golden_capture(capsys, capture, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / capture).read_bytes()
+
+
+@pytest.mark.parametrize("capture", sorted(path.name for path in GOLDEN.glob("*.csv")))
+def test_csv_capture_rows_have_the_header_width(capture):
+    header, *rows = csv.reader((GOLDEN / capture).read_text().splitlines())
+    assert rows and [len(row) for row in rows] == [len(header)] * len(rows)
+
+
+def test_verify_all_csv_is_one_row_per_golden_record(capsys):
+    # labels hold commas, e.g. p[1,1](5n+2); csv.reader must still find the
+    # header's columns, with the values of the golden JSON records
+    assert main(["verify", "all", "--format", "csv"]) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    records = [json.loads(line) for line in (GOLDEN / "verify_all.jsonl").read_text().splitlines()]
+    assert header == ["suite", "label", "checked", "skipped", "failure_count", "passed"]
+    assert rows == [[str(record[column]) for column in header] for record in records]
+    assert sum("," in row[1] for row in rows) > 100
