@@ -129,6 +129,11 @@ class TestMultiOracle:
     def test_empty_parameter_list(self):
         assert mex_counts_oracle(7, []) == []
 
+    def test_returns_one_list_per_parameter_set(self):
+        lists = mex_counts_oracle(6, [MexParams(1, 1), MexParams(3, 2), MexParams(1, 1)])
+        assert type(lists) is list and [type(counts) for counts in lists] == [list] * 3
+        assert [len(counts) for counts in lists] == [7] * 3 and lists[0] == lists[2]
+
     def test_bound_checked_before_enumerating(self, monkeypatch):
         def fail(n):
             raise AssertionError("enumerated past the bound")
@@ -198,6 +203,13 @@ class TestMultiOracle:
 class TestGeneratingFunctions:
     def test_p_tt_worked_example(self):
         assert genfun_p_tt(2, 5)[5] == 4
+
+    @pytest.mark.parametrize("genfun", [genfun_p_tt, genfun_p_2tt])
+    @pytest.mark.parametrize("order", [0, 1, 17])
+    def test_returns_a_list_of_order_plus_one_ints(self, genfun, order):
+        values = genfun(2, order)
+        assert type(values) is list and len(values) == order + 1
+        assert all(type(value) is int for value in values)
 
     def test_constant_terms(self):
         assert genfun_p_tt(1, 0) == [1]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mexparts import partitions, singular
 from mexparts.partitions import partition_generating_series, restricted_count
-from mexparts.series import pochhammer_inf
+from mexparts.series import TruncatedSeries, pochhammer_inf
 from mexparts.singular import (
     SingularParams,
     genfun_singular,
@@ -87,6 +87,26 @@ class TestSeries:
     def test_constant_term(self):
         for k, i in ((3, 1), (4, 2), (12, 3)):
             assert genfun_singular(SingularParams(k, i), 0) == [1]
+
+    @pytest.mark.parametrize("order", [0, 1, 17])
+    def test_returns_a_list_of_order_plus_one_ints(self, order):
+        values = genfun_singular(SingularParams(4, 2), order)
+        assert type(values) is list and len(values) == order + 1
+        assert all(type(value) is int for value in values)
+
+    def test_answers_with_the_product_inversion_forbidden(self, monkeypatch):
+        # the parity bridge and the eta form compare this route with
+        # genfun_p_tt, which inverts (q;q)_inf; this one must not, or the
+        # two sides would share the code path they check
+        def forbidden(*args):
+            raise AssertionError("genfun_singular inverted a series")
+
+        params = SingularParams(8, 2)
+        expected = product_form_singular(params, 300)
+        monkeypatch.setattr(TruncatedSeries, "invert", forbidden)
+        for module in (partitions, singular):
+            monkeypatch.setattr(module, "partition_generating_series", forbidden, raising=False)
+        assert genfun_singular(params, 300) == expected
 
     def test_41_matches_oracle_to_20(self):
         series = genfun_singular(SingularParams(4, 1), 20)
