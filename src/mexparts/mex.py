@@ -5,15 +5,15 @@ integer congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)``
 counts partitions of n whose mex lands in the residue a (mod 2A); the
 enumeration oracle computes it definitionally for any (A, a).
 ``mex_counts_oracle(n_max, params_seq)`` tallies any number of (A, a) for
-every n <= n_max in one walk over the partitions of n_max, and
-``mex_count_oracle`` is its one-parameter case.  A node of that walk is a
+every n <= n_max in one walk over the partitions of n_max, one list per
+(A, a), and ``mex_count_oracle`` is its one-parameter case.  A node of that walk is a
 multiset of parts above 1 with total s <= n_max, and with j ones it is one
 partition of s + j, so each partition of each n <= n_max is one (node, n)
 pair with n >= s.  For a >= 2 the mex never looks at the 1's, so one mex
 serves every n >= s; for a = 1 the partition of s itself has no 1's and
 mex 1, and every n > s takes the mex from 1 + A upward.  The walk reads one
 mex per run of 2's off the multiplicity lists of ``enumerate_partitions``;
-the tests check every row against a recursive enumeration of tuples that
+the tests check every item against a recursive enumeration of tuples that
 shares no code with the walk.  The (t, t) and (2t, t) families also have a
 generating-function route and a closed expression in ordinary partition
 numbers:
@@ -30,8 +30,9 @@ multiply each support's series by 1/(q;q)_inf built by product inversion,
 never from the p(n) table; ``identity_p_*`` take the sum above as written,
 one ``partition_count`` per term; thm1 and ``compute p_tt|p_2tt`` read every
 n <= n_max from one list, the support convolved with the table
-(``partitions.partition_convolution``).  The routes agree with each other
-and with the enumeration oracle; the test suite pins it.
+(``partitions.partition_convolution``).  Every route that answers for each
+n <= n_max returns a list whose item n is the value at n.  The routes agree
+with each other and with the enumeration oracle; the test suite pins it.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ part divisible by k in which only parts == +-i (mod k) may be overlined
     (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf / (q; q)_inf,
 
 which ``genfun_singular`` evaluates through the Jacobi triple product as a
-sparse theta sum over the p(n) table (see its docstring).
+sparse theta sum over the p(n) table (see its docstring), as the list of
+C(k, i; n) for n = 0 .. order.
 
 The enumeration oracle mirrors the product factor by factor.  Each of the
 two (-q^.; q^k) factors offers an independent "one overlined copy of this
