@@ -113,9 +113,9 @@ def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int
     if fmt == "json":
         sys.stdout.writelines(json.dumps(record) + "\n" for record in records)
     else:  # the csv module quotes the labels that hold a comma
-        rows = csv.DictWriter(sys.stdout, _REPORT_COLUMNS, extrasaction="ignore", lineterminator="\n")
-        rows.writeheader()
-        rows.writerows(records)
+        writer = csv.DictWriter(sys.stdout, _REPORT_COLUMNS, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
     return 0 if all(record["passed"] for record in records) else 1
 
 

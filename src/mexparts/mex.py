@@ -5,8 +5,8 @@ integer congruent to a (mod A) that does not occur as a part.  ``p_Aa(n)``
 counts partitions of n whose mex lands in the residue a (mod 2A); the
 enumeration oracle computes it definitionally for any (A, a).
 ``mex_counts_oracle(n_max, params_seq)`` tallies any number of (A, a) for
-every n <= n_max in one walk over the partitions of n_max, one list per
-(A, a), and ``mex_count_oracle`` is its one-parameter case.  A node of that walk is a
+every n <= n_max in one walk over the partitions of n_max, a list each, and
+``mex_count_oracle`` is its one-parameter case.  A node of that walk is a
 multiset of parts above 1 with total s <= n_max, and with j ones it is one
 partition of s + j, so each partition of each n <= n_max is one (node, n)
 pair with n >= s.  For a >= 2 the mex never looks at the 1's, so one mex
