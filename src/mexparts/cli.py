@@ -108,15 +108,16 @@ _REPORT_COLUMNS = ("suite", "label", "checked", "skipped", "failure_count", "pas
 
 
 def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int:
-    # one record per report, {suite, **to_json()}: a JSON line, or a CSV row of its columns
-    records = [{"suite": suite, **report.to_json()} for suite, reports in results.items() for report in reports]
+    # one record per report, {suite, **to_json()}, made as it is written (not
+    # all held at once): a JSON line, or a CSV row of its columns
+    records = ({"suite": suite, **report.to_json()} for suite, reports in results.items() for report in reports)
     if fmt == "json":
         sys.stdout.writelines(json.dumps(record) + "\n" for record in records)
     else:  # the csv module quotes the labels that hold a comma
         writer = csv.DictWriter(sys.stdout, _REPORT_COLUMNS, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
-    return 0 if all(record["passed"] for record in records) else 1
+    return 0 if all(r.passed for reports in results.values() for r in reports) else 1
 
 
 def cmd_verify(args) -> int:
