@@ -20,7 +20,6 @@ identical flags diff clean.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -114,6 +113,7 @@ def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int
     if fmt == "json":
         sys.stdout.writelines(json.dumps(record) + "\n" for record in records)
     else:  # the csv module quotes the labels that hold a comma
+        import csv  # loaded only here: it adds about 0.2 MiB to a process's peak RSS
         writer = csv.DictWriter(sys.stdout, _REPORT_COLUMNS, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
