@@ -11,9 +11,10 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 support by (q;q)_inf, as the list whose item n is coefficient n of
 (sum c q^e) / (q;q)_inf, sum c * p(n - e).
 ``partition_residue_table(m, limit)`` runs the same blocks modulo m, on one
-process-wide table per modulus, with each long lag one addition of packed
-fixed-width fields, so the progression sweeps need no big p(n).  Neither
-table grows past ``P_TABLE_BOUND``; a request beyond it raises at the call.
+process-wide table per modulus, each long lag one addition of packed fields
+of one width per modulus, set from the lags to ``P_TABLE_BOUND``, so the
+progression sweeps need no big p(n).  Neither table grows past
+``P_TABLE_BOUND``; a request beyond it raises at the call.
 ``partition_parity_convolution`` gives the same quotient modulo 2 as one
 Python int, bit n the parity of coefficient n, from a second process-wide
 bitset of p(n) mod 2 that needs no exact p(n).  Over GF(2),
@@ -75,14 +76,13 @@ def _require_p_table_bound(n: int) -> None:
         raise ValueError(f"p(n) tables are limited to n <= {P_TABLE_BOUND} (got {n})")
 
 
-def _euler_support(limit: int) -> list[tuple[int, int]]:
-    # nonzero terms of (q;q)_inf = sum_{m in Z} (-1)^m q^(m(3m-1)/2) up to the
-    # limit, the constant term left out for the recurrence
-    return theta_support(3, 1, limit, alternating=True)[1:]
+# nonzero terms of (q;q)_inf = sum_{m in Z} (-1)^m q^(m(3m-1)/2) to the bound,
+# the constant term left out for the recurrence: 516 lags
+_EULER_LAGS = theta_support(3, 1, P_TABLE_BOUND, alternating=True)[1:]
 
 
-def _pentagonal_blocks(table: list[int], limit: int, support: list[tuple[int, int]]):
-    # p(n) = -sum_e sign(e) p(n - e) over the pentagonal lags e of support,
+def _pentagonal_blocks(table: list[int], limit: int):
+    # p(n) = -sum_e sign(e) p(n - e) over the pentagonal lags e of _EULER_LAGS,
     # filled in blocks [n0, n0 + size) up to the limit; the caller appends each
     # block before the next.  A lag e >= size reads only entries from before
     # the block: yielded as (e, sign, lo), with p(n - e) = 0 for n < n0 + lo,
@@ -94,7 +94,7 @@ def _pentagonal_blocks(table: list[int], limit: int, support: list[tuple[int, in
     while (n0 := len(table)) <= limit:
         size = min(_P_TABLE_BLOCK, n0, limit + 1 - n0)
         lags, plus, minus = [], [], []
-        for e, sign in support:
+        for e, sign in _EULER_LAGS:
             if e < size:
                 (minus if sign > 0 else plus).append(-e)
             elif e < n0 + size:
@@ -117,8 +117,7 @@ def _grow_p_table(needed: int) -> None:
         if needed < len(table):
             return
         target = max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND))
-        support = _euler_support(target)
-        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, target, support):
+        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, target):
             acc = [0] * size
             for e, sign, lo in lags:
                 lag = table[n0 + lo - e : n0 + size - e]
@@ -198,24 +197,20 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
     little-endian fields of W bits, so each long lag is one int of the
     block's fields: one from_bytes, one shift and one add or subtract, with
     2^(W-1) in every field so that no field's signed sum borrows from the
-    next.  W is 32 while (lags) * (m - 1) < 2^31, else the fewest whole bytes
-    with (lags) * (m - 1) < 2^(W-1), so every modulus takes this path.
+    next.  W, set per modulus from the 516 lags to ``P_TABLE_BOUND``, is the
+    fewest whole bytes, at least 4, with 516 * (m - 1) < 2^(W-1): 32 bits
+    for m <= 4 161 791.  Every modulus takes this path; no growth re-encodes.
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2 (got {m})")
     if limit < 0:
         raise ValueError("limit must be non-negative")
     _require_p_table_bound(limit)
+    width = max(4, (len(_EULER_LAGS) * (m - 1)).bit_length() // 8 + 1)
+    half = 1 << (8 * width - 1)
     with _table_lock:
-        residues, packed = _p_residues.setdefault(m, ([1], bytearray()))
-        if limit < len(residues):
-            return residues[: limit + 1]
-        support = _euler_support(limit)
-        width = max(4, (len(support) * (m - 1)).bit_length() // 8 + 1)
-        if len(packed) != width * len(residues):  # a new table, or wider fields
-            packed[:] = _fields(residues, width)
-        half = 1 << (8 * width - 1)
-        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit, support):
+        residues, packed = _p_residues.setdefault(m, ([1], bytearray(_fields([1], width))))
+        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit):
             acc = int.from_bytes(half.to_bytes(width, "little") * size, "little")
             for e, sign, lo in lags:
                 lag = packed[(n0 + lo - e) * width : (n0 + size - e) * width]

@@ -132,6 +132,14 @@ class TestBlockKernel:
         # sweeps reaching 49 978 stop within one block of it, not at 65 535
         assert 49_978 < len(fresh_table) <= 49_978 + block
 
+    def test_euler_lags_are_the_product_terms(self):
+        # the lags every block reads, built once to the bound, against the
+        # product route (q;q)_inf below 2000
+        lags = partitions._EULER_LAGS
+        assert len(lags) == 516 and lags[-1][0] <= P_TABLE_BOUND
+        product = pochhammer_inf(1, 1, 2000).coeffs
+        assert [(e, c) for e, c in lags if e <= 2000] == [(e, c) for e, c in enumerate(product) if c][1:]
+
     def test_exact_request_from_a_fresh_table(self, fresh_table):
         partition_convolution([(0, 1)], 5000)
         assert len(fresh_table) == 5001
@@ -141,7 +149,8 @@ class TestBlockKernel:
         assert len(fresh_table) == 46
 
     def test_incremental_requests_ramp_onto_the_block_grid(self, fresh_table, monkeypatch):
-        # compute p asks for 0, 1, 2, ...: lengths 2^j + 1, then 1 + m * block
+        # a library loop over partition_count asks for 0, 1, 2, ...: lengths
+        # 2^j + 1, then 1 + m * block
         monkeypatch.setattr(partitions, "_P_TABLE_BLOCK", 8)
         lengths = [1]
         for n in range(41):
@@ -263,8 +272,7 @@ class TestResidueTable:
             mp.setattr(partitions, "_p_residues", {})
             for limit in requests:
                 assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
-            if max(requests):  # p(0) alone is read, not grown
-                assert field_width(m) == 4
+            assert field_width(m) == 4
 
     @pytest.mark.parametrize("m", [2, 3, 8, 121, 999_983])
     def test_matches_series_inversion(self, fresh_residues, m):
@@ -272,19 +280,17 @@ class TestResidueTable:
         series = partition_generating_series(2000)
         assert partition_residue_table(m, 2000) == [c % m for c in series.coeffs]
 
-    @pytest.mark.parametrize("m", [10**21, 2**64 + 13])
-    def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m):
-        partition_count(12_000)
-        assert partition_residue_table(m, 12_000) == [v % m for v in partitions._p_table[:12_001]]
-        assert field_width(m) == 10
-
-    def test_fields_widen_when_the_lags_outgrow_them(self, fresh_residues):
-        # 51 lags to 1000 times m - 1 stays below 2^31, 178 lags to 12 000 do not
-        m = 2**31 // 100 + 1
-        assert partition_residue_table(m, 1000) == [v % m for v in SCALAR_REFERENCE[:1001]]
-        assert field_width(m) == 4
-        assert partition_residue_table(m, 12_000) == [v % m for v in SCALAR_REFERENCE]
-        assert field_width(m) == 5
+    @pytest.mark.parametrize(
+        "m, width",
+        [pytest.param(m, width, id=str(m))
+         for m, width in [(10**21, 10), (2**64 + 13, 10), (2**31 // 100 + 1, 5)]],
+    )
+    def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m, width):
+        # the width is set from the 516 lags to the bound when the table is
+        # made: 2^31 // 100 + 1 would fit 32 bits with the 51 lags to 1000
+        for limit in (1000, 12_000):
+            assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
+            assert field_width(m) == width
 
     def test_reads_no_exact_table(self, monkeypatch, fresh_residues):
         def forbidden(needed):
