@@ -57,9 +57,12 @@ class TruncatedSeries:
     __slots__ = ("trunc_order", "coeffs")
 
     def __init__(self, coeffs: Sequence[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
+        if set(map(type, coeffs)) != {int}:  # int() would truncate a float, parse a str
+            bad = next(c for c in coeffs if type(c) is not int)
+            raise ValueError(f"series coefficients must be ints (got {bad!r})")
         self.coeffs = coeffs
         self.trunc_order = len(coeffs) - 1
 

@@ -150,6 +150,22 @@ class TestSeriesOrderBound:
         assert series.trunc_order == SERIES_ORDER_BOUND
 
 
+class TestExactCoefficients:
+    # a coefficient that is not an int is refused, not truncated or parsed
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: TruncatedSeries([1.5, 2.9]), "1.5"),
+            (lambda: TruncatedSeries.from_terms([(0, 1), (2, 0.5)], 3), "0.5"),
+            (lambda: TruncatedSeries(["7", "-2"]), "'7'"),
+        ],
+        ids=["floats", "from_terms", "strings"],
+    )
+    def test_non_int_coefficients_are_refused(self, build, bad):
+        with pytest.raises(ValueError, match=f"must be ints \\(got {bad}\\)"):
+            build()
+
+
 class TestEulerInvariants:
     def test_partition_coefficients_positive_and_monotone(self):
         series = pochhammer_inf(1, 1, 200).invert()
