@@ -134,7 +134,7 @@ class TestBlockKernel:
 
     def test_euler_lags_are_the_product_terms(self):
         # the lags every block reads, built once to the bound, against the
-        # product route (q;q)_inf below 2000
+        # product route (q;q)_inf through q^2000
         lags = partitions._EULER_LAGS
         assert len(lags) == 516 and lags[-1][0] <= P_TABLE_BOUND
         product = pochhammer_inf(1, 1, 2000).coeffs
