@@ -160,9 +160,7 @@ def is_generalized_pentagonal(x: int) -> bool:
         return False
     disc = 24 * x + 1
     r = math.isqrt(disc)
-    if r * r != disc:
-        return False
-    return (1 + r) % 6 == 0 or (1 - r) % 6 == 0
+    return r * r == disc  # 24x + 1 = (6k - 1)^2: each root is odd and prime to 3, so is |6k - 1|
 
 
 def is_triangular(x: int) -> bool:
@@ -234,6 +232,9 @@ class ProgressionSpec:
     def __post_init__(self):
         if self.function not in FUNCTIONS:
             raise ValueError(f"unknown function id {self.function!r}")
+        for key, value in vars(self).items():  # a bool or float would sweep or fail mid-sweep
+            if key != "function" and value is not None and type(value) is not int:
+                raise ValueError(f"progression {key} must be an int (got {value!r})")
         given = tuple(key for key in ("t", "k", "i") if getattr(self, key) is not None)
         if given != tuple(self.params):
             takes = " and ".join(self.params) or "none of t, k, i"
@@ -304,9 +305,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
             residue = int(bits[arg])
         else:
             residue = sum(c * table[arg - e] for e, c in support if e <= arg) % m
-        report.checked += 1
-        if residue != 0:
-            report.record_failure(n=n, argument=arg, value_mod_m=residue)
+        report.check(residue == 0, n=n, argument=arg, value_mod_m=residue)
     return report
 
 
@@ -547,11 +546,10 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
     ]
     for n in range(1, n_eff + 1):
         expected = "1" if predicate(n) else "0"
-        report.checked += 2
         for name, support, bits in routes:
-            if bits[n] != expected:
-                value = sum(c * partition_count(n - e) for e, c in support)
-                report.record_failure(function=name, n=n, value=value)
+            ok = bits[n] == expected
+            report.check(ok, function=name, n=n,
+                         value=None if ok else sum(c * partition_count(n - e) for e, c in support))
     return report
 
 
@@ -603,9 +601,7 @@ def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
     right = genfun_singular(SingularParams(4 * t, t), n_max)
     report = VerificationReport(label=f"parity-bridge-t={t}", metadata={"n_max": n_max, "t": t})
     for n, (p_tt, singular) in enumerate(zip(left, right, strict=True)):
-        report.checked += 1
-        if (p_tt - singular) % 2 != 0:
-            report.record_failure(n=n, p_tt=p_tt, singular=singular)
+        report.check((p_tt - singular) % 2 == 0, n=n, p_tt=p_tt, singular=singular)
     return report
 
 
@@ -621,9 +617,7 @@ def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
     report = VerificationReport(label=f"eta-form-mod2-t={t}", metadata={"order": order, "t": t})
     for n, values in enumerate(zip(left, right, eta.coeffs, strict=True)):
         p_tt, singular, eta_n = (v % 2 for v in values)
-        report.checked += 1
-        if not p_tt == eta_n == singular:
-            report.record_failure(n=n, p_tt_mod2=p_tt, singular_mod2=singular, eta_mod2=eta_n)
+        report.check(p_tt == eta_n == singular, n=n, p_tt_mod2=p_tt, singular_mod2=singular, eta_mod2=eta_n)
     return report
 
 

@@ -1,4 +1,9 @@
-"""Verification report plumbing shared by the sweep checkers and the CLI."""
+"""Verification report plumbing shared by the sweep checkers and the CLI.
+
+Every comparison a checker makes goes through ``VerificationReport.check``,
+which counts it and records it as a failure unless it holds; no other module
+writes a report's counts or failures, so every failure is a counted check.
+"""
 
 from __future__ import annotations
 
@@ -43,6 +48,12 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
+
+    def check(self, ok: bool, **fields: Any) -> None:
+        """Count one comparison; unless ``ok``, record ``fields`` as its failure."""
+        self.checked += 1
+        if not ok:
+            self.record_failure(**fields)
 
     def record_failure(self, **fields: Any) -> None:
         self.failure_count += 1

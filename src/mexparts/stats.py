@@ -109,7 +109,5 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
             ("mod24", p63[n] - odd_length[n], mod24[n]),
         )
         for identity, lhs, rhs in checks:
-            report.checked += 1
-            if lhs != rhs:
-                report.record_failure(identity=identity, n=n, lhs=lhs, rhs=rhs)
+            report.check(lhs == rhs, identity=identity, n=n, lhs=lhs, rhs=rhs)
     return report

@@ -87,14 +87,10 @@ def suite_thm1(t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
         for n in range(n_max + 1):  # one pass, so failures are found ascending in n
             for slot, (family, identity, series) in enumerate(families, 2 * t - 2):
                 value, coefficient = identity[n], series[n]
-                report.checked += 1
-                if value != coefficient:
-                    report.record_failure(family=family, n=n, identity=value, series=coefficient)
+                report.check(value == coefficient, family=family, n=n, identity=value, series=coefficient)
                 if n <= oracle_n:
-                    report.checked += 1
                     count = oracle[slot][n]
-                    if count != value:
-                        report.record_failure(family=family, n=n, oracle=count, identity=value)
+                    report.check(count == value, family=family, n=n, oracle=count, identity=value)
         reports.append(report)
     return reports
 
@@ -150,9 +146,8 @@ def worked_examples_report() -> VerificationReport:
          genfun_singular(SingularParams(3, 1), 4)[4], 10),
     ]
     for name, oracle_value, series_value, expected in cases:
-        report.checked += 1
-        if not (oracle_value == series_value == expected):
-            report.record_failure(case=name, oracle=oracle_value, series=series_value, expected=expected)
+        report.check(oracle_value == series_value == expected, case=name, oracle=oracle_value,
+                     series=series_value, expected=expected)
     return report
 
 

@@ -135,8 +135,9 @@ class TestPredicates:
         assert not is_3np1_square(2)
 
     def test_generalized_pentagonal(self):
-        known = {0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40}
-        for x in range(45):
+        # |k| <= 300 lists every generalized pentagonal below 300 * 899 / 2 = 134 850
+        known = {k * (3 * k - 1) // 2 for k in range(-300, 301)}
+        for x in range(134_001):
             assert is_generalized_pentagonal(x) == (x in known)
 
     def test_generalized_pentagonals_up_to(self):
@@ -206,6 +207,23 @@ class TestProgressionSpec:
     def test_parameters_the_function_does_not_take_are_refused(self, function, params):
         with pytest.raises(ValueError, match="takes"):
             ProgressionSpec(function, 5, 4, 5, **params)
+
+    @pytest.mark.parametrize(
+        "function, fields, key, value",
+        [
+            ("p_tt", dict(step=1, offset=0, modulus=2, t=True), "t", True),
+            ("p", dict(step=2, offset=0, modulus=5.0), "modulus", 5.0),
+            ("p", dict(step=1.5, offset=4, modulus=5), "step", 1.5),
+            ("p", dict(step=5, offset=4.0, modulus=5), "offset", 4.0),
+            ("singular", dict(step=5, offset=4, modulus=2, k=4.0, i=1), "k", 4.0),
+            ("p", dict(step=5, offset=4, modulus=5, exclude_prime=5.0), "exclude_prime", 5.0),
+        ],
+        ids=["bool-t", "float-modulus", "float-step", "float-offset", "float-k", "float-exclude_prime"],
+    )
+    def test_fields_that_are_not_ints_are_refused(self, function, fields, key, value):
+        # at construction, before a sweep could print, serialize or run on them
+        with pytest.raises(ValueError, match=rf"^progression {key} must be an int \(got {value!r}\)$"):
+            ProgressionSpec(function, **fields)
 
     def test_describe(self):
         spec = ProgressionSpec("p_tt", 5, 4, 5, t=5, exclude_prime=5)
