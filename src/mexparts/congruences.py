@@ -127,7 +127,7 @@ def smallest_prime_with_symbol(value: int) -> int:
     """
     if value == 0:
         raise ValueError("(0/p) = 0 for every prime p, never -1")
-    if value > 0 and math.isqrt(value) ** 2 == value:
+    if value > 0 and _is_square(value):
         raise ValueError(f"{value} is a perfect square, so ({value}/p) is never -1")
     p = 5
     while not (is_prime(p) and jacobi_symbol(value, p) == -1):
@@ -139,6 +139,10 @@ def smallest_prime_with_symbol(value: int) -> int:
 # representation predicates
 # ---------------------------------------------------------------------------
 
+def _is_square(v: int) -> bool:
+    return v >= 0 and math.isqrt(v) ** 2 == v
+
+
 def is_k3km1(x: int) -> bool:
     """True iff x = k(3k - 1) for some integer k (either sign, zero included),
     that is, x is twice a generalized pentagonal number."""
@@ -147,35 +151,21 @@ def is_k3km1(x: int) -> bool:
 
 def is_3np1_square(n: int) -> bool:
     """True iff 3n + 1 is a perfect square."""
-    if n < 0:
-        return False
-    v = 3 * n + 1
-    r = math.isqrt(v)
-    return r * r == v
+    return _is_square(3 * n + 1)
 
 
 def is_generalized_pentagonal(x: int) -> bool:
     """True iff x = k(3k - 1)/2 for some integer k; includes 0 (k = 0)."""
-    if x < 0:
-        return False
-    disc = 24 * x + 1
-    r = math.isqrt(disc)
-    return r * r == disc  # 24x + 1 = (6k - 1)^2: each root is odd and prime to 3, so is |6k - 1|
+    return _is_square(24 * x + 1)  # 24x + 1 = (6k - 1)^2: each root is odd and prime to 3, so is |6k - 1|
 
 
 def is_triangular(x: int) -> bool:
     """True iff x = j(j + 1)/2 for some j >= 0; includes 0."""
-    if x < 0:
-        return False
-    disc = 8 * x + 1
-    r = math.isqrt(disc)
-    return r * r == disc
+    return _is_square(8 * x + 1)
 
 
 def is_pent_plus_4pent(n: int) -> bool:
     """True iff n = x + 4y with x, y generalized pentagonal numbers."""
-    if n < 0:
-        return False
     for y, _ in theta_support(3, 1, n // 4):  # Euler's exponents m(3m - 1)/2
         if is_generalized_pentagonal(n - 4 * y):
             return True
@@ -184,8 +174,6 @@ def is_pent_plus_4pent(n: int) -> bool:
 
 def is_2pent_plus_3tri(n: int) -> bool:
     """True iff n = 2x + 3y with x generalized pentagonal and y triangular."""
-    if n < 0:
-        return False
     for x, _ in theta_support(3, 1, n // 2):
         rem = n - 2 * x
         if rem % 3 == 0 and is_triangular(rem // 3):
