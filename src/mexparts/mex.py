@@ -67,6 +67,9 @@ class MexParams:
     a: int
 
     def __post_init__(self):
+        for key, value in vars(self).items():  # a bool or float would walk as 1/0 or fail mid-walk
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an int (got {value!r})")
         if self.A < 1:
             raise ValueError("A must be positive")
         if not 1 <= self.a <= self.A:

@@ -165,6 +165,8 @@ _product_of_binomials = pochhammer_inf  # perfbench/traced.py wraps this object 
 def _support_length(t: int, limit: int, largest_index) -> int:
     # the number of terms n = 0, 1, ... whose exponent t * f(n) is at most the
     # limit, where largest_index(m) is the largest n with f(n) <= m
+    if type(t) is not int:  # a bool would pass as t = 1, a float fail in isqrt
+        raise ValueError(f"t must be an int (got {t!r})")
     if t < 1:
         raise ValueError("t must be positive")
     if limit < 0:

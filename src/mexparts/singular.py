@@ -55,6 +55,9 @@ class SingularParams:
     i: int
 
     def __post_init__(self):
+        for key, value in vars(self).items():  # a bool or float would count or fail mid-build
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an int (got {value!r})")
         if self.k < 3:
             raise ValueError(f"k must be at least 3, got {self.k}")
         if not 1 <= self.i <= self.k // 2:

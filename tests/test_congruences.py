@@ -101,7 +101,7 @@ class TestPrimes:
         assert smallest_prime_with_symbol(-10) == 17
         assert smallest_prime_with_symbol(-21) == 13
 
-    @pytest.mark.parametrize("value", [1, 4, 9])
+    @pytest.mark.parametrize("value", [1, 4, 9, 10**12, 2**80])
     def test_square_never_has_symbol_minus_one(self, value):
         started = time.monotonic()
         with pytest.raises(ValueError, match="perfect square"):
@@ -134,6 +134,20 @@ class TestPredicates:
         assert is_3np1_square(5)
         assert not is_3np1_square(2)
 
+    def test_3np1_square_up_to_2e5(self):
+        # 3n + 1 = r^2 needs r^2 = 1 (mod 3), that is 3 does not divide r
+        known = {(r * r - 1) // 3 for r in range(1, 776) if r % 3}
+        for n in range(200_000):
+            assert is_3np1_square(n) == (n in known)
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [is_k3km1, is_3np1_square, is_generalized_pentagonal, is_triangular, is_pent_plus_4pent, is_2pent_plus_3tri],
+    )
+    def test_false_for_every_negative_argument(self, predicate):
+        for n in range(-200, 0):
+            assert not predicate(n)
+
     def test_generalized_pentagonal(self):
         # |k| <= 300 lists every generalized pentagonal below 300 * 899 / 2 = 134 850
         known = {k * (3 * k - 1) // 2 for k in range(-300, 301)}
@@ -149,6 +163,12 @@ class TestPredicates:
     def test_triangular(self):
         known = {0, 1, 3, 6, 10, 15, 21, 28, 36, 45}
         for x in range(50):
+            assert is_triangular(x) == (x in known)
+
+    def test_triangular_up_to_2e5(self):
+        # j = 632 gives 200 028, the first triangular number past the range
+        known = {j * (j + 1) // 2 for j in range(633)}
+        for x in range(200_000):
             assert is_triangular(x) == (x in known)
 
     def test_pent_plus_4pent_brute_force(self):

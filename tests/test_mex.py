@@ -73,6 +73,12 @@ class TestMexOf:
         with pytest.raises(ValueError):
             MexParams(3, 0)
 
+    @pytest.mark.parametrize("A, a", [(True, True), (2.0, 2), (3, 2.0), (2, True)])
+    def test_params_refuse_fields_that_are_not_ints(self, A, a):
+        # a bool passes every range check as 1, and a float breaks the walk
+        with pytest.raises(ValueError, match="must be an int"):
+            MexParams(A, a)
+
 
 class TestOracle:
     def test_worked_example(self):
@@ -347,6 +353,14 @@ class TestSupportRoutes:
                 genfun(t, n)
             with pytest.raises(ValueError):
                 identity(t, n)
+
+    @pytest.mark.parametrize("route", ["genfun", "identity"])
+    @pytest.mark.parametrize("t", [True, 1.0, 2.0])
+    def test_t_that_is_not_an_int_raises_on_every_route(self, route, t):
+        # True would answer as t = 1; a float fails in isqrt with a TypeError
+        for _, genfun, identity in FAMILIES:
+            with pytest.raises(ValueError, match=rf"t must be an int \(got {t!r}\)"):
+                (genfun if route == "genfun" else identity)(t, 5)
 
     def test_genfun_checks_t_before_the_inversion(self, monkeypatch):
         def refuse(order):

@@ -30,6 +30,12 @@ class TestParams:
         with pytest.raises(ValueError, match=r"1 <= i <= floor\(k/2\) = 2, got 0"):
             SingularParams(5, 0)
 
+    @pytest.mark.parametrize("k, i", [(4.0, 1), (True + 3, True), (5, 2.0), (12, 3.0)])
+    def test_fields_that_are_not_ints_are_refused(self, k, i):
+        # the oracle answered for k = 4.0, and i = True passes 1 <= i <= k // 2
+        with pytest.raises(ValueError, match=r"(k|i) must be an int \(got "):
+            SingularParams(k, i)
+
 
 class TestOracle:
     def test_worked_example(self):
