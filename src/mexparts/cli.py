@@ -25,6 +25,7 @@ import os
 import sys
 from itertools import accumulate
 
+from . import partitions
 from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
 from .partitions import enumerate_partitions, partition_convolution, partition_count
@@ -66,12 +67,13 @@ def _params(args) -> dict:
 def _compute_rows(args) -> tuple[str, dict, list[int]]:
     n_max, name, params = args.n_max, args.function, _params(args)
     # one growth of the p(n) table to n_max first, refused past the table's
-    # bound before any support is built; p row by row from the table itself:
-    # a convolution by the support 1 would copy every entry
+    # bound before any support is built; p as a slice of the table itself,
+    # one list made at its final size: a convolution by the support 1 would
+    # copy every entry, and a list grown row by row passes through realloc
     if name in FUNCTIONS:
         partition_count(n_max)
         if name == "p":
-            return "p", {}, [partition_count(n) for n in range(n_max + 1)]
+            return "p", {}, partitions._p_table[: n_max + 1]
         support = FUNCTIONS[name][1](*params.values(), n_max)
         return name, params, partition_convolution(support, n_max)
     if name == "p_Aa_oracle":

@@ -354,13 +354,12 @@ class TestSupportRoutes:
             with pytest.raises(ValueError):
                 identity(t, n)
 
-    @pytest.mark.parametrize("route", ["genfun", "identity"])
+    @pytest.mark.parametrize("route", [genfun_p_tt, genfun_p_2tt, identity_p_tt, identity_p_2tt])
     @pytest.mark.parametrize("t", [True, 1.0, 2.0])
     def test_t_that_is_not_an_int_raises_on_every_route(self, route, t):
         # True would answer as t = 1; a float fails in isqrt with a TypeError
-        for _, genfun, identity in FAMILIES:
-            with pytest.raises(ValueError, match=rf"t must be an int \(got {t!r}\)"):
-                (genfun if route == "genfun" else identity)(t, 5)
+        with pytest.raises(ValueError, match=rf"t must be an int \(got {t!r}\)"):
+            route(t, 5)
 
     def test_genfun_checks_t_before_the_inversion(self, monkeypatch):
         def refuse(order):
