@@ -24,11 +24,12 @@ import json
 import os
 import sys
 from itertools import accumulate, islice
+from typing import Iterable
 
 from . import partitions
 from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
-from .partitions import enumerate_partitions, partition_convolution, partition_count
+from .partitions import enumerate_partitions, partition_convolution_rows, partition_count
 from .reports import VerificationReport
 from .singular import SingularParams, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, suite_bounds
@@ -64,18 +65,18 @@ def _params(args) -> dict:
     return params
 
 
-def _compute_rows(args) -> tuple[str, dict, list[int]]:
+def _compute_rows(args) -> tuple[str, dict, Iterable[int]]:
     n_max, name, params = args.n_max, args.function, _params(args)
     # one growth of the p(n) table to n_max first, refused past the table's
-    # bound before any support is built; p as a slice of the table itself,
-    # one list made at its final size: a convolution by the support 1 would
-    # copy every entry, and a list grown row by row passes through realloc
+    # bound before any support is built; rows stream from the table itself,
+    # p as its first n_max + 1 entries and the others block by block, so no
+    # per-n list is made
     if name in FUNCTIONS:
         partition_count(n_max)
         if name == "p":
-            return "p", {}, partitions._p_table[: n_max + 1]
+            return "p", {}, islice(partitions._p_table, n_max + 1)
         support = FUNCTIONS[name][1](*params.values(), n_max)
-        return name, params, partition_convolution(support, n_max)
+        return name, params, partition_convolution_rows(support, n_max)
     if name == "p_Aa_oracle":
         return name, params, mex_count_oracle(n_max, MexParams(**params))
     # C_ki_oracle, the last of the parser's choices

@@ -3,6 +3,7 @@ it: ``compute`` prints each function's table route, and ``oracle-check``
 compares every enumeration oracle with that same route."""
 
 import contextlib
+import gc
 import io
 import json
 
@@ -33,15 +34,24 @@ def test_display_name_and_parameters_come_from_the_table(spec, name):
     assert {key: spec.to_json()[key] for key in spec.params} == spec.params
 
 
-def test_compute_p_hands_out_the_table_entries_themselves():
+def test_compute_p_hands_out_the_table_entries_themselves(monkeypatch):
     # a convolution by the support 1 would copy each of the n_max + 1 big
-    # integers, raising peak memory on large --n-max; p(n) > 256 from
-    # n = 13 on, so those entries are not CPython's cached small ints
-    n_max = 3000  # past the first block of the table
+    # integers, and a slice of the table would copy its list, raising peak
+    # memory on large --n-max; p(n) > 256 from n = 13 on, so those entries
+    # are not CPython's cached small ints
+    table = [1]
+    monkeypatch.setattr(partitions, "_p_table", table)
+    n_max = 3000  # past the first blocks of the table
     args = build_parser().parse_args(["compute", "p", "--n-max", str(n_max)])
     name, params, values = _compute_rows(args)
     assert (name, params) == ("p", {})
-    assert type(values) is list and len(values) == n_max + 1
+    # no per-n list: the rows are no list, the table is grown to n_max and
+    # no further, and no list but the table holds p(n_max)
+    assert not isinstance(values, list)
+    assert partitions._p_table is table and len(table) == n_max + 1
+    assert not [r for r in gc.get_referrers(table[n_max]) if isinstance(r, list) and r is not table]
+    values = list(values)
+    assert len(values) == n_max + 1
     assert all(value is partitions._p_table[n] for n, value in enumerate(values))
 
 

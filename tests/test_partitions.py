@@ -13,6 +13,7 @@ from mexparts.partitions import (
     P_TABLE_BOUND,
     enumerate_partitions,
     partition_convolution,
+    partition_convolution_rows,
     partition_count,
     partition_generating_series,
     partition_parity_convolution,
@@ -77,6 +78,7 @@ def scalar_p_table(limit):
 
 
 SCALAR_REFERENCE = scalar_p_table(12_000)
+BLOCK = partitions._P_TABLE_BLOCK
 SCALAR_PARITY = sum((v % 2) << n for n, v in enumerate(SCALAR_REFERENCE))  # bit n: p(n) mod 2
 
 
@@ -89,12 +91,12 @@ def fresh_table(monkeypatch):
 
 class TestBlockKernel:
     def test_table_matches_the_scalar_recurrence(self, fresh_table):
-        # 12 000 crosses five block boundaries and ends in a short block
+        # 12 000 crosses many block boundaries and ends in a short block
         assert 12_000 % partitions._P_TABLE_BLOCK != 0
         partition_count(12_000)
         assert fresh_table == SCALAR_REFERENCE
 
-    @pytest.mark.parametrize("order", [2047, 2048, 2049])
+    @pytest.mark.parametrize("order", sorted({BLOCK - 1, BLOCK, BLOCK + 1, 2047, 2048, 2049}))
     def test_table_matches_series_inversion_at_the_block_edge(self, fresh_table, order):
         assert partition_convolution([(0, 1)], order) == list(partition_generating_series(order).coeffs)
 
@@ -199,6 +201,40 @@ class TestPartitionConvolution:
         with pytest.raises(ValueError):
             partition_convolution([(-1, 1)], 5)
 
+    def test_rows_refuse_at_the_call_before_the_table_grows(self, monkeypatch):
+        # the rows are a generator, but its refusals come at the call, not at
+        # the first next(), so compute writes no row before them
+        def forbidden(n):
+            raise AssertionError("the table grew before the input was checked")
+
+        monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
+        with pytest.raises(ValueError, match="non-negative"):
+            partition_convolution_rows([(0, 1)], -1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            partition_convolution_rows([(0, 1), (3, 2), (-1, 1)], 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]),
+        terms=st.lists(
+            st.tuples(
+                st.integers(0, 3 * BLOCK + 20) | st.sampled_from([0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK]),
+                st.sampled_from([1, -1]) | st.integers(-7, 7),
+            ),
+            max_size=10,
+        ),
+        repeats=st.integers(0, 3),
+    )
+    def test_streamed_rows_are_the_scalar_sums(self, order, terms, repeats):
+        # supports with repeated exponents, exponents past the order and
+        # coefficients other than +-1, on orders around the block edges
+        support = terms + terms[:repeats]
+        expected = [sum(c * SCALAR_REFERENCE[n - e] for e, c in support if e <= n) for n in range(order + 1)]
+        assert list(partition_convolution_rows(support, order)) == expected
+        coeffs = partition_convolution(support, order)
+        assert type(coeffs) is list and all(type(c) is int for c in coeffs)
+        assert coeffs == expected
+
 
 @pytest.fixture
 def fresh_residues(monkeypatch):
@@ -214,6 +250,7 @@ class TestTableBound:
         asks = [
             partition_count,
             lambda n: partition_convolution([(0, 1)], n),
+            lambda n: partition_convolution_rows([(0, 1)], n),
             lambda n: partition_residue_table(7, n),
         ]
         for ask in asks:
@@ -235,10 +272,13 @@ class TestTableBound:
 
     @pytest.mark.parametrize("function", ["p", "singular"])
     def test_compute_refuses_before_any_growth(self, capsys, fresh_table, function):
+        # the rows stream from the table, but no row is written before the
+        # refusal
         too_far = str(P_TABLE_BOUND + 1)
-        params = [] if function == "p" else ["--k", "3", "--i", "1", "--trunc", too_far]
+        params = [] if function == "p" else ["--k", "3", "--i", "1", "--trunc", "200000"]
         assert main(["compute", function, *params, "--n-max", too_far]) == 2
-        assert f"n <= {P_TABLE_BOUND}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"n <= {P_TABLE_BOUND}" in captured.err and captured.out == ""
         assert fresh_table == [1]
 
     def test_compute_p_grows_the_table_once(self, capsys, monkeypatch, fresh_table):
