@@ -10,10 +10,9 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution_rows`` reads the same table to divide any sparse
 theta support by (q;q)_inf, streaming coefficient n of (sum c q^e) / (q;q)_inf,
 sum c * p(n - e), in blocks; ``partition_convolution`` is their list.
-``partition_residue_table(m, limit)`` runs the same blocks modulo m, on one
-process-wide table per modulus, each long lag one addition of packed fields
-of one width per modulus, set from the lags to ``P_TABLE_BOUND``, so the
-progression sweeps need no big p(n).  Neither table grows past
+``partition_residue_table(m, limit)`` runs the same blocks modulo m on one
+array('I') per modulus, each long lag one addition of 32-bit fields (a list
+past 32 bits), so the sweeps need no big p(n).  Neither table grows past
 ``P_TABLE_BOUND``; a request beyond it raises at the call.
 ``partition_parity_convolution`` gives the same quotient modulo 2 as one
 Python int, bit n the parity of coefficient n, from a second process-wide
@@ -41,11 +40,12 @@ enumerating, and ``restricted_count(n, sizes)`` is its item n.
 
 from __future__ import annotations
 
+import sys
 import threading
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, itemgetter, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, MutableSequence
 
 from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
 
@@ -82,7 +82,7 @@ def _require_p_table_bound(n: int) -> None:
 _EULER_LAGS = theta_support(3, 1, P_TABLE_BOUND, alternating=True)[1:]
 
 
-def _pentagonal_blocks(table: list[int], limit: int):
+def _pentagonal_blocks(table: MutableSequence[int], limit: int):
     # p(n) = -sum_e sign(e) p(n - e) over the pentagonal lags e of _EULER_LAGS,
     # filled in blocks [n0, n0 + size) up to the limit; the caller appends each
     # block before the next.  A lag e >= size reads only entries from before
@@ -107,27 +107,31 @@ def _pentagonal_blocks(table: list[int], limit: int):
 
 
 def _grow_p_table(needed: int) -> None:
-    # _pentagonal_blocks, each long lag one slice pass over the block.  A
-    # first request is met exactly; later growths add at least
-    # min(len - 1, _P_TABLE_BLOCK) entries, ramping the length 2^j + 1 onto
-    # the grid 1 + m * _P_TABLE_BLOCK; a larger request is met exactly, and
-    # no growth passes P_TABLE_BOUND.
+    # _fill_blocks on the exact table, to the request or by
+    # min(len - 1, _P_TABLE_BLOCK) entries, whichever is further: lengths
+    # 2^j + 1, then 1 + m * _P_TABLE_BLOCK; no growth passes P_TABLE_BOUND.
     _require_p_table_bound(needed)
     with _table_lock:
         table = _p_table
         if needed < len(table):
             return
-        target = max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND))
-        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, target):
-            acc = [0] * size
-            for e, sign, lo in lags:
-                lag, op = table[n0 + lo - e : n0 + size - e], sub if sign > 0 else add
-                if lo:
-                    acc[lo:] = map(op, acc[lo:], lag)
-                else:  # the lag covers the block: no copy of acc
-                    acc = list(map(op, acc, lag))
-            for s in acc:
-                table.append(s + sum(get_plus(table)) - sum(get_minus(table)))
+        _fill_blocks(table, max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND)))
+
+
+def _fill_blocks(table: list[int], limit: int, m: int | None = None) -> None:
+    # _pentagonal_blocks, each long lag one slice pass over the block, every
+    # entry reduced mod m when a modulus is given; the caller holds the lock
+    for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, limit):
+        acc = [0] * size
+        for e, sign, lo in lags:
+            lag, op = table[n0 + lo - e : n0 + size - e], sub if sign > 0 else add
+            if lo:
+                acc[lo:] = map(op, acc[lo:], lag)
+            else:  # the lag covers the block: no copy of acc
+                acc = list(map(op, acc, lag))
+        for s in acc:
+            s = s + sum(get_plus(table)) - sum(get_minus(table))  # s += (plus - minus) adds 0.3 MiB to compute p
+            table.append(s if m is None else s % m)
 
 
 def partition_count(n: int) -> int:
@@ -196,46 +200,41 @@ def _convolution_blocks(terms: list[tuple[int, int]], order: int) -> Iterator[in
 # p(n) mod m tables
 # ---------------------------------------------------------------------------
 
-_p_residues: dict[int, tuple[list[int], bytearray]] = {}  # m -> p(n) mod m, and as fields
-
-
-def _fields(values: Iterable[int], width: int) -> bytes:
-    # each value as one little-endian field of width bytes
-    return b"".join(v.to_bytes(width, "little") for v in values)
+_p_residues: dict[int, MutableSequence[int]] = {}  # m -> p(n) mod m: an array('I'), or a list past 32 bits
 
 
 def partition_residue_table(m: int, limit: int) -> list[int]:
     """p(n) mod m for every n <= limit, from a process-wide table per modulus.
 
-    ``_grow_p_table``'s blocks modulo m.  A bytearray mirrors the table as
-    little-endian fields of W bits, so each long lag is one int of the
-    block's fields: one from_bytes, one shift and one add or subtract, with
-    2^(W-1) in every field so that no field's signed sum borrows from the
-    next.  W, set per modulus from the 516 lags to ``P_TABLE_BOUND``, is the
-    fewest whole bytes, at least 4, with 516 * (m - 1) < 2^(W-1): 32 bits
-    for m <= 4 161 791.  Every modulus takes this path; no growth re-encodes.
+    ``_grow_p_table``'s blocks modulo m.  For m <= 4 161 791 (516 lags to
+    ``P_TABLE_BOUND``, 516 * (m - 1) < 2^31) the table is one array('I'):
+    each long lag is one int of the block's 32-bit fields, with 2^31 in
+    every field so that no field's signed sum borrows from the next.  A wider
+    modulus keeps a list filled by ``_fill_blocks``.  Arguments that are not
+    ints, or out of range, raise before any table is made or grown.
     """
+    if type(m) is not int or type(limit) is not int:  # 7.0 would key the table of 7
+        raise ValueError(f"modulus and limit must be ints (got {m!r}, {limit!r})")
     if m < 2:
         raise ValueError(f"modulus must be at least 2 (got {m})")
     if limit < 0:
         raise ValueError("limit must be non-negative")
     _require_p_table_bound(limit)
-    width = max(4, (len(_EULER_LAGS) * (m - 1)).bit_length() // 8 + 1)
-    half = 1 << (8 * width - 1)
+    from array import array  # loaded only here: it adds about 0.06 MiB to a process's peak RSS
+    half = 1 << 31
     with _table_lock:
-        residues, packed = _p_residues.setdefault(m, ([1], bytearray(_fields([1], width))))
+        residues = _p_residues.setdefault(m, array("I", [1]) if len(_EULER_LAGS) * (m - 1) < half else [1])
+        if type(residues) is list:
+            _fill_blocks(residues, limit, m)
+            return residues[: limit + 1]
         for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit):
-            acc = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+            acc = int.from_bytes(array("I", [half]) * size, sys.byteorder)
             for e, sign, lo in lags:
-                lag = packed[(n0 + lo - e) * width : (n0 + size - e) * width]
-                lag = int.from_bytes(lag, "little") << 8 * width * lo
+                lag = int.from_bytes(residues[n0 + lo - e : n0 + size - e], sys.byteorder) << 32 * lo
                 acc = acc - lag if sign > 0 else acc + lag
-            sums = acc.to_bytes(size * width, "little")
-            for i in range(0, size * width, width):
-                s = int.from_bytes(sums[i : i + width], "little") - half
-                residues.append((s + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
-            packed += _fields(residues[n0:], width)
-        return residues[: limit + 1]
+            for s in array("I", acc.to_bytes(4 * size, sys.byteorder)):
+                residues.append((s - half + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
+        return residues[: limit + 1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +274,16 @@ def partition_parity_convolution(support: Iterable[tuple[int, int]], limit: int)
 
     XORs one shifted copy of the p(n) mod 2 bitset per term with an odd
     coefficient; terms with even coefficients and exponents past the limit
-    drop out.  Reads no exact p(n).
+    drop out.  Reads no exact p(n); a negative exponent raises before growth.
     """
+    support = list(support)
+    if any(e < 0 for e, _ in support):
+        raise ValueError("negative exponent in a power series")
     _grow_p_parity(limit)
     mask = (1 << (limit + 1)) - 1
     parity = _p_parity & mask
     out = 0
     for e, c in support:
-        if e < 0:
-            raise ValueError("negative exponent in a power series")
         if e <= limit and c % 2:
             out ^= parity << e
     return out & mask

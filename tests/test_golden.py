@@ -96,6 +96,17 @@ def test_stdout_matches_golden_capture(capsys, capture, argv):
     assert capsys.readouterr().out.encode() == (GOLDEN / capture).read_bytes()
 
 
+def test_a_false_progression_past_32_bits_matches_its_capture(capsys):
+    # p(7n + 505) exceeds 10^21 at every argument, so each of the 101 rows
+    # is a failure reduced through the list-backed table of p(n) mod 10^21;
+    # the sweep reports them and exits 1
+    argv = ["verify", "progression", "--function", "p", "--step", "7", "--offset", "505",
+            "--modulus", str(10**21), "--n-max", "100"]
+    assert main(argv) == 1
+    capture = GOLDEN / "verify_progression_p_7n505_mod10e21_n100.jsonl"
+    assert capsys.readouterr().out.encode() == capture.read_bytes()
+
+
 @pytest.mark.parametrize("capture", sorted(path.name for path in GOLDEN.glob("*.csv")))
 def test_csv_capture_rows_have_the_header_width(capture):
     header, *rows = csv.reader((GOLDEN / capture).read_text().splitlines())

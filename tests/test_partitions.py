@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -292,11 +293,10 @@ class TestTableBound:
         assert capsys.readouterr().out.count("\n") == 3001
 
 
-def field_width(m):
-    # bytes per field of the mirror of the table of p(n) mod m
-    residues, packed = partitions._p_residues[m]
-    assert len(packed) % len(residues) == 0
-    return len(packed) // len(residues)
+def assert_packed(m):
+    # the table of p(n) mod m is one array of 32-bit fields, its own mirror
+    residues = partitions._p_residues[m]
+    assert type(residues) is array and residues.typecode == "I" and residues.itemsize == 4
 
 
 class TestResidueTable:
@@ -312,7 +312,7 @@ class TestResidueTable:
             mp.setattr(partitions, "_p_residues", {})
             for limit in requests:
                 assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
-            assert field_width(m) == 4
+            assert_packed(m)
 
     @pytest.mark.parametrize("m", [2, 3, 8, 121, 999_983])
     def test_matches_series_inversion(self, fresh_residues, m):
@@ -320,17 +320,32 @@ class TestResidueTable:
         series = partition_generating_series(2000)
         assert partition_residue_table(m, 2000) == [c % m for c in series.coeffs]
 
-    @pytest.mark.parametrize(
-        "m, width",
-        [pytest.param(m, width, id=str(m))
-         for m, width in [(10**21, 10), (2**64 + 13, 10), (2**31 // 100 + 1, 5)]],
-    )
-    def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m, width):
-        # the width is set from the 516 lags to the bound when the table is
-        # made: 2^31 // 100 + 1 would fit 32 bits with the 51 lags to 1000
+    @pytest.mark.parametrize("m", [10**21, 2**64 + 13, 2**31 // 100 + 1], ids=str)
+    def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m):
+        # a list of ints, which have no width: the rule reads the 516 lags to
+        # the bound when the table is made, and 2^31 // 100 + 1 = 21 474 837
+        # would fit 32 bits with the 51 lags to 1000
         for limit in (1000, 12_000):
             assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
-            assert field_width(m) == width
+            assert type(partitions._p_residues[m]) is list
+
+    def test_the_32_bit_rule_ends_at_4_161_791(self, fresh_residues):
+        # 516 * (m - 1) < 2^31 holds for 4 161 791 but not for the next m:
+        # 2^31 // 516 = 4 161 790 would be one short
+        for m in (4_161_791, 4_161_792):
+            assert partition_residue_table(m, 12_000) == [v % m for v in SCALAR_REFERENCE]
+        assert_packed(4_161_791)
+        assert type(fresh_residues[4_161_792]) is list
+
+    def test_a_float_modulus_leaves_the_table_of_its_int_unchanged(self, fresh_residues):
+        # 10.0**22 == 10**22 keys the same table, where it would append floats
+        # that later int requests return
+        expected = [v % 10**22 for v in SCALAR_REFERENCE[:1001]]
+        assert partition_residue_table(10**22, 1000) == expected
+        with pytest.raises(ValueError, match="must be ints"):
+            partition_residue_table(10.0**22, 2000)
+        assert fresh_residues[10**22] == expected
+        assert partition_residue_table(10**22, 1000) == expected
 
     def test_reads_no_exact_table(self, monkeypatch, fresh_residues):
         def forbidden(needed):
@@ -340,7 +355,10 @@ class TestResidueTable:
         assert partition_residue_table(7, 12_000) == [v % 7 for v in SCALAR_REFERENCE]
 
     @pytest.mark.parametrize("m, limit, message", [(1, 10, "at least 2"), (0, 10, "at least 2"),
-                                                   (-5, 10, "at least 2"), (5, -1, "non-negative")])
+                                                   (-5, 10, "at least 2"), (5, -1, "non-negative"),
+                                                   (7.0, 10, "must be ints"), (7, 10.0, "must be ints"),
+                                                   (True, 10, "must be ints"), (7, False, "must be ints"),
+                                                   ("7", 10, "must be ints")])
     def test_refuses_bad_arguments_before_any_growth(self, fresh_residues, m, limit, message):
         with pytest.raises(ValueError, match=message):
             partition_residue_table(m, limit)
@@ -349,7 +367,7 @@ class TestResidueTable:
     def test_concurrent_growth_keeps_every_residue(self, fresh_residues):
         # more threads than cores, each growing one of two tables to its own
         # limit with a short switch interval; a lost or torn update would show
-        # as a wrong residue or a mirror out of step with its table
+        # as a wrong residue or a missing or repeated entry
         requests = [(5, 12_000), (121, 37), (5, 5_000), (121, 150), (5, 11_999),
                     (121, 2_048), (5, 9_001), (121, 12_000)]
         results = {}
@@ -370,8 +388,8 @@ class TestResidueTable:
         assert not any(thread.is_alive() for thread in threads)
         assert results == {(m, n): [v % m for v in SCALAR_REFERENCE[: n + 1]] for m, n in requests}
         for m in (5, 121):
-            assert partitions._p_residues[m][0] == [v % m for v in SCALAR_REFERENCE]
-            assert field_width(m) == 4
+            assert partitions._p_residues[m].tolist() == [v % m for v in SCALAR_REFERENCE]
+            assert_packed(m)
 
 
 def pentagonal_parity_bits(limit):
@@ -402,6 +420,15 @@ class TestParityBitset:
         with pytest.raises(ValueError, match=f"n <= {partitions.P_PARITY_BOUND} \\(got {too_far}\\)"):
             partition_parity_convolution([(0, 1)], too_far)
         assert partitions._p_parity_len == 1
+
+    def test_refuses_a_negative_exponent_before_any_growth(self, monkeypatch, fresh_parity):
+        # the support is a one-pass iterable, read before the bitset grows
+        def forbidden(limit):
+            raise AssertionError("the bitset grew before the support was checked")
+
+        monkeypatch.setattr(partitions, "_grow_p_parity", forbidden)
+        with pytest.raises(ValueError, match="negative exponent"):
+            partition_parity_convolution(iter([(0, 1), (3, 2), (-1, 1)]), partitions.P_PARITY_BOUND)
 
     def test_matches_the_exact_table_up_to_the_argument_cap(self, fresh_parity):
         partition_count(ARG_CAP)

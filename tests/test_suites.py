@@ -121,7 +121,7 @@ def test_verify_all_grows_the_exact_table_no_further_than_thm1(monkeypatch):
     assert all(r.passed for reports in results.values() for r in reports)
     assert requests and max(requests) == 500
     assert len(partitions._p_table) == 501
-    assert len(partitions._p_residues[121][0]) == 24_317
+    assert len(partitions._p_residues[121]) == 24_317
     assert sorted(partitions._p_residues) == [5, 7, 8, 11, 25, 49, 121]
     assert partitions._p_parity_len > 49_978
 
