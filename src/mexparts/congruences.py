@@ -40,7 +40,7 @@ from .partitions import (
     partition_residue_table,
 )
 from .reports import VerificationReport
-from .series import pochhammer_inf, support_p_2tt, support_p_tt, theta_support
+from .series import _require_ints, _require_size, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
 
 __all__ = [
@@ -216,9 +216,8 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
         self = super().__new__(cls, function, step, offset, modulus, t, k, i, exclude_prime)
         if self.function not in FUNCTIONS:
             raise ValueError(f"unknown function id {self.function!r}")
-        for key, value in self._asdict().items():  # a bool or float would sweep or fail mid-sweep
-            if key != "function" and value is not None and type(value) is not int:
-                raise ValueError(f"progression {key} must be an int (got {value!r})")
+        # a bool or float would sweep or fail mid-sweep
+        _require_ints("progression ", **{key: value for key, value in self.to_json().items() if key != "function"})
         given = tuple(key for key in ("t", "k", "i") if getattr(self, key) is not None)
         if given != tuple(self.params):
             takes = " and ".join(self.params) or "none of t, k, i"
@@ -300,8 +299,7 @@ def check_progression(spec: ProgressionSpec, n_max: int) -> VerificationReport:
     step*n + offset <= ``ARG_CAP``, read at call time (the trimmed-off tail
     is reported in the metadata, not silently dropped).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _require_size("n_max", n_max)
     report = VerificationReport(label=spec.describe(), spec=spec.to_json())
     report.metadata["n_max"] = n_max
     prime = spec.exclude_prime
@@ -562,8 +560,7 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
     if which not in _THM6_CONDITIONS:
         raise ValueError("which must be 'thm6_part2' or 'thm6_part3'")
     offset, predicate, predicate_name = _THM6_CONDITIONS[which]
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _require_size("n_max", n_max)
     report = VerificationReport(
         label=f"conditional-parity-{which}",
         metadata={
@@ -580,8 +577,7 @@ def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
     singular overpartition series over [0, n_max]."""
     if t < 1:
         raise ValueError("t must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _require_size("n_max", n_max)
     left = genfun_p_tt(t, n_max)
     right = genfun_singular(SingularParams(4 * t, t), n_max)
     report = VerificationReport(label=f"parity-bridge-t={t}", metadata={"n_max": n_max, "t": t})

@@ -43,7 +43,7 @@ from itertools import accumulate
 from operator import add
 
 from .partitions import _stride2_prefix, enumerate_partitions, partition_count, partition_generating_series
-from .series import TruncatedSeries, support_p_2tt, support_p_tt
+from .series import TruncatedSeries, _require_ints, _require_size, support_p_2tt, support_p_tt
 
 __all__ = [
     "MexParams",
@@ -66,9 +66,7 @@ class MexParams(namedtuple("MexParams", "A a")):
 
     def __new__(cls, A: int, a: int):
         self = super().__new__(cls, A, a)
-        for key, value in self._asdict().items():  # a bool or float would walk as 1/0 or fail mid-walk
-            if type(value) is not int:
-                raise ValueError(f"{key} must be an int (got {value!r})")
+        _require_ints(**self._asdict())  # a bool or float would walk as 1/0 or fail mid-walk
         if A < 1:
             raise ValueError("A must be positive")
         if not 1 <= a <= A:
@@ -84,13 +82,7 @@ def mex_counts_oracle(n_max: int, params_seq: Sequence[MexParams]) -> list[list[
     Exponential in n_max; refuses n_max beyond the documented bound before
     enumerating anything rather than silently grinding.
     """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    if n_max > MEX_ORACLE_BOUND:
-        raise ValueError(
-            f"the mex oracle is enumeration-backed and limited to n <= {MEX_ORACLE_BOUND}"
-            f" (got {n_max})"
-        )
+    _require_size("n", n_max, MEX_ORACLE_BOUND, "the mex oracle is enumeration-backed and limited to n <=")
     # a run's first node (one 2, total s) counts at s, s + 2, ... from slot
     # size + s, one add per hit where stride-2 differences would take two;
     # mult[0] == 0 stands in for mult[2], missing when n_max = 0

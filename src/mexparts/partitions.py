@@ -47,7 +47,7 @@ from itertools import accumulate
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, MutableSequence
 
-from .series import TruncatedSeries, pochhammer_inf, support_p_tt, theta_support
+from .series import TruncatedSeries, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
 
 __all__ = [
     "partition_count",
@@ -70,11 +70,7 @@ _table_lock = threading.Lock()
 _p_table: list[int] = [1]
 _P_TABLE_BLOCK = 512  # entries filled per block, and the least growth step
 P_TABLE_BOUND = 100_000  # the exact table to here takes about 3 s and 15 MiB
-
-
-def _require_p_table_bound(n: int) -> None:
-    if n > P_TABLE_BOUND:
-        raise ValueError(f"p(n) tables are limited to n <= {P_TABLE_BOUND} (got {n})")
+_P_TABLE_LIMITED = "p(n) tables are limited to n <="
 
 
 # nonzero terms of (q;q)_inf = sum_{m in Z} (-1)^m q^(m(3m-1)/2) to the bound,
@@ -110,7 +106,7 @@ def _grow_p_table(needed: int) -> None:
     # _fill_blocks on the exact table, to the request or by
     # min(len - 1, _P_TABLE_BLOCK) entries, whichever is further: lengths
     # 2^j + 1, then 1 + m * _P_TABLE_BLOCK; no growth passes P_TABLE_BOUND.
-    _require_p_table_bound(needed)
+    _require_size("n", needed, P_TABLE_BOUND, _P_TABLE_LIMITED)
     with _table_lock:
         table = _p_table
         if needed < len(table):
@@ -141,6 +137,7 @@ def partition_count(n: int) -> int:
     to its nonzero (pentagonal) terms; tests pin it against the dense
     series inversion.
     """
+    _require_ints(n=n)
     if n < 0:
         return 0
     if n >= len(_p_table):
@@ -173,8 +170,7 @@ def partition_convolution_rows(support: Iterable[tuple[int, int]], order: int) -
     exponents add up.  A negative order or exponent, or an order past
     ``P_TABLE_BOUND``, raises at the call, before the table grows.
     """
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
+    _require_size("truncation order", order)
     terms = [(e, c) for e, c in support if e <= order]
     if any(e < 0 for e, _ in terms):
         raise ValueError("negative exponent in a power series")
@@ -213,13 +209,10 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
     modulus keeps a list filled by ``_fill_blocks``.  Arguments that are not
     ints, or out of range, raise before any table is made or grown.
     """
-    if type(m) is not int or type(limit) is not int:  # 7.0 would key the table of 7
-        raise ValueError(f"modulus and limit must be ints (got {m!r}, {limit!r})")
+    _require_ints(modulus=m)  # 7.0 would key the table of 7
     if m < 2:
         raise ValueError(f"modulus must be at least 2 (got {m})")
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    _require_p_table_bound(limit)
+    _require_size("limit", limit, P_TABLE_BOUND, _P_TABLE_LIMITED)
     from array import array  # loaded only here: it adds about 0.06 MiB to a process's peak RSS
     half = 1 << 31
     with _table_lock:
@@ -251,10 +244,7 @@ def _grow_p_parity(limit: int) -> None:
     # to L, spread four apart, are the second factor to 4L + 3, and psi's
     # exponents are the triangular numbers, the support of p_{1,1}
     global _p_parity, _p_parity_len
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    if limit > P_PARITY_BOUND:
-        raise ValueError(f"the p(n) mod 2 bitset is limited to n <= {P_PARITY_BOUND} (got {limit})")
+    _require_size("limit", limit, P_PARITY_BOUND, "the p(n) mod 2 bitset is limited to n <=")
     with _table_lock:
         bits, known = _p_parity, _p_parity_len - 1
         while known < limit:
@@ -310,10 +300,7 @@ def enumerate_partitions(n: int) -> Iterator[list[int]]:
     A negative n, or n past ``ENUMERATION_BOUND``, raises at the call,
     before anything is yielded.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > ENUMERATION_BOUND:
-        raise ValueError(f"enumeration is limited to n <= {ENUMERATION_BOUND} (got {n})")
+    _require_size("n", n, ENUMERATION_BOUND, "enumeration is limited to n <=")
     return _walk_multiplicities(n, range(1, n + 1))
 
 
@@ -368,13 +355,14 @@ def restricted_counts(n_max: int, sizes: Iterable[int]) -> list[int]:
     from one table that takes one geometric factor per size; a repeated size
     counts once, and sizes above n_max add nothing.
     """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    sizes = set(sizes)
+    _require_size("n", n_max)
+    sizes = list(sizes)
+    for v in sizes:  # True would count as the part 1
+        _require_ints("part ", size=v)
     if min(sizes, default=1) < 1:
         raise ValueError(f"part sizes must be positive, not {min(sizes)}")
     table = [1] + [0] * n_max
-    for v in sizes:
+    for v in set(sizes):
         for m in range(v, n_max + 1):
             table[m] += table[m - v]
     return table

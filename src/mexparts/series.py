@@ -6,6 +6,10 @@ inverses and (q^a; q^b)_inf, all exact; a product truncates to the smaller
 order; ``from_terms`` and ``pochhammer_inf`` refuse an order past
 ``SERIES_ORDER_BOUND`` at the call.  Callers read ``coeffs``, item n the
 coefficient of q^n.
+Every module checks its integer arguments with the two guards here, before
+any work: ``_require_ints`` refuses a value whose type is not exactly int
+(a bool or a float included), and ``_require_size`` also refuses a
+negative value and one past an optional bound.
 The module also provides the infinite product and the sparse sums that
 partition generating functions are assembled from:
 
@@ -46,9 +50,18 @@ __all__ = [
 SERIES_ORDER_BOUND = 10_000  # inverting (q;q)_inf to here takes about 2.7 s
 
 
-def _require_series_order(order: int) -> None:
-    if order > SERIES_ORDER_BOUND:
-        raise ValueError(f"series orders are limited to {SERIES_ORDER_BOUND} (got {order})")
+def _require_ints(prefix: str = "", **values) -> None:
+    for key, value in values.items():  # a bool would pass as 0 or 1, a float fail or key a table late
+        if type(value) is not int:
+            raise ValueError(f"{prefix}{key} must be an int (got {value!r})")
+
+
+def _require_size(name: str, value: int, bound: int | None = None, limited: str = "") -> None:
+    _require_ints(**{name: value})
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if bound is not None and value > bound:
+        raise ValueError(f"{limited} {bound} (got {value})")
 
 
 class TruncatedSeries:
@@ -70,7 +83,7 @@ class TruncatedSeries:
     def from_terms(cls, terms: Iterable[tuple[int, int]], order: int) -> "TruncatedSeries":
         """Build a series from (exponent, coefficient) pairs; exponents beyond
         the order are dropped, repeated exponents accumulate."""
-        _require_series_order(order)
+        _require_size("truncation order", order, SERIES_ORDER_BOUND, "series orders are limited to")
         c = [0] * (order + 1)
         for e, v in terms:
             if e < 0:
@@ -148,11 +161,10 @@ def pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     # prod over e = a, a+b, a+2b, ... <= order of (1 - q^e); each factor is
     # one slice update, and the comprehension reads the old coefficients
     # before the slice is overwritten
+    _require_ints(a=a, b=b)
     if a < 1 or b < 1:
         raise ValueError("pochhammer parameters must be positive")
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    _require_series_order(order)
+    _require_size("truncation order", order, SERIES_ORDER_BOUND, "series orders are limited to")
     c = [1] + [0] * order
     for e in range(a, order + 1, b):
         c[e:] = [x - y for x, y in zip(c[e:], c)]
@@ -165,12 +177,10 @@ _product_of_binomials = pochhammer_inf  # perfbench/traced.py wraps this object 
 def _support_length(t: int, limit: int, largest_index) -> int:
     # the number of terms n = 0, 1, ... whose exponent t * f(n) is at most the
     # limit, where largest_index(m) is the largest n with f(n) <= m
-    if type(t) is not int:  # a bool would pass as t = 1, a float fail in isqrt
-        raise ValueError(f"t must be an int (got {t!r})")
+    _require_ints(t=t)
     if t < 1:
         raise ValueError("t must be positive")
-    if limit < 0:
-        raise ValueError("support limit must be non-negative")
+    _require_size("support limit", limit)
     return largest_index(limit // t) + 1
 
 
@@ -196,8 +206,10 @@ def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list
 
     Both branches m >= 0 and m < 0 increase strictly, so each loop stops at
     the first exponent past the limit.  Repeated exponents add up: when
-    k = 2i the terms m and -m meet at i m^2, which carries 2 s^m.
+    k = 2i the terms m and -m meet at i m^2, which carries 2 s^m.  A
+    negative limit gives no terms.
     """
+    _require_ints(k=k, i=i, limit=limit)
     if k < 2 or not 0 < i < k:
         raise ValueError("theta support needs k >= 2 and 0 < i < k")
     terms: dict[int, int] = {}

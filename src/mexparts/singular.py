@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import prod
 
 from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution, partition_count
-from .series import theta_support
+from .series import _require_ints, _require_size, theta_support
 
 __all__ = [
     "SingularParams",
@@ -54,9 +54,7 @@ class SingularParams(namedtuple("SingularParams", "k i")):
 
     def __new__(cls, k: int, i: int):
         self = super().__new__(cls, k, i)
-        for key, value in self._asdict().items():  # a bool or float would count or fail mid-build
-            if type(value) is not int:
-                raise ValueError(f"{key} must be an int (got {value!r})")
+        _require_ints(**self._asdict())  # a bool or float would count or fail mid-build
         if k < 3:
             raise ValueError(f"k must be at least 3, got {k}")
         if not 1 <= i <= k // 2:
@@ -77,13 +75,7 @@ def singular_overpartition_oracle(n_max: int, params: SingularParams) -> list[in
     """Item n, for 0 <= n <= n_max, counts the singular overpartitions of n;
     every item comes from one walk over the partitions of n_max with no part
     divisible by k."""
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    if n_max > SINGULAR_ORACLE_BOUND:
-        raise ValueError(
-            f"singular_overpartition_oracle is limited to n <= {SINGULAR_ORACLE_BOUND}"
-            f" (got {n_max})"
-        )
+    _require_size("n", n_max, SINGULAR_ORACLE_BOUND, "singular_overpartition_oracle is limited to n <=")
     k, residues = params.k, params.overline_residues
     # a value's factor by its multiplicity: 1 if absent, else 2 (or 3 and 4)
     factor = [1, 3] + [4] * (n_max + 1) if params.self_paired else [1] + [2] * (n_max + 2)

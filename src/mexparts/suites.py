@@ -31,7 +31,7 @@ from .congruences import (
 from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle, mex_counts_oracle
 from .partitions import partition_convolution, partition_generating_series
 from .reports import VerificationReport
-from .series import support_p_2tt, support_p_tt
+from .series import _require_ints, support_p_2tt, support_p_tt
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
@@ -177,8 +177,8 @@ SUITE_NAMES = tuple(_SUITES)
 def suite_bounds(name: str, **overrides: int) -> dict[str, int]:
     """The bounds a run of suite ``name`` uses: its defaults with ``overrides``
     merged in.  Raises ``ValueError`` for an unknown suite, a bound the suite
-    does not take, ``t_max`` or ``k_max`` below 1 or above its bound, and
-    ``n_max`` below 0."""
+    does not take, a bound that is not an int, ``t_max`` or ``k_max`` below 1
+    or above its bound, and ``n_max`` below 0."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     # read at call time, through a tracer's __wrapped__ and a partial row's func
@@ -188,6 +188,7 @@ def suite_bounds(name: str, **overrides: int) -> dict[str, int]:
     if extra:
         allowed = ", ".join(f"{key} (default {value})" for key, value in bounds.items())
         raise ValueError(f"suite {name!r} takes only {allowed}; not {', '.join(extra)}")
+    _require_ints(f"suite {name!r}: ", **overrides)
     bounds.update(overrides)
     for key, value in bounds.items():
         least = 0 if key == "n_max" else 1

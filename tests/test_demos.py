@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, with every
+warning turned into an error as in the tier-1 run."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_demo_runs(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / script)],
         env=env,
         capture_output=True,
         text=True,

@@ -20,10 +20,20 @@ from mexparts.partitions import (
     partition_parity_convolution,
     partition_residue_table,
     restricted_count,
+    restricted_counts,
 )
-from mexparts.congruences import ARG_CAP
+from mexparts.congruences import (
+    ARG_CAP,
+    ProgressionSpec,
+    check_conditional_parity,
+    check_parity_bridge,
+    check_progression,
+)
 from mexparts.cli import main
-from mexparts.series import TruncatedSeries, pochhammer_inf, theta_support
+from mexparts.mex import MexParams, mex_counts_oracle
+from mexparts.series import TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
+from mexparts.singular import SingularParams, singular_overpartition_oracle
+from mexparts.suites import suite_bounds
 from partition_reference import partitions_of, parts_of
 
 
@@ -342,7 +352,7 @@ class TestResidueTable:
         # that later int requests return
         expected = [v % 10**22 for v in SCALAR_REFERENCE[:1001]]
         assert partition_residue_table(10**22, 1000) == expected
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="must be an int"):
             partition_residue_table(10.0**22, 2000)
         assert fresh_residues[10**22] == expected
         assert partition_residue_table(10**22, 1000) == expected
@@ -356,9 +366,9 @@ class TestResidueTable:
 
     @pytest.mark.parametrize("m, limit, message", [(1, 10, "at least 2"), (0, 10, "at least 2"),
                                                    (-5, 10, "at least 2"), (5, -1, "non-negative"),
-                                                   (7.0, 10, "must be ints"), (7, 10.0, "must be ints"),
-                                                   (True, 10, "must be ints"), (7, False, "must be ints"),
-                                                   ("7", 10, "must be ints")])
+                                                   (7.0, 10, "must be an int"), (7, 10.0, "must be an int"),
+                                                   (True, 10, "must be an int"), (7, False, "must be an int"),
+                                                   ("7", 10, "must be an int")])
     def test_refuses_bad_arguments_before_any_growth(self, fresh_residues, m, limit, message):
         with pytest.raises(ValueError, match=message):
             partition_residue_table(m, limit)
@@ -665,3 +675,45 @@ class TestRestrictedCount:
     def test_rejects_sizes_below_one(self, sizes):
         with pytest.raises(ValueError, match="part sizes must be positive"):
             restricted_count(4, sizes)
+
+
+# every entry point that takes a count, order, limit or part size, with the
+# bad value x in that place
+GUARDED = {
+    "partition_count": lambda x: partition_count(x),
+    "partition_convolution": lambda x: partition_convolution([(0, 1)], x),
+    "partition_convolution_rows": lambda x: partition_convolution_rows([(0, 1)], x),
+    "partition_parity_convolution": lambda x: partition_parity_convolution([(0, 1)], x),
+    "partition_residue_table modulus": lambda x: partition_residue_table(x, 10),
+    "partition_residue_table limit": lambda x: partition_residue_table(7, x),
+    "enumerate_partitions": lambda x: enumerate_partitions(x),
+    "restricted_counts n_max": lambda x: restricted_counts(x, [1]),
+    "restricted_counts part size": lambda x: restricted_counts(4, [x]),
+    "pochhammer_inf a": lambda x: pochhammer_inf(x, 1, 3),
+    "pochhammer_inf b": lambda x: pochhammer_inf(1, x, 3),
+    "pochhammer_inf order": lambda x: pochhammer_inf(1, 1, x),
+    "from_terms": lambda x: TruncatedSeries.from_terms([(0, 1)], x),
+    "theta_support k": lambda x: theta_support(x, 1, 10),
+    "theta_support i": lambda x: theta_support(4, x, 10),
+    "theta_support limit": lambda x: theta_support(4, 1, x),
+    "support_p_tt t": lambda x: support_p_tt(x, 10),
+    "support_p_tt limit": lambda x: support_p_tt(1, x),
+    "support_p_2tt t": lambda x: support_p_2tt(x, 10),
+    "support_p_2tt limit": lambda x: support_p_2tt(1, x),
+    "mex oracle": lambda x: mex_counts_oracle(x, [MexParams(1, 1)]),
+    "singular oracle": lambda x: singular_overpartition_oracle(x, SingularParams(3, 1)),
+    "check_progression": lambda x: check_progression(ProgressionSpec("p", 5, 4, 5), x),
+    "check_conditional_parity": lambda x: check_conditional_parity("thm6_part2", x),
+    "check_parity_bridge": lambda x: check_parity_bridge(1, x),
+    "suite_bounds": lambda x: suite_bounds("thm1", n_max=x),
+}
+
+
+@pytest.mark.parametrize("bad", [10.0, True, "7"], ids=repr)
+@pytest.mark.parametrize("name", GUARDED)
+def test_every_guard_refuses_a_value_that_is_not_an_int(fresh_table, fresh_residues, fresh_parity, name, bad):
+    # 10.0 once grew the table and then failed in a slice, True counted as 1,
+    # and restricted_counts(4, [True]) took True as the part 1
+    with pytest.raises(ValueError, match="must be an int"):
+        GUARDED[name](bad)
+    assert fresh_table == [1] and fresh_residues == {} and partitions._p_parity_len == 1
