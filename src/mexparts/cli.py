@@ -31,6 +31,7 @@ from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
 from .mex import MexParams, mex_count_oracle
 from .partitions import enumerate_partitions, partition_convolution_rows, partition_count
 from .reports import VerificationReport
+from .series import _require_size
 from .singular import SingularParams, singular_overpartition_oracle
 from .suites import SUITE_NAMES, run_all, run_suite, suite_bounds
 
@@ -48,8 +49,7 @@ def _params(args) -> dict:
     """The flags ``args.function`` takes, defaults filled in, checked before
     any work: --n-max, a given flag the function does not take, then for
     p_tt, p_2tt and singular the series order against --trunc and the values."""
-    if args.n_max < 0:
-        raise ValueError("--n-max must be non-negative")
+    _require_size("--n-max", args.n_max)
     flags = [key for key in _FLAG_DEFAULTS if hasattr(args, key)]
     given = [key for key in flags if getattr(args, key) is not None]
     if not set(given) <= set(takes := _TAKES[args.function]):
@@ -60,8 +60,8 @@ def _params(args) -> dict:
         raise ValueError(f"this command needs series order {n_max}; raise --trunc (currently {args.trunc})")
     if args.function == "singular":  # theta_support would take k = 2
         SingularParams(**params)
-    elif params.get("t", 1) < 1:
-        raise ValueError("t must be positive")
+    elif "t" in params:
+        _require_size("t", params["t"], least=1)
     return params
 
 

@@ -74,6 +74,7 @@ __all__ = [
 
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n; the Legendre symbol at primes."""
+    _require_ints(a=a, n=n)  # a float would reduce to a float remainder and answer 0
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol needs an odd positive modulus, got {n}")
     a %= n
@@ -94,8 +95,7 @@ def delta(p: int, k: int) -> int:
     """24^{-1} mod p^k for p in {5, 7, 11}: the classical progression offsets."""
     if p not in (5, 7, 11):
         raise ValueError("delta is defined for p in {5, 7, 11}")
-    if k < 1:
-        raise ValueError("k must be positive")
+    _require_size("k", k, least=1)
     return pow(24, -1, p**k)
 
 
@@ -104,6 +104,7 @@ PRIMALITY_ENVELOPE = 10**6
 
 def is_prime(x: int) -> bool:
     """Deterministic trial division; intended for x up to 10^6."""
+    _require_ints(x=x)  # 7.5 and 9.5 have no divisor among the odd ints
     if x > PRIMALITY_ENVELOPE:
         raise ValueError(f"primality checks are bounded at {PRIMALITY_ENVELOPE}")
     if x < 2:
@@ -125,6 +126,7 @@ def smallest_prime_with_symbol(value: int) -> int:
     (0/p) = 0 for every p, and a nonzero square has (v^2/p) in {0, 1}.  Any
     other value has such a prime, and ``is_prime`` bounds the search anyway.
     """
+    _require_ints(value=value)
     if value == 0:
         raise ValueError("(0/p) = 0 for every prime p, never -1")
     if value > 0 and _is_square(value):
@@ -222,10 +224,8 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
         if given != tuple(self.params):
             takes = " and ".join(self.params) or "none of t, k, i"
             raise ValueError(f"{self.function} takes {takes}; given: {', '.join(given) or 'none'}")
-        if self.step < 1:
-            raise ValueError("progression step must be positive")
-        if self.offset < 0:
-            raise ValueError("progression offset must be non-negative")
+        _require_size("progression step", self.step, least=1)
+        _require_size("progression offset", self.offset)
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
         if self.t is not None and self.t < 1:
@@ -361,7 +361,7 @@ def _thm5(p: int, k: int) -> list[ProgressionSpec]:
     """Parity of the (1,1) function at primes p >= 5, p != 1 (mod 12):
     argument p^(2k+1) n + (p^(2k+2) - 1)/12, skipping n divisible by p."""
     _family_prime(p, 5, "p != 1 (mod 12)", lambda p: p % 12 != 1)
-    _require(k >= 0, "k must be non-negative")
+    _require_size("k", k)
     return [_parity(1, p ** (2 * k + 1), p ** (2 * k + 2) - 1, 12, exclude_prime=p)]
 
 
@@ -373,7 +373,7 @@ def _thm11(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
     24 non-integral (3^2 != 1 mod 24), so it is rejected.
     """
     _family_prime(p, 7, "p == 3 (mod 4)", lambda p: p % 4 == 3)
-    _require(alpha >= 0, "alpha must be non-negative")
+    _require_size("alpha", alpha)
     _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
     power = p ** (2 * alpha + 1)
     return [_parity(2, power * p, 5 * (power * p - 1), 24, base=power * j)]
@@ -398,7 +398,7 @@ def _cor1(p: int, alpha: int, branch: int) -> list[ProgressionSpec]:
     p == 3 (mod 4) and has c = 10, branch 2 needs (-2/p) = -1 and has c = 22."""
     c, condition, holds = _COR1_BRANCHES.get(branch, (0, "", lambda p: True))
     _family_prime(p, 5, f"{condition} on branch {branch}", holds)
-    _require(alpha >= 0, "alpha must be non-negative")
+    _require_size("alpha", alpha)
     _require(c > 0, "branch must be 1 or 2")
     power = p ** (2 * alpha + 1)
     return [_parity(3, 16 * power, c * power * p - 1, 3, exclude_prime=p)]
@@ -416,7 +416,7 @@ def _thm12(alpha: int, row: int) -> list[ProgressionSpec]:
       3: 2*5^(2a+2) n + (83*5^(2a+1) - 7)/12
       4: 2*5^(2a+2) n + (107*5^(2a+1) - 7)/12
     """
-    _require(alpha >= 0, "alpha must be non-negative")
+    _require_size("alpha", alpha)
     _require(row in _P55_ROWS, "row must be 1, 2, 3 or 4")
     c, e = _P55_ROWS[row]
     power = 5 ** (2 * alpha + e)
@@ -427,7 +427,7 @@ def _thm13(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
     """Parity of the (5,5) function at primes p >= 5 with (-10/p) = -1:
     argument 2 p^(2a+1)(pn + j) + 7(p^(2a+2) - 1)/12, 1 <= j <= p-1."""
     _family_prime(p, 5, *_symbol_minus_one(-10))
-    _require(alpha >= 0, "alpha must be non-negative")
+    _require_size("alpha", alpha)
     _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
     power = p ** (2 * alpha + 1)
     return [_parity(5, 2 * power * p, 7 * (power * p - 1), 12, base=2 * power * j)]
@@ -451,7 +451,7 @@ def _thm14(alpha: int, r: int | None = None, s: int | None = None) -> list[Progr
     """Parity progressions for the (7,7) function: ``_p77_row`` at p^(2b) = 1,
     branch 1 for r in {3, 4, 6} and branch 2 for s in {2, 4, 5}.  Exactly one
     of r, s must be given."""
-    _require(alpha >= 0, "alpha must be non-negative")
+    _require_size("alpha", alpha)
     _require((r is None) != (s is None), "give exactly one of r, s")
     return _p77_row(alpha, 1, 1, r) if s is None else _p77_row(alpha, 1, 2, s)
 
@@ -464,7 +464,8 @@ def _final(
       branch 3 (p not dividing n): 2*49^a p^(2b+1) n + (11*49^a p^(2b+2) - 5)/6
     """
     _family_prime(p, 5, *_symbol_minus_one(-21))
-    _require(alpha >= 0 and beta >= 0, "alpha and beta must be non-negative")
+    _require_size("alpha", alpha)
+    _require_size("beta", beta)
     _require(branch in (1, 2, 3), "branch must be 1, 2 or 3")
     if branch < 3:
         return _p77_row(alpha, p ** (2 * beta), branch, r if branch == 1 else s)
@@ -485,6 +486,7 @@ def family_catalog(family_id: str, **params) -> list[ProgressionSpec]:
     if family_id not in _FAMILIES:
         raise ValueError(f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
     try:
+        _require_ints(**params)  # a bool or float would build a claim as 1/0 or fail late
         return _FAMILIES[family_id](**params)
     except ValueError as exc:
         raise ValueError(f"{family_id}: {exc}") from None
@@ -504,11 +506,13 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
     Swept over n in [1, n_max], stopping at ``ARG_CAP``; both parities are
     bits of support quotients over the p(n) mod 2 bitset, and a failure
     record takes its exact value as sum c * p(n - e) over the support.
+    The p_tt and C(4t, t) supports list the same exponents t m(2m - 1), all
+    with odd coefficients, so both routes XOR the same exponent set over the
+    same bitset: the C half is not an independent route.
     """
     if which not in ("p11", "p33"):
         raise ValueError("which must be 'p11' or 'p33'")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_size("n_max", n_max, least=1)
     if which == "p11":
         t, k, i, predicate = 1, 4, 1, is_k3km1
         predicate_name = "n = k(3k-1), k in Z"
@@ -575,8 +579,7 @@ def check_conditional_parity(which: str, n_max: int) -> VerificationReport:
 def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
     """Coefficient-wise mod-2 equality of the (t,t) series and the C(4t,t)
     singular overpartition series over [0, n_max]."""
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_size("t", t, least=1)
     _require_size("n_max", n_max)
     left = genfun_p_tt(t, n_max)
     right = genfun_singular(SingularParams(4 * t, t), n_max)
@@ -589,8 +592,7 @@ def check_parity_bridge(t: int, n_max: int) -> VerificationReport:
 def eta_form_mod2_report(t: int, order: int) -> VerificationReport:
     """Mod-2 identity of both bridge sides with (q^t;q^t)^3 / (q;q):
     the reduction both series collapse to."""
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_size("t", t, least=1)
     pt = pochhammer_inf(t, t, order)
     eta = (pt * pt) * (pt * partition_generating_series(order))
     left = genfun_p_tt(t, order)

@@ -66,9 +66,8 @@ class MexParams(namedtuple("MexParams", "A a")):
 
     def __new__(cls, A: int, a: int):
         self = super().__new__(cls, A, a)
-        _require_ints(**self._asdict())  # a bool or float would walk as 1/0 or fail mid-walk
-        if A < 1:
-            raise ValueError("A must be positive")
+        _require_size("A", A, least=1)  # a bool or float would walk as 1/0 or fail mid-walk
+        _require_ints(a=a)
         if not 1 <= a <= A:
             raise ValueError("a must satisfy 1 <= a <= A")
         return self
@@ -124,8 +123,7 @@ def mex_count_oracle(n_max: int, params: MexParams) -> list[int]:
 
 
 def _over_inverse(support, t: int, order: int) -> list[int]:
-    if t < 1:  # t first; the inverse then refuses an order past the series bound before the support
-        raise ValueError("t must be positive")
+    _require_size("t", t, least=1)  # t first; the inverse then refuses an order past the series bound
     inverse = partition_generating_series(order)
     return list((inverse * TruncatedSeries.from_terms(support(t, order), order)).coeffs)
 
@@ -141,8 +139,7 @@ def genfun_p_2tt(t: int, order: int) -> list[int]:
 
 
 def _signed_sum(support, t: int, n: int) -> int:
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_size("t", t, least=1)
     partition_count(n)  # grown first: past the table's bound, no support is built
     return sum(c * partition_count(n - e) for e, c in support(t, n))
 

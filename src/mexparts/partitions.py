@@ -358,9 +358,7 @@ def restricted_counts(n_max: int, sizes: Iterable[int]) -> list[int]:
     _require_size("n", n_max)
     sizes = list(sizes)
     for v in sizes:  # True would count as the part 1
-        _require_ints("part ", size=v)
-    if min(sizes, default=1) < 1:
-        raise ValueError(f"part sizes must be positive, not {min(sizes)}")
+        _require_size("part sizes", v, least=1)
     table = [1] + [0] * n_max
     for v in set(sizes):
         for m in range(v, n_max + 1):

@@ -8,8 +8,9 @@ order; ``from_terms`` and ``pochhammer_inf`` refuse an order past
 coefficient of q^n.
 Every module checks its integer arguments with the two guards here, before
 any work: ``_require_ints`` refuses a value whose type is not exactly int
-(a bool or a float included), and ``_require_size`` also refuses a
-negative value and one past an optional bound.
+(a bool or a float included), and ``_require_size`` also refuses a value
+below its ``least`` (0 by default, "must be non-negative"; 1 for "must be
+positive") and one past an optional bound.
 The module also provides the infinite product and the sparse sums that
 partition generating functions are assembled from:
 
@@ -56,10 +57,10 @@ def _require_ints(prefix: str = "", **values) -> None:
             raise ValueError(f"{prefix}{key} must be an int (got {value!r})")
 
 
-def _require_size(name: str, value: int, bound: int | None = None, limited: str = "") -> None:
+def _require_size(name: str, value: int, bound: int | None = None, limited: str = "", least: int = 0) -> None:
     _require_ints(**{name: value})
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
     if bound is not None and value > bound:
         raise ValueError(f"{limited} {bound} (got {value})")
 
@@ -161,9 +162,8 @@ def pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     # prod over e = a, a+b, a+2b, ... <= order of (1 - q^e); each factor is
     # one slice update, and the comprehension reads the old coefficients
     # before the slice is overwritten
-    _require_ints(a=a, b=b)
-    if a < 1 or b < 1:
-        raise ValueError("pochhammer parameters must be positive")
+    _require_size("a", a, least=1)
+    _require_size("b", b, least=1)
     _require_size("truncation order", order, SERIES_ORDER_BOUND, "series orders are limited to")
     c = [1] + [0] * order
     for e in range(a, order + 1, b):
@@ -177,9 +177,7 @@ _product_of_binomials = pochhammer_inf  # perfbench/traced.py wraps this object 
 def _support_length(t: int, limit: int, largest_index) -> int:
     # the number of terms n = 0, 1, ... whose exponent t * f(n) is at most the
     # limit, where largest_index(m) is the largest n with f(n) <= m
-    _require_ints(t=t)
-    if t < 1:
-        raise ValueError("t must be positive")
+    _require_size("t", t, least=1)
     _require_size("support limit", limit)
     return largest_index(limit // t) + 1
 

@@ -40,7 +40,7 @@ from itertools import accumulate
 
 from .partitions import _stride2_prefix, enumerate_partitions, partition_convolution, restricted_counts
 from .reports import VerificationReport
-from .series import support_p_2tt, support_p_tt
+from .series import _require_size, support_p_2tt, support_p_tt
 
 __all__ = ["verify_section1_identities"]
 
@@ -87,8 +87,7 @@ def _section1_counts(n_max: int) -> tuple[list[int], ...]:
 
 def verify_section1_identities(n_max: int) -> VerificationReport:
     """Check identities (a)-(e) for every n in [1, n_max]; see module docstring."""
-    if not 1 <= n_max <= 40:
-        raise ValueError("n_max must lie in [1, 40] (enumeration-bound)")
+    _require_size("n_max", n_max, 40, "the identities are checked by enumeration, limited to n_max <=", least=1)
     report = VerificationReport(
         label="combinatorial-identities",
         metadata={"n_max": n_max, "identities": ["crank", "rank", "even-length", "mod32", "mod24"]},

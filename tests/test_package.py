@@ -61,6 +61,33 @@ def test_no_module_imports_a_name_it_never_uses():
         assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+def _lower_bound_messages(tree: ast.AST) -> list[tuple[int, str]]:
+    # string literals, f-string parts included, that word a lower bound
+    wordings = ("must be positive", "must be non-negative")
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(wording in node.value for wording in wordings)
+    ]
+
+
+def test_only_the_series_module_words_a_lower_bound():
+    # every other module states "a positive or non-negative int" through
+    # series._require_size, which checks the type together with the bound
+    hits = {
+        path.name: _lower_bound_messages(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(Path(mexparts.__file__).parent.glob("*.py"))
+        if path.name != "series.py"
+    }
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_the_lower_bound_scan_sees_plain_and_formatted_strings():
+    tree = ast.parse('raise ValueError("t must be positive")\nraise ValueError(f"{name} must be non-negative")\n')
+    assert _lower_bound_messages(tree) == [(1, "t must be positive"), (2, " must be non-negative")]
+
+
 def _modules_loaded(code: str) -> set[str]:
     # the modules a fresh interpreter holds after running code, with this
     # package on its path

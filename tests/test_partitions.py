@@ -27,12 +27,20 @@ from mexparts.congruences import (
     ProgressionSpec,
     check_conditional_parity,
     check_parity_bridge,
+    check_parity_characterization,
     check_progression,
+    delta,
+    eta_form_mod2_report,
+    family_catalog,
+    is_prime,
+    jacobi_symbol,
+    smallest_prime_with_symbol,
 )
 from mexparts.cli import main
-from mexparts.mex import MexParams, mex_counts_oracle
+from mexparts.mex import MexParams, genfun_p_2tt, genfun_p_tt, identity_p_2tt, identity_p_tt, mex_counts_oracle
 from mexparts.series import TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from mexparts.singular import SingularParams, singular_overpartition_oracle
+from mexparts.stats import verify_section1_identities
 from mexparts.suites import suite_bounds
 from partition_reference import partitions_of, parts_of
 
@@ -677,8 +685,9 @@ class TestRestrictedCount:
             restricted_count(4, sizes)
 
 
-# every entry point that takes a count, order, limit or part size, with the
-# bad value x in that place
+# every entry point that takes a count, order, limit, part size, parameter or
+# number-theory argument, with the bad value x in that place; a route with an
+# order or n takes a large one, so a check made after the work shows
 GUARDED = {
     "partition_count": lambda x: partition_count(x),
     "partition_convolution": lambda x: partition_convolution([(0, 1)], x),
@@ -706,6 +715,20 @@ GUARDED = {
     "check_conditional_parity": lambda x: check_conditional_parity("thm6_part2", x),
     "check_parity_bridge": lambda x: check_parity_bridge(1, x),
     "suite_bounds": lambda x: suite_bounds("thm1", n_max=x),
+    "genfun_p_tt t": lambda x: genfun_p_tt(x, 8000),
+    "genfun_p_2tt t": lambda x: genfun_p_2tt(x, 8000),
+    "identity_p_tt t": lambda x: identity_p_tt(x, 90_000),
+    "identity_p_2tt t": lambda x: identity_p_2tt(x, 90_000),
+    "check_parity_bridge t": lambda x: check_parity_bridge(x, 8000),
+    "eta_form_mod2_report t": lambda x: eta_form_mod2_report(x, 8000),
+    "check_parity_characterization": lambda x: check_parity_characterization("p11", x),
+    "verify_section1_identities": lambda x: verify_section1_identities(x),
+    "delta k": lambda x: delta(5, x),
+    "MexParams A": lambda x: MexParams(x, 1),
+    "family_catalog": lambda x: family_catalog("thm5", p=5, k=x),
+    "is_prime": lambda x: is_prime(x),
+    "jacobi_symbol": lambda x: jacobi_symbol(x, 7),
+    "smallest_prime_with_symbol": lambda x: smallest_prime_with_symbol(x),
 }
 
 
@@ -713,7 +736,10 @@ GUARDED = {
 @pytest.mark.parametrize("name", GUARDED)
 def test_every_guard_refuses_a_value_that_is_not_an_int(fresh_table, fresh_residues, fresh_parity, name, bad):
     # 10.0 once grew the table and then failed in a slice, True counted as 1,
-    # and restricted_counts(4, [True]) took True as the part 1
+    # and restricted_counts(4, [True]) took True as the part 1; genfun_p_tt(1.0,
+    # 8000) inverted (q;q)_inf before it refused t, and "7" raised a TypeError
+    inverses = partition_generating_series.cache_info()
     with pytest.raises(ValueError, match="must be an int"):
         GUARDED[name](bad)
     assert fresh_table == [1] and fresh_residues == {} and partitions._p_parity_len == 1
+    assert partition_generating_series.cache_info() == inverses  # not even a lookup

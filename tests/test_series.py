@@ -257,6 +257,17 @@ class TestMexSupports:
             assert exponents == sorted(set(exponents))
             assert exponents[-1] <= limit
 
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_the_bridge_numerators_share_their_exponents(self, t):
+        # the paper's bridge at the numerator level: t T(n) for the (t, t)
+        # support and t m(2m - 1), m in Z, for C(4t, t) are one set, the
+        # triangular numbers being m(2m - 1) over all m; every coefficient
+        # is odd, so mod 2 the two numerators are one series
+        limit = 10_000
+        mex, singular = support_p_tt(t, limit), theta_support(4 * t, t, limit)
+        assert [e for e, _ in mex] == [e for e, _ in singular]
+        assert all(c % 2 for _, c in mex + singular)
+
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(st.integers(1, 12), st.integers(0, 400))
     def test_series_are_the_supports(self, t, order):
