@@ -93,6 +93,7 @@ def jacobi_symbol(a: int, n: int) -> int:
 
 def delta(p: int, k: int) -> int:
     """24^{-1} mod p^k for p in {5, 7, 11}: the classical progression offsets."""
+    _require_ints(p=p)  # 5.0 would pass the membership test and fail in pow
     if p not in (5, 7, 11):
         raise ValueError("delta is defined for p in {5, 7, 11}")
     _require_size("k", k, least=1)
@@ -226,10 +227,9 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
             raise ValueError(f"{self.function} takes {takes}; given: {', '.join(given) or 'none'}")
         _require_size("progression step", self.step, least=1)
         _require_size("progression offset", self.offset)
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if self.t is not None and self.t < 1:
-            raise ValueError(f"{self.function} needs a positive t")
+        _require_size("progression modulus", self.modulus, least=2)
+        if self.t is not None:
+            _require_size("progression t", self.t, least=1)
         if self.function == "singular":
             SingularParams(self.k, self.i)  # raises on k < 3 or i outside [1, k//2]
         if self.exclude_prime is not None and not is_prime(self.exclude_prime):
@@ -249,12 +249,6 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
     def to_json(self) -> dict:
         """The fields that are not None, in declaration order."""
         return {key: value for key, value in self._asdict().items() if value is not None}
-
-
-def _parity_digits(support: list[tuple[int, int]], limit: int) -> str:
-    # character n, for n <= limit, is the parity of coefficient n of the
-    # support's quotient by (q;q)_inf
-    return f"{partition_parity_convolution(support, limit):0{limit + 1}b}"[::-1]
 
 
 def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
@@ -278,7 +272,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
     largest = spec.step * n_eff + spec.offset
     support = FUNCTIONS[spec.function][1](*spec.params.values(), largest)
     m = spec.modulus
-    bits = _parity_digits(support, largest) if m == 2 else None
+    bits = partition_parity_convolution(support, largest) if m == 2 else None
     table = partition_residue_table(m, largest) if m != 2 else None
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
@@ -286,7 +280,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
             continue
         arg = spec.step * n + spec.offset
         if bits is not None:
-            residue = int(bits[arg])
+            residue = bits >> arg & 1
         else:
             residue = sum(c * table[arg - e] for e, c in support if e <= arg) % m
         report.check(residue == 0, n=n, argument=arg, value_mod_m=residue)
@@ -345,16 +339,14 @@ def _parity(t: int, step: int, numerator: int, denominator: int, base: int = 0,
 def _thm2(a: int, b: int, m: int, t: int) -> list[ProgressionSpec]:
     """Transfer: if p(a*n + b) == 0 (mod m) for all n, the same progression
     vanishes for the (at, at) and (2at, at) families."""
-    _require(a >= 1 and t >= 1 and b >= 0 and m >= 2, "transfer needs a, t >= 1, b >= 0, m >= 2")
     return [ProgressionSpec(function, a, b, m, t=a * t) for function in ("p_tt", "p_2tt")]
 
 
 def _ramanujan(p: int, k: int, t: int) -> list[ProgressionSpec]:
     """The transfer of the classical progressions: step p^k, offset
     24^{-1} mod p^k, modulus p^k (5, 11) or 7^(floor(k/2)+1) (7)."""
-    _require(p in (5, 7, 11), "ramanujan families need p in {5, 7, 11}")
-    _require(k >= 1 and t >= 1, "ramanujan families need k, t >= 1")
-    return _thm2(p**k, delta(p, k), 7 ** (k // 2 + 1) if p == 7 else p**k, t)
+    offset = delta(p, k)  # refuses p and k before p^k is taken
+    return _thm2(p**k, offset, 7 ** (k // 2 + 1) if p == 7 else p**k, t)
 
 
 def _thm5(p: int, k: int) -> list[ProgressionSpec]:
@@ -528,13 +520,13 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
         report.metadata.update(n_max_effective=n_eff, argument_cap=ARG_CAP)
     mex_support, singular_support = support_p_tt(t, n_eff), theta_support(k, i, n_eff)
     routes = [
-        (f"p_tt[t={t}]", mex_support, _parity_digits(mex_support, n_eff)),
-        (f"C[{k},{i}]", singular_support, _parity_digits(singular_support, n_eff)),
+        (f"p_tt[t={t}]", mex_support, partition_parity_convolution(mex_support, n_eff)),
+        (f"C[{k},{i}]", singular_support, partition_parity_convolution(singular_support, n_eff)),
     ]
     for n in range(1, n_eff + 1):
-        expected = "1" if predicate(n) else "0"
+        expected = predicate(n)
         for name, support, bits in routes:
-            ok = bits[n] == expected
+            ok = bits >> n & 1 == expected
             report.check(ok, function=name, n=n,
                          value=None if ok else sum(c * partition_count(n - e) for e, c in support))
     return report

@@ -11,9 +11,10 @@ costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 theta support by (q;q)_inf, streaming coefficient n of (sum c q^e) / (q;q)_inf,
 sum c * p(n - e), in blocks; ``partition_convolution`` is their list.
 ``partition_residue_table(m, limit)`` runs the same blocks modulo m on one
-array('I') per modulus, each long lag one addition of 32-bit fields (a list
-past 32 bits), so the sweeps need no big p(n).  Neither table grows past
-``P_TABLE_BOUND``; a request beyond it raises at the call.
+array('I') per modulus, each long lag one addition of 32-bit fields, so the
+sweeps need no big p(n); a modulus too wide for those fields reduces the
+exact table.  No table grows past ``P_TABLE_BOUND``; a request beyond it
+raises at the call.
 ``partition_parity_convolution`` gives the same quotient modulo 2 as one
 Python int, bit n the parity of coefficient n, from a second process-wide
 bitset of p(n) mod 2 that needs no exact p(n).  Over GF(2),
@@ -103,31 +104,27 @@ def _pentagonal_blocks(table: MutableSequence[int], limit: int):
 
 
 def _grow_p_table(needed: int) -> None:
-    # _fill_blocks on the exact table, to the request or by
-    # min(len - 1, _P_TABLE_BLOCK) entries, whichever is further: lengths
-    # 2^j + 1, then 1 + m * _P_TABLE_BLOCK; no growth passes P_TABLE_BOUND.
+    # _pentagonal_blocks on the exact table, each long lag one slice pass over
+    # the block, to the request or by min(len - 1, _P_TABLE_BLOCK) entries,
+    # whichever is further: lengths 2^j + 1, then 1 + m * _P_TABLE_BLOCK; no
+    # growth passes P_TABLE_BOUND.
     _require_size("n", needed, P_TABLE_BOUND, _P_TABLE_LIMITED)
     with _table_lock:
         table = _p_table
         if needed < len(table):
             return
-        _fill_blocks(table, max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND)))
-
-
-def _fill_blocks(table: list[int], limit: int, m: int | None = None) -> None:
-    # _pentagonal_blocks, each long lag one slice pass over the block, every
-    # entry reduced mod m when a modulus is given; the caller holds the lock
-    for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, limit):
-        acc = [0] * size
-        for e, sign, lo in lags:
-            lag, op = table[n0 + lo - e : n0 + size - e], sub if sign > 0 else add
-            if lo:
-                acc[lo:] = map(op, acc[lo:], lag)
-            else:  # the lag covers the block: no copy of acc
-                acc = list(map(op, acc, lag))
-        for s in acc:
-            s = s + sum(get_plus(table)) - sum(get_minus(table))  # s += (plus - minus) adds 0.3 MiB to compute p
-            table.append(s if m is None else s % m)
+        limit = max(needed, min(len(table) + min(_P_TABLE_BLOCK, len(table) - 1) - 1, P_TABLE_BOUND))
+        for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(table, limit):
+            acc = [0] * size
+            for e, sign, lo in lags:
+                lag, op = table[n0 + lo - e : n0 + size - e], sub if sign > 0 else add
+                if lo:
+                    acc[lo:] = map(op, acc[lo:], lag)
+                else:  # the lag covers the block: no copy of acc
+                    acc = list(map(op, acc, lag))
+            for s in acc:  # s += (plus - minus), or one append of this sum, raised compute p's peak RSS
+                s = s + sum(get_plus(table)) - sum(get_minus(table))
+                table.append(s)
 
 
 def partition_count(n: int) -> int:
@@ -196,7 +193,7 @@ def _convolution_blocks(terms: list[tuple[int, int]], order: int) -> Iterator[in
 # p(n) mod m tables
 # ---------------------------------------------------------------------------
 
-_p_residues: dict[int, MutableSequence[int]] = {}  # m -> p(n) mod m: an array('I'), or a list past 32 bits
+_p_residues: dict[int, MutableSequence[int]] = {}  # m -> p(n) mod m, one array('I') per modulus
 
 
 def partition_residue_table(m: int, limit: int) -> list[int]:
@@ -206,20 +203,19 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
     ``P_TABLE_BOUND``, 516 * (m - 1) < 2^31) the table is one array('I'):
     each long lag is one int of the block's 32-bit fields, with 2^31 in
     every field so that no field's signed sum borrows from the next.  A wider
-    modulus keeps a list filled by ``_fill_blocks``.  Arguments that are not
-    ints, or out of range, raise before any table is made or grown.
+    modulus keeps no table of its own: it reduces the exact table, grown to
+    the limit.  Arguments that are not ints, or out of range, raise before
+    any table is made or grown.
     """
-    _require_ints(modulus=m)  # 7.0 would key the table of 7
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2 (got {m})")
+    _require_size("modulus", m, least=2)  # 7.0 would key the table of 7
     _require_size("limit", limit, P_TABLE_BOUND, _P_TABLE_LIMITED)
-    from array import array  # loaded only here: it adds about 0.06 MiB to a process's peak RSS
     half = 1 << 31
+    if len(_EULER_LAGS) * (m - 1) >= half:
+        _grow_p_table(limit)
+        return [v % m for v in _p_table[: limit + 1]]
+    from array import array  # loaded only here: it adds about 0.06 MiB to a process's peak RSS
     with _table_lock:
-        residues = _p_residues.setdefault(m, array("I", [1]) if len(_EULER_LAGS) * (m - 1) < half else [1])
-        if type(residues) is list:
-            _fill_blocks(residues, limit, m)
-            return residues[: limit + 1]
+        residues = _p_residues.setdefault(m, array("I", [1]))
         for n0, size, lags, get_plus, get_minus in _pentagonal_blocks(residues, limit):
             acc = int.from_bytes(array("I", [half]) * size, sys.byteorder)
             for e, sign, lo in lags:

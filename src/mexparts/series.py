@@ -9,8 +9,8 @@ coefficient of q^n.
 Every module checks its integer arguments with the two guards here, before
 any work: ``_require_ints`` refuses a value whose type is not exactly int
 (a bool or a float included), and ``_require_size`` also refuses a value
-below its ``least`` (0 by default, "must be non-negative"; 1 for "must be
-positive") and one past an optional bound.
+below its ``least`` (0 by default: "must be non-negative"; "positive" at 1;
+"at least {least}" above) and one past an optional bound.
 The module also provides the infinite product and the sparse sums that
 partition generating functions are assembled from:
 
@@ -60,7 +60,7 @@ def _require_ints(prefix: str = "", **values) -> None:
 def _require_size(name: str, value: int, bound: int | None = None, limited: str = "", least: int = 0) -> None:
     _require_ints(**{name: value})
     if value < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}")
+        raise ValueError(f"{name} must be " + {0: "non-negative", 1: "positive"}.get(least, f"at least {least}"))
     if bound is not None and value > bound:
         raise ValueError(f"{limited} {bound} (got {value})")
 

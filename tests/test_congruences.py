@@ -432,12 +432,7 @@ class TestParityRoute:
         assert check_parity_characterization("p33", 1000).passed
 
     def test_residue_sweeps_read_no_exact_table(self, monkeypatch):
-        # every modulus other than 2 reads its table of p(n) mod m, whatever
-        # its size: 10^21 takes fields wider than 32 bits, and p(n) > 10^21
-        # for every argument 7n + 505 of its sweep, so each residue is reduced
-        exact = [partition_count(7 * n + 505) for n in range(FAILURE_CAP)]
-        assert min(exact) > 10**21
-
+        # every modulus with 32-bit fields reads its table of p(n) mod m
         def forbidden(*args):
             raise AssertionError("a residue sweep must read its residue table only")
 
@@ -448,12 +443,21 @@ class TestParityRoute:
         assert check_progression(ProgressionSpec("p", 5, 4, 5), 300).passed
         assert check_progression(ProgressionSpec("p_2tt", 121, 116, 121, t=121), 200).passed
         assert all(report.passed for report in check_singular_mod8())
+        assert sorted(partitions._p_residues) == [5, 8, 121]
+        with pytest.raises(AssertionError, match="residue table only"):
+            partition_count(1)  # the exact table is really out of reach
+
+    def test_a_sweep_past_32_bits_reduces_the_exact_table(self, monkeypatch):
+        # 10^21 is wider than 32-bit fields, and p(n) > 10^21 for every
+        # argument 7n + 505 of its sweep, so each residue is reduced
+        exact = [partition_count(7 * n + 505) for n in range(FAILURE_CAP)]
+        assert min(exact) > 10**21
+        monkeypatch.setattr(partitions, "_p_table", [1])
+        monkeypatch.setattr(partitions, "_p_residues", {})
         report = check_progression(ProgressionSpec("p", 7, 505, 10**21), 100)
         assert report.checked == report.failure_count == 101
         assert [f["value_mod_m"] for f in report.failures] == [v % 10**21 for v in exact]
-        assert sorted(partitions._p_residues) == [5, 8, 121, 10**21]
-        with pytest.raises(AssertionError, match="residue table only"):
-            partition_count(1)  # the exact table is really out of reach
+        assert partitions._p_residues == {} and len(partitions._p_table) > 7 * 100 + 505
 
     def test_the_argument_cap_bounds_the_bitset(self, monkeypatch):
         monkeypatch.setattr(partitions, "_p_parity", 1)
@@ -468,15 +472,15 @@ class TestParityRoute:
 # side condition, a ValueError; the label also names those cases in their ids.
 _INVALID = "InvalidFamilyParams"
 _INVALID_FAMILY_PARAMS = [
-    # thm2: the transfer's bounds
-    ("thm2", dict(a=0, b=4, m=5, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
-    ("thm2", dict(a=5, b=4, m=5, t=0), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
-    ("thm2", dict(a=5, b=-1, m=5, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
-    ("thm2", dict(a=5, b=4, m=1, t=1), _INVALID, r"a, t >= 1, b >= 0, m >= 2"),
-    # ramanujan
+    # thm2: the transfer's bounds, refused by ProgressionSpec
+    ("thm2", dict(a=0, b=4, m=5, t=1), _INVALID, r"progression step must be positive"),
+    ("thm2", dict(a=5, b=4, m=5, t=0), _INVALID, r"progression t must be positive"),
+    ("thm2", dict(a=5, b=-1, m=5, t=1), _INVALID, r"progression offset must be non-negative"),
+    ("thm2", dict(a=5, b=4, m=1, t=1), _INVALID, r"progression modulus must be at least 2"),
+    # ramanujan: p and k refused by delta, t by ProgressionSpec
     ("ramanujan", dict(p=13, k=1, t=1), _INVALID, r"p in \{5, 7, 11\}"),
-    ("ramanujan", dict(p=5, k=0, t=1), _INVALID, r"k, t >= 1"),
-    ("ramanujan", dict(p=7, k=1, t=0), _INVALID, r"k, t >= 1"),
+    ("ramanujan", dict(p=5, k=0, t=1), _INVALID, r"k must be positive"),
+    ("ramanujan", dict(p=7, k=1, t=0), _INVALID, r"progression t must be positive"),
     # thm5
     ("thm5", dict(p=9, k=0), _INVALID, r"\b9 is not prime"),
     ("thm5", dict(p=1, k=0), _INVALID, r"\b1 is not prime"),

@@ -111,7 +111,7 @@ def test_oracle_check_agrees_with_product_inversion(case):
             "oracle-check --function singular --k 2 --i 1 --n-max 51",
             "error: k must be at least 3, got 2",
         ),
-        ("verify progression --function p_tt --t 0 --n-max 3", "error: p_tt needs a positive t"),
+        ("verify progression --function p_tt --t 0 --n-max 3", "error: progression t must be positive"),
     ],
 )
 def test_the_first_of_two_faults_is_refused(capsys, argv, message):

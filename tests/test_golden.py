@@ -98,7 +98,7 @@ def test_stdout_matches_golden_capture(capsys, capture, argv):
 
 def test_a_false_progression_past_32_bits_matches_its_capture(capsys):
     # p(7n + 505) exceeds 10^21 at every argument, so each of the 101 rows
-    # is a failure reduced through the list-backed table of p(n) mod 10^21;
+    # is a failure, the exact p(n) reduced mod 10^21 past 32-bit fields;
     # the sweep reports them and exits 1
     argv = ["verify", "progression", "--function", "p", "--step", "7", "--offset", "505",
             "--modulus", str(10**21), "--n-max", "100"]

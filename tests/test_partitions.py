@@ -338,14 +338,26 @@ class TestResidueTable:
         series = partition_generating_series(2000)
         assert partition_residue_table(m, 2000) == [c % m for c in series.coeffs]
 
-    @pytest.mark.parametrize("m", [10**21, 2**64 + 13, 2**31 // 100 + 1], ids=str)
+    @pytest.mark.parametrize("m", [10**21, 2**64 + 13, 2**31 // 100 + 1, 4_161_792, 10**22], ids=str)
     def test_moduli_past_32_bits_take_wider_fields(self, fresh_residues, m):
-        # a list of ints, which have no width: the rule reads the 516 lags to
-        # the bound when the table is made, and 2^31 // 100 + 1 = 21 474 837
+        # the exact table's ints, which have no width, reduced mod m: the rule
+        # reads the 516 lags to the bound, and 2^31 // 100 + 1 = 21 474 837
         # would fit 32 bits with the 51 lags to 1000
         for limit in (1000, 12_000):
             assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
-            assert type(partitions._p_residues[m]) is list
+        assert fresh_residues == {}
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        m=st.integers(4_161_792, 10**30),
+        requests=st.lists(st.integers(0, 12_000), min_size=1, max_size=4),
+    )
+    def test_a_wide_modulus_is_the_scalar_recurrence_mod_m(self, m, requests):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_p_residues", {})
+            for limit in requests:
+                assert partition_residue_table(m, limit) == [v % m for v in SCALAR_REFERENCE[: limit + 1]]
+            assert partitions._p_residues == {}
 
     def test_the_32_bit_rule_ends_at_4_161_791(self, fresh_residues):
         # 516 * (m - 1) < 2^31 holds for 4 161 791 but not for the next m:
@@ -353,24 +365,30 @@ class TestResidueTable:
         for m in (4_161_791, 4_161_792):
             assert partition_residue_table(m, 12_000) == [v % m for v in SCALAR_REFERENCE]
         assert_packed(4_161_791)
-        assert type(fresh_residues[4_161_792]) is list
+        assert list(fresh_residues) == [4_161_791]
 
     def test_a_float_modulus_leaves_the_table_of_its_int_unchanged(self, fresh_residues):
-        # 10.0**22 == 10**22 keys the same table, where it would append floats
-        # that later int requests return
-        expected = [v % 10**22 for v in SCALAR_REFERENCE[:1001]]
-        assert partition_residue_table(10**22, 1000) == expected
-        with pytest.raises(ValueError, match="must be an int"):
-            partition_residue_table(10.0**22, 2000)
-        assert fresh_residues[10**22] == expected
-        assert partition_residue_table(10**22, 1000) == expected
+        # 7.0 == 7 keys the same table, where it would append floats that
+        # later int requests return; 10.0**22 would reduce the exact table
+        # to floats
+        for m in (7, 10**22):
+            expected = [v % m for v in SCALAR_REFERENCE[:1001]]
+            assert partition_residue_table(m, 1000) == expected
+            with pytest.raises(ValueError, match="must be an int"):
+                partition_residue_table(float(m), 2000)
+            assert partition_residue_table(m, 1000) == expected
+        assert list(fresh_residues) == [7]
+        assert fresh_residues[7].tolist() == [v % 7 for v in SCALAR_REFERENCE[:1001]]
 
     def test_reads_no_exact_table(self, monkeypatch, fresh_residues):
+        # every modulus with 32-bit fields, the widest among them included
         def forbidden(needed):
             raise AssertionError("a residue table must not grow the exact table")
 
         monkeypatch.setattr(partitions, "_grow_p_table", forbidden)
-        assert partition_residue_table(7, 12_000) == [v % 7 for v in SCALAR_REFERENCE]
+        for m in (7, 4_161_791):
+            assert partition_residue_table(m, 12_000) == [v % m for v in SCALAR_REFERENCE]
+            assert_packed(m)
 
     @pytest.mark.parametrize("m, limit, message", [(1, 10, "at least 2"), (0, 10, "at least 2"),
                                                    (-5, 10, "at least 2"), (5, -1, "non-negative"),
@@ -723,6 +741,7 @@ GUARDED = {
     "eta_form_mod2_report t": lambda x: eta_form_mod2_report(x, 8000),
     "check_parity_characterization": lambda x: check_parity_characterization("p11", x),
     "verify_section1_identities": lambda x: verify_section1_identities(x),
+    "delta p": lambda x: delta(x, 1),
     "delta k": lambda x: delta(5, x),
     "MexParams A": lambda x: MexParams(x, 1),
     "family_catalog": lambda x: family_catalog("thm5", p=5, k=x),
