@@ -18,9 +18,10 @@ One loop, ``_sweep``, evaluates every progression for its three callers:
 numerator over (q;q)_inf (1 for p, the (t,t) and (2t,t) supports, the
 singular theta support), taken once up to the sweep's largest argument.
 Modulo 2 the whole quotient is one XOR of shifted copies of the p(n) mod 2
-bitset, and each residue is one bit of it; for any other modulus each
-residue is sum c * r(arg - e) modulo m, from the table r of p(n) mod m.
-The parity characterizations read the same bitset and take an exact value
+bitset, and each residue is one bit of it, read by ``_bit_reader`` from one
+byte copy of the bitset taken per sweep; for any other modulus each residue
+is sum c * r(arg - e) modulo m, from the table r of p(n) mod m.  The parity
+characterizations read the same bitset the same way and take an exact value
 only for a failure record.  No series is built.  A report never silently
 narrows a sweep; whatever was skipped (excluded index, argument cap) is
 counted.
@@ -251,6 +252,14 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
         return {key: value for key, value in self._asdict().items() if value is not None}
 
 
+def _bit_reader(bits: int, limit: int) -> Callable[[int], int]:
+    """Bit n of the non-negative ``bits`` below 2^(limit + 1), for n in
+    [0, limit], each read from one byte copy of ``bits`` taken here:
+    ``bits >> n & 1`` would copy every bit above n, O(limit) per read."""
+    data = bits.to_bytes(limit // 8 + 1, "little")
+    return lambda n: data[n >> 3] >> (n & 7) & 1
+
+
 def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
            skip: Callable[[int], bool] | None) -> VerificationReport:
     """The one loop over f(step*n + offset) mod m, for n in [0, n_max].
@@ -272,15 +281,15 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
     largest = spec.step * n_eff + spec.offset
     support = FUNCTIONS[spec.function][1](*spec.params.values(), largest)
     m = spec.modulus
-    bits = partition_parity_convolution(support, largest) if m == 2 else None
+    bit = _bit_reader(partition_parity_convolution(support, largest), largest) if m == 2 else None
     table = partition_residue_table(m, largest) if m != 2 else None
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
             report.skipped += 1
             continue
         arg = spec.step * n + spec.offset
-        if bits is not None:
-            residue = bits >> arg & 1
+        if bit is not None:
+            residue = bit(arg)
         else:
             residue = sum(c * table[arg - e] for e, c in support if e <= arg) % m
         report.check(residue == 0, n=n, argument=arg, value_mod_m=residue)
@@ -520,13 +529,13 @@ def check_parity_characterization(which: str, n_max: int) -> VerificationReport:
         report.metadata.update(n_max_effective=n_eff, argument_cap=ARG_CAP)
     mex_support, singular_support = support_p_tt(t, n_eff), theta_support(k, i, n_eff)
     routes = [
-        (f"p_tt[t={t}]", mex_support, partition_parity_convolution(mex_support, n_eff)),
-        (f"C[{k},{i}]", singular_support, partition_parity_convolution(singular_support, n_eff)),
+        (name, support, _bit_reader(partition_parity_convolution(support, n_eff), n_eff))
+        for name, support in ((f"p_tt[t={t}]", mex_support), (f"C[{k},{i}]", singular_support))
     ]
     for n in range(1, n_eff + 1):
         expected = predicate(n)
-        for name, support, bits in routes:
-            ok = bits >> n & 1 == expected
+        for name, support, bit in routes:
+            ok = bit(n) == expected
             report.check(ok, function=name, n=n,
                          value=None if ok else sum(c * partition_count(n - e) for e, c in support))
     return report

@@ -431,6 +431,29 @@ class TestParityRoute:
         assert check_conditional_parity("thm6_part2", 100).passed
         assert check_parity_characterization("p33", 1000).passed
 
+    def test_mod_2_rows_never_shift_the_bitset(self, monkeypatch):
+        # bits >> n copies every bit above n, so a row read that way costs
+        # O(n); each row must read one bit of a copy taken once per bitset
+        bitsets, shifts = [], []
+
+        class Bitset(int):
+            def __rshift__(self, amount):
+                shifts.append(amount)
+                return int(self) >> amount
+
+        def convolution(support, limit):
+            bitsets.append(Bitset(partitions.partition_parity_convolution(support, limit)))
+            return bitsets[-1]
+
+        monkeypatch.setattr(congruences, "partition_parity_convolution", convolution)
+        for spec in _TRUE_PARITY_SPECS:
+            assert check_progression(spec, 100).passed
+        assert check_progression(ProgressionSpec("singular", 7, 2, 2, k=5, i=2), 100).failure_count > 0
+        assert check_parity_characterization("p33", 1000).passed
+        # one bitset per sweep, and one per route of the characterization
+        assert len(bitsets) == len(_TRUE_PARITY_SPECS) + 1 + 2
+        assert shifts == []
+
     def test_residue_sweeps_read_no_exact_table(self, monkeypatch):
         # every modulus with 32-bit fields reads its table of p(n) mod m
         def forbidden(*args):
