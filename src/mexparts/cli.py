@@ -15,25 +15,32 @@ Formats are JSON (one object per line) and CSV.  Exit codes: 0 all passed,
 1 at least one counterexample, 2 usage or resource errors or a closed
 stdout.  Output contains no timestamps and no floats, so runs with
 identical flags diff clean.
+
+Each command loads only the modules it runs.  This module imports
+``partitions`` and ``series`` (``FUNCTIONS`` included) at the top, so
+``compute`` and ``oracle-check`` of p, p_tt and p_2tt load nothing more;
+singular and C_ki_oracle add ``singular``, and p_Aa_oracle and the
+oracle-check of p_tt and p_2tt add ``mex``.  ``verify``, and a command line
+with no command (``--help``), load every module, before argparse and json,
+and build one ``verify`` target per suite from ``suites.suite_bounds``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
+from importlib import import_module
 from itertools import accumulate, islice
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import partitions
-from .congruences import ARG_CAP, FUNCTIONS, ProgressionSpec, check_progression
-from .mex import MexParams, mex_count_oracle
 from .partitions import enumerate_partitions, partition_convolution_rows, partition_count
-from .reports import VerificationReport
-from .series import _require_size
-from .singular import SingularParams, singular_overpartition_oracle
-from .suites import SUITE_NAMES, run_all, run_suite, suite_bounds
+from .series import FUNCTIONS, _require_size
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .reports import VerificationReport
 
 DEFAULT_TRUNC = 2000
 _FLAG_DEFAULTS = {"t": 1, "k": 3, "i": 1, "A": 1, "a": 1}  # the parsers give none: a given flag shows
@@ -59,6 +66,7 @@ def _params(args) -> dict:
     if args.function in ("p_tt", "p_2tt", "singular") and (n_max := args.n_max) > args.trunc:
         raise ValueError(f"this command needs series order {n_max}; raise --trunc (currently {args.trunc})")
     if args.function == "singular":  # theta_support would take k = 2
+        from .singular import SingularParams
         SingularParams(**params)
     elif "t" in params:
         _require_size("t", params["t"], least=1)
@@ -78,8 +86,10 @@ def _compute_rows(args) -> tuple[str, dict, Iterable[int]]:
         support = FUNCTIONS[name][1](*params.values(), n_max)
         return name, params, partition_convolution_rows(support, n_max)
     if name == "p_Aa_oracle":
+        from .mex import MexParams, mex_count_oracle
         return name, params, mex_count_oracle(n_max, MexParams(**params))
     # C_ki_oracle, the last of the parser's choices
+    from .singular import SingularParams, singular_overpartition_oracle
     return name, params, singular_overpartition_oracle(n_max, SingularParams(**params))
 
 
@@ -99,6 +109,7 @@ def _write_rows(rows) -> None:
 def cmd_compute(args) -> int:
     name, params, values = _compute_rows(args)
     if args.format == "json":
+        import json
         head = json.dumps({"function": name, "params": params})[:-1]
         _write_rows(f'{head}, "n": {n}, "value": "{value}"}}\n' for n, value in enumerate(values))
     else:
@@ -120,6 +131,7 @@ def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int
     # all held at once): a JSON line, or a CSV row of its columns
     records = ({"suite": suite, **report.to_json()} for suite, reports in results.items() for report in reports)
     if fmt == "json":
+        import json
         sys.stdout.writelines(json.dumps(record) + "\n" for record in records)
     else:  # the csv module quotes the labels that hold a comma
         import csv  # loaded only here: it adds about 0.2 MiB to a process's peak RSS
@@ -130,6 +142,8 @@ def _emit_reports(results: dict[str, list[VerificationReport]], fmt: str) -> int
 
 
 def cmd_verify(args) -> int:
+    from .congruences import ARG_CAP, ProgressionSpec, check_progression
+    from .suites import run_all, run_suite, suite_bounds
     if args.suite == "progression":
         spec = ProgressionSpec(
             args.function, args.step, args.offset, args.modulus,
@@ -166,14 +180,17 @@ def cmd_oracle_check(args) -> int:
             nodes[n_max - mult[1]] += 1
         oracle = accumulate(nodes)
     elif args.function == "singular":
+        from .singular import SingularParams, singular_overpartition_oracle
         oracle = singular_overpartition_oracle(n_max, SingularParams(**params))
     else:  # p_tt or p_2tt, t refused as t here: MexParams(A * t, t) would name A
+        from .mex import MexParams, mex_count_oracle
         t = params["t"]
         oracle = mex_count_oracle(n_max, MexParams(t if args.function == "p_tt" else 2 * t, t))
     # against the table route, the values compute prints
     name, _, expected = _compute_rows(args)
     rows = [(n, value, series, value == series) for n, (value, series) in enumerate(zip(oracle, expected))]
     if args.format == "json":
+        import json
         head = json.dumps({"function": name})[:-1]
         _write_rows(
             f'{head}, "n": {n}, "oracle": "{value}", "series": "{series}", '
@@ -190,7 +207,11 @@ def cmd_oracle_check(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verify_targets: bool = True) -> argparse.ArgumentParser:
+    """The parser of every command.  With ``verify_targets`` false, ``verify``
+    gets no targets, so no suite is loaded: a parser for ``compute`` and
+    ``oracle-check`` only, whose help reads the same."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mexparts",
         description="Exact mex-related partition functions, singular overpartitions, "
@@ -223,6 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.set_defaults(run=cmd_verify)
+    if verify_targets:
+        _add_verify_targets(p_verify, output)
+
+    p_oracle = sub.add_parser(
+        "oracle-check", parents=[common], help="diff oracle counts against series coefficients"
+    )
+    p_oracle.add_argument("--function", choices=FUNCTIONS, required=True)
+    p_oracle.add_argument("--n-max", type=int, required=True)
+    p_oracle.add_argument("--t", type=int, help="t for p_tt / p_2tt (default 1)")
+    p_oracle.add_argument("--k", type=int, help="k for singular (default 3)")
+    p_oracle.add_argument("--i", type=int, help="i for singular (default 1)")
+    p_oracle.set_defaults(run=cmd_oracle_check)
+
+    return parser
+
+
+def _add_verify_targets(p_verify: argparse.ArgumentParser, output: argparse.ArgumentParser) -> None:
+    from .suites import SUITE_NAMES, suite_bounds
     # one parser per target, holding only that target's flags; no
     # abbreviations, so --t cannot stand for --t-max
     targets = p_verify.add_subparsers(dest="suite", required=True)
@@ -244,21 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--exclude-prime", type=int)
     target.add_argument("--n-max", type=int, default=100, help="(default %(default)s)")
 
-    p_oracle = sub.add_parser(
-        "oracle-check", parents=[common], help="diff oracle counts against series coefficients"
-    )
-    p_oracle.add_argument("--function", choices=FUNCTIONS, required=True)
-    p_oracle.add_argument("--n-max", type=int, required=True)
-    p_oracle.add_argument("--t", type=int, help="t for p_tt / p_2tt (default 1)")
-    p_oracle.add_argument("--k", type=int, help="k for singular (default 3)")
-    p_oracle.add_argument("--i", type=int, help="i for singular (default 1)")
-    p_oracle.set_defaults(run=cmd_oracle_check)
 
-    return parser
+# the modules the verify path adds, in the package's order: with no bytecode
+# cache each is compiled as it loads, and those compiles set the peak RSS of
+# `verify all`, lowest when they come before argparse and json
+_VERIFY_MODULES = ("congruences", "mex", "reports", "singular", "stats", "suites")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    lean = bool(argv) and argv[0] in ("compute", "oracle-check")
+    if not lean:
+        for name in _VERIFY_MODULES:
+            import_module(f"{__package__}.{name}")
+    parser = build_parser(verify_targets=not lean)
     args = parser.parse_args(argv)
     try:
         code = args.run(args)

@@ -34,14 +34,9 @@ from collections import namedtuple
 from typing import Callable
 
 from .mex import genfun_p_tt
-from .partitions import (
-    partition_count,
-    partition_generating_series,
-    partition_parity_convolution,
-    partition_residue_table,
-)
+from .partitions import _residue_table, partition_count, partition_generating_series, partition_parity_convolution
 from .reports import VerificationReport
-from .series import _require_ints, _require_size, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
+from .series import FUNCTIONS, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
 
 __all__ = [
@@ -191,17 +186,6 @@ def is_2pent_plus_3tri(n: int) -> bool:
 
 ARG_CAP = 50_000  # keep progression arguments at desk scale
 
-# function id -> (its parameters among t, k, i; its numerator over (q;q)_inf
-# as (exponent, coefficient) terms, support(*values, limit); its display
-# name, name(*values)); the self-paired singular case k = 2i has coefficients 2
-FUNCTIONS = {
-    "p": ((), lambda limit: [(0, 1)], lambda: "p"),
-    "p_tt": (("t",), support_p_tt, lambda t: f"p[{t},{t}]"),
-    "p_2tt": (("t",), support_p_2tt, lambda t: f"p[{2 * t},{t}]"),
-    "singular": (("k", "i"), theta_support, lambda k, i: f"C[{k},{i}]"),
-}
-
-
 class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulus t k i exclude_prime")):
     """One claim: function(step*n + offset) == 0 (mod modulus) for all swept n.
 
@@ -282,7 +266,7 @@ def _sweep(report: VerificationReport, spec: ProgressionSpec, n_max: int,
     support = FUNCTIONS[spec.function][1](*spec.params.values(), largest)
     m = spec.modulus
     bit = _bit_reader(partition_parity_convolution(support, largest), largest) if m == 2 else None
-    table = partition_residue_table(m, largest) if m != 2 else None
+    table = _residue_table(m, largest) if m != 2 else None  # read in place, not copied
     for n in range(n_eff + 1):
         if skip is not None and skip(n):
             report.skipped += 1

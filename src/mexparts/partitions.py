@@ -46,7 +46,7 @@ import threading
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, itemgetter, sub
-from typing import Iterable, Iterator, MutableSequence
+from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from .series import TruncatedSeries, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
 
@@ -197,7 +197,14 @@ _p_residues: dict[int, MutableSequence[int]] = {}  # m -> p(n) mod m, one array(
 
 
 def partition_residue_table(m: int, limit: int) -> list[int]:
-    """p(n) mod m for every n <= limit, from a process-wide table per modulus.
+    """p(n) mod m for every n <= limit, from a process-wide table per modulus
+    (see ``_residue_table``), as a list of its own."""
+    return list(_residue_table(m, limit)[: limit + 1])
+
+
+def _residue_table(m: int, limit: int) -> Sequence[int]:
+    """p(n) mod m at item n, for every n <= limit at least: the process-wide
+    table itself, read in place and never to be written, or a list.
 
     ``_grow_p_table``'s blocks modulo m.  For m <= 4 161 791 (516 lags to
     ``P_TABLE_BOUND``, 516 * (m - 1) < 2^31) the table is one array('I'):
@@ -223,7 +230,7 @@ def partition_residue_table(m: int, limit: int) -> list[int]:
                 acc = acc - lag if sign > 0 else acc + lag
             for s in array("I", acc.to_bytes(4 * size, sys.byteorder)):
                 residues.append((s - half + sum(get_plus(residues)) - sum(get_minus(residues))) % m)
-        return residues[: limit + 1].tolist()
+        return residues
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ sum of the Jacobi triple product,
 as sparse (exponent, coefficient) pairs.  With s = -1 and (k, i) = (3, 1) it
 is Euler's pentagonal support of (q; q)_inf; with s = +1 it is the numerator
 of Andrews' singular overpartition series.
+
+``FUNCTIONS`` maps each function id (p, p_tt, p_2tt, singular) to its
+parameter names, its support above and its display name.
 """
 
 from __future__ import annotations
@@ -216,3 +219,16 @@ def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list
             terms[e] = terms.get(e, 0) + (-1 if alternating and m % 2 else 1)
             m += step
     return sorted(terms.items())
+
+
+# function id -> (its parameters among t, k, i; its numerator over (q;q)_inf
+# as (exponent, coefficient) terms, support(*values, limit); its display
+# name, name(*values)); the self-paired singular case k = 2i has coefficients 2.
+# ``compute``, ``oracle-check`` and ``congruences.ProgressionSpec`` read it;
+# ``congruences`` exports it
+FUNCTIONS = {
+    "p": ((), lambda limit: [(0, 1)], lambda: "p"),
+    "p_tt": (("t",), support_p_tt, lambda t: f"p[{t},{t}]"),
+    "p_2tt": (("t",), support_p_2tt, lambda t: f"p[{2 * t},{t}]"),
+    "singular": (("k", "i"), theta_support, lambda k, i: f"C[{k},{i}]"),
+}

@@ -435,6 +435,41 @@ class TestVerifyParser:
             assert flag not in out
 
 
+
+def _help(capsys, parser, argv) -> bytes:
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out.encode()
+
+
+class TestHelp:
+    # compared in process, parser against parser, since argparse's layout
+    # differs across Python versions
+
+    @pytest.mark.parametrize("command", ["compute", "oracle-check"])
+    def test_the_lean_parser_prints_the_same_help(self, capsys, command):
+        lean = _help(capsys, build_parser(verify_targets=False), [command])
+        assert lean == _help(capsys, build_parser(), [command])
+        assert b"--n-max" in lean
+
+    def test_the_top_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("compute", "verify", "oracle-check"):
+            assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+
+    def test_the_verify_help_lists_every_target(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for target in ("all", *SUITE_NAMES, "progression"):
+            assert re.search(rf"[{{,]{target}[,}}]", out), target
+
+
 class TestOracleCheck:
     def test_p_tt_agrees(self, capsys):
         code, out, _ = run_cli(

@@ -104,3 +104,75 @@ def test_the_cli_loads_none_of_dataclasses_inspect_or_array():
     added = _modules_loaded("import mexparts.cli") - _modules_loaded("pass")
     assert "mexparts.cli" in added
     assert not added & {"dataclasses", "inspect", "array"}, sorted(added)
+
+
+def _package_modules_loaded(code: str) -> set[str]:
+    # the mexparts modules a fresh interpreter holds after running code
+    return {name for name in _modules_loaded(code) if name.split(".")[0] == "mexparts"}
+
+
+def _after_cli(argv: str) -> set[str]:
+    # the mexparts modules main(argv) loads in a fresh process, its output
+    # discarded; no command loads dataclasses or inspect
+    loaded = _modules_loaded(
+        "import contextlib, io\nfrom mexparts.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    main({argv.split()!r})"
+    )
+    assert not loaded & {"dataclasses", "inspect"}, argv
+    return {name for name in loaded if name.split(".")[0] == "mexparts"}
+
+
+LEAN = {"mexparts", "mexparts.cli", "mexparts.partitions", "mexparts.series"}
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _package_modules_loaded("import mexparts") == {"mexparts"}
+
+
+def test_compute_p_loads_only_the_table_modules():
+    assert _after_cli("compute p --n-max 10") == LEAN
+
+
+def test_compute_singular_adds_only_the_singular_module():
+    assert _after_cli("compute singular --k 5 --i 2 --n-max 10") == LEAN | {"mexparts.singular"}
+
+
+def test_verify_all_loads_every_module():
+    loaded = _after_cli("verify all")
+    assert loaded == {"mexparts", "mexparts.cli"} | {module.__name__ for module in MODULES}
+    assert len(loaded) == 10
+
+
+def test_a_star_import_binds_every_name_to_its_module_object():
+    # in a fresh process, where no submodule is loaded before the star import
+    script = (
+        "from mexparts import *\n"
+        "import mexparts, sys\n"
+        "for module in ('series', 'partitions', 'mex', 'singular', 'stats', 'reports', 'congruences', 'suites'):\n"
+        "    module = sys.modules['mexparts.' + module]\n"
+        "    for name in module.__all__:\n"
+        "        assert globals()[name] is getattr(module, name), name\n"
+    )
+    assert _package_modules_loaded(script) == {"mexparts"} | {module.__name__ for module in MODULES}
+
+
+def test_an_unknown_name_raises_attribute_error_and_loads_nothing():
+    loaded = _package_modules_loaded(
+        "import mexparts\ntry:\n    mexparts.no_such_name\nexcept AttributeError:\n    pass\n"
+        "else:\n    raise SystemExit('no AttributeError')\n"
+        "assert not hasattr(mexparts, 'no_such_name')"
+    )
+    assert loaded == {"mexparts"}
+
+
+def test_a_submodule_name_loads_that_submodule_only():
+    loaded = _package_modules_loaded(
+        "import mexparts\nfrom mexparts import partitions\n"
+        "assert mexparts.partitions is partitions and partitions.partition_count(5) == 7"
+    )
+    assert loaded == {"mexparts", "mexparts.partitions", "mexparts.series"}
+
+
+def test_dir_lists_every_exported_name():
+    assert set(mexparts.__all__) <= set(dir(mexparts))
+    assert {"__all__", "__version__"} <= set(dir(mexparts))
