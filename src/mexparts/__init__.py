@@ -12,22 +12,23 @@ The library computes, with exact integer arithmetic throughout:
 and machine-verifies the congruence families and parity characterizations
 these functions satisfy, reporting counterexamples when a claim fails.
 
-The public API is each module's ``__all__``, re-exported here in order.  A
-re-export resolves on first access (PEP 562), so ``import mexparts`` loads
-no submodule; a name loads only the module that defines it, and a
-submodule name (``mexparts.series``) only that submodule.
+The public API is listed once, in ``_EXPORTS``: each module's ``__all__`` is
+its row, the names it defines, re-exported here in order.  A re-export
+resolves on first access (PEP 562), so ``import mexparts`` loads no
+submodule; a name loads only the module that defines it, and a submodule
+name (``mexparts.series``) only that submodule.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# each module's __all__, in the package's order; tests/test_package.py pins
-# every list against its module
+# module -> the public names it defines, read here without importing it; each
+# module sets __all__ to its row
 _EXPORTS = {
     "series": (
         "SERIES_ORDER_BOUND", "TruncatedSeries", "pochhammer_inf", "support_p_tt", "support_p_2tt",
-        "theta_support",
+        "theta_support", "FUNCTIONS",
     ),
     "partitions": (
         "partition_count", "enumerate_partitions", "restricted_count", "restricted_counts",
@@ -42,7 +43,7 @@ _EXPORTS = {
     "stats": ("verify_section1_identities",),
     "reports": ("VerificationReport", "FAILURE_CAP"),
     "congruences": (
-        "ARG_CAP", "FUNCTIONS", "jacobi_symbol", "delta", "is_prime", "smallest_prime_with_symbol",
+        "ARG_CAP", "jacobi_symbol", "delta", "is_prime", "smallest_prime_with_symbol",
         "is_k3km1", "is_3np1_square", "is_generalized_pentagonal", "is_triangular",
         "is_pent_plus_4pent", "is_2pent_plus_3tri", "ProgressionSpec", "check_progression",
         "family_catalog", "FAMILY_IDS", "check_parity_characterization", "check_conditional_parity",

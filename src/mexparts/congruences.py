@@ -33,35 +33,14 @@ import math
 from collections import namedtuple
 from typing import Callable
 
+from . import _EXPORTS
 from .mex import genfun_p_tt
 from .partitions import _residue_table, partition_count, partition_generating_series, partition_parity_convolution
 from .reports import VerificationReport
 from .series import FUNCTIONS, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
 from .singular import SingularParams, genfun_singular
 
-__all__ = [
-    "ARG_CAP",
-    "FUNCTIONS",
-    "jacobi_symbol",
-    "delta",
-    "is_prime",
-    "smallest_prime_with_symbol",
-    "is_k3km1",
-    "is_3np1_square",
-    "is_generalized_pentagonal",
-    "is_triangular",
-    "is_pent_plus_4pent",
-    "is_2pent_plus_3tri",
-    "ProgressionSpec",
-    "check_progression",
-    "family_catalog",
-    "FAMILY_IDS",
-    "check_parity_characterization",
-    "check_conditional_parity",
-    "check_parity_bridge",
-    "eta_form_mod2_report",
-    "check_singular_mod8",
-]
+__all__ = list(_EXPORTS["congruences"])
 
 
 # ---------------------------------------------------------------------------

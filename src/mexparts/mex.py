@@ -42,19 +42,11 @@ from collections.abc import Sequence
 from itertools import accumulate
 from operator import add
 
+from . import _EXPORTS
 from .partitions import _stride2_prefix, enumerate_partitions, partition_count, partition_generating_series
 from .series import TruncatedSeries, _require_ints, _require_size, support_p_2tt, support_p_tt
 
-__all__ = [
-    "MexParams",
-    "mex_count_oracle",
-    "mex_counts_oracle",
-    "genfun_p_tt",
-    "genfun_p_2tt",
-    "identity_p_tt",
-    "identity_p_2tt",
-    "MEX_ORACLE_BOUND",
-]
+__all__ = list(_EXPORTS["mex"])
 
 MEX_ORACLE_BOUND = 60
 

@@ -48,19 +48,12 @@ from itertools import accumulate
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, MutableSequence, Sequence
 
-from .series import TruncatedSeries, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
+from . import _EXPORTS
+from .series import (
+    SUPPORT_BOUND, TruncatedSeries, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support,
+)
 
-__all__ = [
-    "partition_count",
-    "enumerate_partitions",
-    "restricted_count",
-    "restricted_counts",
-    "partition_generating_series",
-    "partition_convolution",
-    "partition_convolution_rows",
-    "partition_residue_table",
-    "partition_parity_convolution",
-]
+__all__ = list(_EXPORTS["partitions"])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def _residue_table(m: int, limit: int) -> Sequence[int]:
 
 _p_parity = 1  # bit n is p(n) mod 2, for n < _p_parity_len
 _p_parity_len = 1
-P_PARITY_BOUND = 4_000_000  # the bitset to here takes about 1 s and 28 MiB
+P_PARITY_BOUND = SUPPORT_BOUND  # 4 000 000: the bitset to here takes about 1 s and 28 MiB
 
 
 def _grow_p_parity(limit: int) -> None:

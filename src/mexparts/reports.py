@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["VerificationReport", "FAILURE_CAP"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["reports"])
 
 FAILURE_CAP = 25  # keep every report readable; the count still reflects all failures
 JSON_SAFE_INT = 2**53  # larger integers lose precision in IEEE doubles
@@ -35,15 +37,11 @@ class VerificationReport:
     nothing failed.
     """
 
-    def __init__(
-        self, label: str, spec: dict[str, Any] | None = None, checked: int = 0, skipped: int = 0,
-        failures: list[dict[str, Any]] | None = None, failure_count: int = 0,
-        metadata: dict[str, Any] | None = None,
-    ):
-        # assigned in declaration order, which to_json keeps
-        self.label, self.spec, self.checked, self.skipped = label, spec, checked, skipped
-        self.failures = [] if failures is None else failures
-        self.failure_count = failure_count
+    def __init__(self, label: str, spec: dict[str, Any] | None = None, metadata: dict[str, Any] | None = None):
+        # every count starts at 0; fields are assigned in the order to_json keeps
+        self.label, self.spec, self.checked, self.skipped = label, spec, 0, 0
+        self.failures: list[dict[str, Any]] = []
+        self.failure_count = 0
         self.metadata = {} if metadata is None else metadata
 
     @property

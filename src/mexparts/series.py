@@ -20,7 +20,8 @@ partition generating functions are assembled from:
 
 The two supports list the nonzero terms of their alternating sums as sparse
 (exponent, +-1) pairs, the numerators of p_{t,t} and p_{2t,t} over
-(q;q)_inf; ``TruncatedSeries.from_terms(support, N)`` is the series.
+(q;q)_inf; ``TruncatedSeries.from_terms(support, N)`` is the series.  Every
+support refuses a limit past ``SUPPORT_BOUND``, the largest a route reads.
 
 ``theta_support(k, i, N)`` lists the nonzero terms of the two-sided theta
 sum of the Jacobi triple product,
@@ -42,16 +43,12 @@ from itertools import accumulate, cycle
 from math import isqrt
 from typing import Iterable, Sequence
 
-__all__ = [
-    "SERIES_ORDER_BOUND",
-    "TruncatedSeries",
-    "pochhammer_inf",
-    "support_p_tt",
-    "support_p_2tt",
-    "theta_support",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["series"])
 
 SERIES_ORDER_BOUND = 10_000  # inverting (q;q)_inf to here takes about 2.7 s
+SUPPORT_BOUND = 4_000_000  # the largest support limit a route reads, partitions.P_PARITY_BOUND
 
 
 def _require_ints(prefix: str = "", **values) -> None:
@@ -153,12 +150,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __repr__(self) -> str:
-        if self.trunc_order <= 8:
-            return f"TruncatedSeries({list(self.coeffs)!r})"
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        return f"TruncatedSeries([{head}, ...], order={self.trunc_order})"
-
 
 def pochhammer_inf(a: int, b: int, order: int) -> TruncatedSeries:
     """(q^a; q^b)_inf truncated: only factors with a + j*b <= order matter."""
@@ -181,7 +172,7 @@ def _support_length(t: int, limit: int, largest_index) -> int:
     # the number of terms n = 0, 1, ... whose exponent t * f(n) is at most the
     # limit, where largest_index(m) is the largest n with f(n) <= m
     _require_size("t", t, least=1)
-    _require_size("support limit", limit)
+    _require_size("support limit", limit, SUPPORT_BOUND, "supports are limited to exponents <=")
     return largest_index(limit // t) + 1
 
 
@@ -208,11 +199,12 @@ def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list
     Both branches m >= 0 and m < 0 increase strictly, so each loop stops at
     the first exponent past the limit.  Repeated exponents add up: when
     k = 2i the terms m and -m meet at i m^2, which carries 2 s^m.  A
-    negative limit gives no terms.
+    negative limit gives no terms; one past ``SUPPORT_BOUND`` raises.
     """
     _require_ints(k=k, i=i, limit=limit)
     if k < 2 or not 0 < i < k:
         raise ValueError("theta support needs k >= 2 and 0 < i < k")
+    _require_size("support limit", max(limit, 0), SUPPORT_BOUND, "supports are limited to exponents <=")
     terms: dict[int, int] = {}
     for m, step in ((0, 1), (-1, -1)):
         while (e := k * m * (m - 1) // 2 + i * m) <= limit:
@@ -224,8 +216,7 @@ def theta_support(k: int, i: int, limit: int, alternating: bool = False) -> list
 # function id -> (its parameters among t, k, i; its numerator over (q;q)_inf
 # as (exponent, coefficient) terms, support(*values, limit); its display
 # name, name(*values)); the self-paired singular case k = 2i has coefficients 2.
-# ``compute``, ``oracle-check`` and ``congruences.ProgressionSpec`` read it;
-# ``congruences`` exports it
+# ``compute``, ``oracle-check`` and ``congruences.ProgressionSpec`` read it
 FUNCTIONS = {
     "p": ((), lambda limit: [(0, 1)], lambda: "p"),
     "p_tt": (("t",), support_p_tt, lambda t: f"p[{t},{t}]"),

@@ -36,15 +36,11 @@ from collections import namedtuple
 from itertools import accumulate
 from math import prod
 
+from . import _EXPORTS
 from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution, partition_count
 from .series import _require_ints, _require_size, theta_support
 
-__all__ = [
-    "SingularParams",
-    "singular_overpartition_oracle",
-    "genfun_singular",
-    "SINGULAR_ORACLE_BOUND",
-]
+__all__ = list(_EXPORTS["singular"])
 
 SINGULAR_ORACLE_BOUND = 50
 

@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from . import _EXPORTS
 from .partitions import _stride2_prefix, enumerate_partitions, partition_convolution, restricted_counts
 from .reports import VerificationReport
 from .series import _require_size, support_p_2tt, support_p_tt
 
-__all__ = ["verify_section1_identities"]
+__all__ = list(_EXPORTS["stats"])
 
 
 def _restricted(n_max: int, modulus: int, residues: tuple[int, ...]) -> list[int]:

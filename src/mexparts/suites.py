@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from . import _EXPORTS
 from .congruences import (
     ProgressionSpec,
     check_conditional_parity,
@@ -35,7 +36,7 @@ from .series import _require_ints, support_p_2tt, support_p_tt
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_all", "suite_bounds"]
+__all__ = list(_EXPORTS["suites"])
 
 ORACLE_N_MAX = 40  # thm1: enumeration-oracle reach
 N_HYPOTHESIS = 300  # thm2: sweep of the ordinary-partition hypothesis

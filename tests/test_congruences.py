@@ -773,6 +773,17 @@ class TestConditionalParity:
         assert report.checked + report.skipped == (50_000 - 7) // 16 + 1
         assert all(r.passed for r in check_singular_mod8())
 
+    def test_rejects_unknown(self, monkeypatch):
+        # refused before any table grows, at an n_max that would grow every one
+        monkeypatch.setattr(partitions, "_p_table", [1])
+        monkeypatch.setattr(partitions, "_p_residues", {})
+        monkeypatch.setattr(partitions, "_p_parity", 1)
+        monkeypatch.setattr(partitions, "_p_parity_len", 1)
+        with pytest.raises(ValueError) as refused:
+            check_conditional_parity("thm6_part4", 10**6)
+        assert "'thm6_part2'" in str(refused.value) and "'thm6_part3'" in str(refused.value)
+        assert partitions._p_table == [1] and partitions._p_residues == {} and partitions._p_parity_len == 1
+
     def test_predicates_do_skip_indices(self):
         part2 = check_conditional_parity("thm6_part2", 60)
         part3 = check_conditional_parity("thm6_part3", 60)

@@ -176,3 +176,36 @@ def test_a_submodule_name_loads_that_submodule_only():
 def test_dir_lists_every_exported_name():
     assert set(mexparts.__all__) <= set(dir(mexparts))
     assert {"__all__", "__version__"} <= set(dir(mexparts))
+
+
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    # names a module's own statements bind at top level: def, class and
+    # assignment targets, tuple targets included; an import binds none here
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    return bound
+
+
+def test_every_exported_name_is_defined_in_its_own_module():
+    # so a name's row names the module a re-export loads, and no more
+    package = Path(mexparts.__file__).parent
+    misplaced = {
+        module: sorted(set(names) - _top_level_definitions(ast.parse((package / f"{module}.py").read_text())))
+        for module, names in mexparts._EXPORTS.items()
+    }
+    assert {module: names for module, names in misplaced.items() if names} == {}
+
+
+def test_the_definition_scan_skips_imports():
+    tree = ast.parse("from .series import A\nB, (C, D) = 1, (2, 3)\nE: int = 4\ndef f(): pass\nclass G: pass\n")
+    assert _top_level_definitions(tree) == {"B", "C", "D", "E", "f", "G"}
+
+
+def test_functions_loads_only_the_series_module():
+    loaded = _package_modules_loaded("import mexparts\nmexparts.FUNCTIONS")
+    assert loaded == {"mexparts", "mexparts.series"}

@@ -4,6 +4,8 @@ import ast
 import json
 from pathlib import Path
 
+import pytest
+
 import mexparts
 from mexparts.cli import _emit_reports
 from mexparts.reports import FAILURE_CAP, VerificationReport
@@ -44,15 +46,21 @@ def test_record_keys_are_the_fields_with_passed_before_metadata():
 
 
 def test_every_field_is_taken_by_keyword_and_keeps_its_place():
-    failures = [{"n": 4}]
-    report = VerificationReport(
-        metadata={"n_max": 9}, failure_count=2, failures=failures, skipped=1, checked=5, spec={"step": 3}, label="x"
-    )
-    assert report.failures is failures
+    # the counts and failures come from check and a sweep's skipped tally
+    report = VerificationReport(metadata={"n_max": 9}, spec={"step": 3}, label="x")
+    for n in range(4, 9):
+        report.check(n % 3 != 1, n=n)
+    report.skipped = 1
     assert list(report.to_json().items()) == [
-        ("label", "x"), ("spec", {"step": 3}), ("checked", 5), ("skipped", 1), ("failures", [{"n": 4}]),
+        ("label", "x"), ("spec", {"step": 3}), ("checked", 5), ("skipped", 1), ("failures", [{"n": 4}, {"n": 7}]),
         ("failure_count", 2), ("passed", False), ("metadata", {"n_max": 9}),
     ]
+
+
+@pytest.mark.parametrize("count", ["checked", "skipped", "failures", "failure_count"])
+def test_the_constructor_takes_no_counts_or_failures(count):
+    with pytest.raises(TypeError):
+        VerificationReport("x", **{count: 1})
 
 
 def test_each_report_starts_with_its_own_failures_and_metadata():
@@ -64,8 +72,11 @@ def test_each_report_starts_with_its_own_failures_and_metadata():
 
 def test_csv_header_and_row_come_from_the_json_record(capsys):
     big = 2**60
-    report = VerificationReport("x", spec={"offset": big}, checked=3, skipped=1, metadata={"n_max": big})
-    report.record_failure(n=2, value=big)
+    report = VerificationReport("x", spec={"offset": big}, metadata={"n_max": big})
+    report.check(True, n=0, value=0)
+    report.check(True, n=1, value=0)
+    report.check(False, n=2, value=big)
+    report.skipped = 1
     assert _emit_reports({"s": [report]}, "csv") == 1
     assert capsys.readouterr().out == "suite,label,checked,skipped,failure_count,passed\ns,x,3,1,1,False\n"
     assert _emit_reports({"s": [report]}, "json") == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mexparts.mex import genfun_p_2tt, genfun_p_tt
 from mexparts.series import (
     SERIES_ORDER_BOUND,
+    SUPPORT_BOUND,
     TruncatedSeries,
     _product_of_binomials,
     pochhammer_inf,
@@ -219,6 +220,26 @@ class TestThetaSupport:
         for k, i in ((1, 0), (4, 0), (4, 4), (3, -1)):
             with pytest.raises(ValueError):
                 theta_support(k, i, 10)
+
+
+SUPPORTS = {
+    "support_p_tt": lambda limit: support_p_tt(1, limit),
+    "support_p_2tt": lambda limit: support_p_2tt(1, limit),
+    "theta_support": lambda limit: theta_support(3, 1, limit),
+}
+
+
+class TestSupportBound:
+    # one past the largest limit a route reads is refused at the call
+    @pytest.mark.parametrize("build", SUPPORTS.values(), ids=SUPPORTS)
+    def test_refused_past_the_bound(self, build):
+        too_far = SUPPORT_BOUND + 1
+        with pytest.raises(ValueError, match=f"supports are limited to exponents <= {SUPPORT_BOUND} .got {too_far}."):
+            build(too_far)
+
+    @pytest.mark.parametrize("build", SUPPORTS.values(), ids=SUPPORTS)
+    def test_the_bound_itself_is_served(self, build):
+        assert build(SUPPORT_BOUND)[-1][0] <= SUPPORT_BOUND
 
 
 def closed_support_p_tt(t, limit):
