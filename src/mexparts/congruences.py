@@ -5,12 +5,12 @@ f(a*n + b) == 0 (mod m) over n = 0, 1, ..., n_max (optionally skipping
 indices divisible by a given prime), and parity characterizations of the
 small mex families.
 
-``family_catalog`` builds the progression claims of each named family.  A
-family is one function of its parameters whose docstring states its step
-and offset formula.  It validates its prime with ``_family_prime`` (prime,
-least value, residue or Jacobi-symbol condition) and its other parameters
-with ``_require``; every parity claim on p_{t,t} is made by ``_parity``,
-which refuses an offset division that is not exact.
+``family_catalog`` builds the progression claims of each named family.  The
+transfers thm2 and ramanujan are functions; every other family is a parity
+family of p_{t,t}, one ``_ParityFamily`` row: t, the rule on its prime p,
+and a claims generator in which each step and offset is written once.  One
+builder, the row's call, checks p and the exponents (at most 300) and
+refuses an offset division that is not exact.
 
 One loop, ``_sweep``, evaluates every progression for its three callers:
 ``check_progression``, ``check_conditional_parity`` and
@@ -37,7 +37,9 @@ from . import _EXPORTS
 from .mex import genfun_p_tt
 from .partitions import _residue_table, partition_count, partition_generating_series, partition_parity_convolution
 from .reports import VerificationReport
-from .series import FUNCTIONS, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support
+from .series import (
+    FUNCTIONS, SUPPORT_BOUND, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support,
+)
 from .singular import SingularParams, genfun_singular
 
 __all__ = list(_EXPORTS["congruences"])
@@ -144,6 +146,7 @@ def is_triangular(x: int) -> bool:
 
 def is_pent_plus_4pent(n: int) -> bool:
     """True iff n = x + 4y with x, y generalized pentagonal numbers."""
+    _require_size("n", max(n, 0), 4 * SUPPORT_BOUND + 3, "x + 4y is checked for n <=")  # n // 4 <= SUPPORT_BOUND
     for y, _ in theta_support(3, 1, n // 4):  # Euler's exponents m(3m - 1)/2
         if is_generalized_pentagonal(n - 4 * y):
             return True
@@ -152,6 +155,7 @@ def is_pent_plus_4pent(n: int) -> bool:
 
 def is_2pent_plus_3tri(n: int) -> bool:
     """True iff n = 2x + 3y with x generalized pentagonal and y triangular."""
+    _require_size("n", max(n, 0), 2 * SUPPORT_BOUND + 1, "2x + 3y is checked for n <=")  # n // 2 <= SUPPORT_BOUND
     for x, _ in theta_support(3, 1, n // 2):
         rem = n - 2 * x
         if rem % 3 == 0 and is_triangular(rem // 3):
@@ -289,25 +293,6 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _family_prime(p: int, least: int, condition: str, holds: Callable[[int], bool]) -> None:
-    """Validate a family prime: p is prime, p >= ``least``, and ``holds(p)``,
-    the residue or Jacobi-symbol ``condition``, is true."""
-    _require(is_prime(p), f"{p} is not prime")
-    _require(p >= least, f"needs p >= {least}, not p = {p}")
-    _require(holds(p), f"needs {condition}, not p = {p}")
-
-
-def _symbol_minus_one(d: int) -> tuple[str, Callable[[int], bool]]:
-    return f"({d}/p) = -1", lambda p: jacobi_symbol(d, p) == -1
-
-
-def _parity(t: int, step: int, numerator: int, denominator: int, base: int = 0,
-            exclude_prime: int | None = None) -> ProgressionSpec:
-    # p_{t,t}(step*n + base + numerator/denominator) == 0 (mod 2)
-    offset = base + _exact_div(numerator, denominator, f"p[{t},{t}] offset")
-    return ProgressionSpec("p_tt", step, offset, 2, t=t, exclude_prime=exclude_prime)
-
-
 def _thm2(a: int, b: int, m: int, t: int) -> list[ProgressionSpec]:
     """Transfer: if p(a*n + b) == 0 (mod m) for all n, the same progression
     vanishes for the (at, at) and (2at, at) families."""
@@ -321,125 +306,109 @@ def _ramanujan(p: int, k: int, t: int) -> list[ProgressionSpec]:
     return _thm2(p**k, offset, 7 ** (k // 2 + 1) if p == 7 else p**k, t)
 
 
-def _thm5(p: int, k: int) -> list[ProgressionSpec]:
-    """Parity of the (1,1) function at primes p >= 5, p != 1 (mod 12):
-    argument p^(2k+1) n + (p^(2k+2) - 1)/12, skipping n divisible by p."""
-    _family_prime(p, 5, "p != 1 (mod 12)", lambda p: p % 12 != 1)
-    _require_size("k", k)
-    return [_parity(1, p ** (2 * k + 1), p ** (2 * k + 2) - 1, 12, exclude_prime=p)]
+_EXPONENT_BOUND = 300  # on k, alpha and beta: final's widest offset, at p = 999 983, has 4 120 digits
 
 
-def _thm11(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
-    """Parity of the (2,2) function: p prime, p == 3 (mod 4), p >= 7,
-    1 <= j <= p-1; argument p^(2a+1)(pn + j) + 5(p^(2a+2) - 1)/24.
+class _ParityFamily(namedtuple("_ParityFamily", "t least condition claims")):
+    """A parity family of p_{t,t}; calling it builds the family's claims.
 
-    p = 3 satisfies the textual hypothesis but makes the offset division by
-    24 non-integral (3^2 != 1 mod 24), so it is rejected.
+    ``claims`` takes the family's parameters and returns a generator that
+    checks them and yields, per claim, (step, base, numerator, denominator,
+    exclude_prime): p_{t,t}(step*n + base + numerator/denominator) is even
+    for each n that exclude_prime, if given, does not divide.  ``least`` and
+    ``condition``, None without a prime p, require p >= least and the
+    condition's (text, predicate), or one such pair per branch.  The call binds
+    the parameters first (a generator runs nothing until iterated), then
+    checks p and the exponents k, alpha, beta (0 to ``_EXPONENT_BOUND``)
+    before any power is taken, and divides each offset exactly.
     """
-    _family_prime(p, 7, "p == 3 (mod 4)", lambda p: p % 4 == 3)
-    _require_size("alpha", alpha)
+
+    __slots__ = ()
+
+    def __call__(self, **params) -> list[ProgressionSpec]:
+        claims = self.claims(**params)
+        if self.least is not None:
+            p, rule = params["p"], self.condition
+            # cor1's rule is one per branch; its claims refuse an unknown branch
+            text, holds = rule.get(params["branch"], ("", None)) if isinstance(rule, dict) else rule
+            _require(is_prime(p), f"{p} is not prime")
+            _require(p >= self.least, f"needs p >= {self.least}, not p = {p}")
+            _require(holds is None or holds(p), f"needs {text}, not p = {p}")
+        for name in ("k", "alpha", "beta"):
+            if name in params:
+                _require_size(name, params[name], _EXPONENT_BOUND, f"{name} must be at most")
+        context = f"p[{self.t},{self.t}] offset"
+        return [
+            ProgressionSpec("p_tt", step, base + _exact_div(numerator, denominator, context), 2,
+                            t=self.t, exclude_prime=prime)
+            for step, base, numerator, denominator, prime in claims
+        ]
+
+
+def _thm5_claims(p: int, k: int):
+    yield p ** (2 * k + 1), 0, p ** (2 * k + 2) - 1, 12, p
+
+
+def _thm11_claims(p: int, alpha: int, j: int):
     _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
     power = p ** (2 * alpha + 1)
-    return [_parity(2, power * p, 5 * (power * p - 1), 24, base=power * j)]
+    yield power * p, power * j, 5 * (power * p - 1), 24, None
 
 
-def _thm6() -> list[ProgressionSpec]:
-    """The two unconditional parity progressions 16n + 11 and 16n + 15 for the
-    (3,3) function."""
-    return [_parity(3, 16, offset, 1) for offset in (11, 15)]
-
-
-# cor1 branch -> (c, side condition on p)
-_COR1_BRANCHES = {
-    1: (10, "p == 3 (mod 4)", lambda p: p % 4 == 3),
-    2: (22, *_symbol_minus_one(-2)),
-}
-
-
-def _cor1(p: int, alpha: int, branch: int) -> list[ProgressionSpec]:
-    """Parity of the (3,3) function at primes p >= 5, skipping n divisible by
-    p: argument 16 p^(2a+1) n + (c p^(2a+2) - 1)/3, where branch 1 needs
-    p == 3 (mod 4) and has c = 10, branch 2 needs (-2/p) = -1 and has c = 22."""
-    c, condition, holds = _COR1_BRANCHES.get(branch, (0, "", lambda p: True))
-    _family_prime(p, 5, f"{condition} on branch {branch}", holds)
-    _require_size("alpha", alpha)
-    _require(c > 0, "branch must be 1 or 2")
+def _cor1_claims(p: int, alpha: int, branch: int):
+    _require(branch in (1, 2), "branch must be 1 or 2")
     power = p ** (2 * alpha + 1)
-    return [_parity(3, 16 * power, c * power * p - 1, 3, exclude_prime=p)]
+    yield 16 * power, 0, (10 if branch == 1 else 22) * power * p - 1, 3, p
 
 
-# thm12 row -> (c, e)
-_P55_ROWS = {1: (31, 0), 2: (79, 0), 3: (83, 1), 4: (107, 1)}
-
-
-def _thm12(alpha: int, row: int) -> list[ProgressionSpec]:
-    """Four parity progressions for the (5,5) function, indexed by row
-    (``_P55_ROWS`` holds the c and e of the factor c*5^(2a+e) in each offset):
-      1: 2*5^(2a+1) n + (31*5^(2a) - 7)/12
-      2: 2*5^(2a+1) n + (79*5^(2a) - 7)/12
-      3: 2*5^(2a+2) n + (83*5^(2a+1) - 7)/12
-      4: 2*5^(2a+2) n + (107*5^(2a+1) - 7)/12
-    """
-    _require_size("alpha", alpha)
-    _require(row in _P55_ROWS, "row must be 1, 2, 3 or 4")
-    c, e = _P55_ROWS[row]
+def _thm12_claims(alpha: int, row: int):
+    _require(row in (1, 2, 3, 4), "row must be 1, 2, 3 or 4")
+    c, e = {1: (31, 0), 2: (79, 0), 3: (83, 1), 4: (107, 1)}[row]
     power = 5 ** (2 * alpha + e)
-    return [_parity(5, 10 * power, c * power - 7, 12)]
+    yield 10 * power, 0, c * power - 7, 12, None
 
 
-def _thm13(p: int, alpha: int, j: int) -> list[ProgressionSpec]:
-    """Parity of the (5,5) function at primes p >= 5 with (-10/p) = -1:
-    argument 2 p^(2a+1)(pn + j) + 7(p^(2a+2) - 1)/12, 1 <= j <= p-1."""
-    _family_prime(p, 5, *_symbol_minus_one(-10))
-    _require_size("alpha", alpha)
+def _thm13_claims(p: int, alpha: int, j: int):
     _require(1 <= j <= p - 1, "j must satisfy 1 <= j <= p - 1")
     power = p ** (2 * alpha + 1)
-    return [_parity(5, 2 * power * p, 7 * (power * p - 1), 12, base=2 * power * j)]
+    yield 2 * power * p, 2 * power * j, 7 * (power * p - 1), 12, None
 
 
-def _p77_row(alpha: int, square: int, branch: int, value: int | None) -> list[ProgressionSpec]:
-    """final's branches 1 and 2 with square = p^(2b); thm14 is square = 1:
-      branch 1 (r in {3,4,6}): 2*7^(2a+1) p^(2b) n + ((11+12r)*49^a p^(2b) - 5)/6
-      branch 2 (s in {2,4,5}): 2*49^(a+1) p^(2b) n + ((5+12s)*7^(2a+1) p^(2b) - 5)/6
-    """
-    if branch == 1:
-        _require(value in (3, 4, 6), "r must be in {3, 4, 6}")
-        c, power = 11 + 12 * value, 7 ** (2 * alpha)
-    else:
-        _require(value in (2, 4, 5), "s must be in {2, 4, 5}")
-        c, power = 5 + 12 * value, 7 ** (2 * alpha + 1)
-    return [_parity(7, 14 * power * square, c * power * square - 5, 6)]
-
-
-def _thm14(alpha: int, r: int | None = None, s: int | None = None) -> list[ProgressionSpec]:
-    """Parity progressions for the (7,7) function: ``_p77_row`` at p^(2b) = 1,
-    branch 1 for r in {3, 4, 6} and branch 2 for s in {2, 4, 5}.  Exactly one
-    of r, s must be given."""
-    _require_size("alpha", alpha)
-    _require((r is None) != (s is None), "give exactly one of r, s")
-    return _p77_row(alpha, 1, 1, r) if s is None else _p77_row(alpha, 1, 2, s)
-
-
-def _final(
-    p: int, alpha: int, beta: int, branch: int, r: int | None = None, s: int | None = None
-) -> list[ProgressionSpec]:
-    """Parity families for the (7,7) function at primes p >= 5 with
-    (-21/p) = -1: branches 1 (r) and 2 (s) are ``_p77_row`` at p^(2b), and
-      branch 3 (p not dividing n): 2*49^a p^(2b+1) n + (11*49^a p^(2b+2) - 5)/6
-    """
-    _family_prime(p, 5, *_symbol_minus_one(-21))
-    _require_size("alpha", alpha)
-    _require_size("beta", beta)
+def _final_claims(p: int, alpha: int, beta: int, branch: int, r: int | None = None, s: int | None = None):
     _require(branch in (1, 2, 3), "branch must be 1, 2 or 3")
-    if branch < 3:
-        return _p77_row(alpha, p ** (2 * beta), branch, r if branch == 1 else s)
-    power = 49**alpha * p ** (2 * beta + 1)
-    return [_parity(7, 2 * power, 11 * power * p - 5, 6, exclude_prime=p)]
+    if branch == 1:
+        _require(r in (3, 4, 6), "r must be in {3, 4, 6}")
+        power = 7 ** (2 * alpha) * p ** (2 * beta)
+        yield 14 * power, 0, (11 + 12 * r) * power - 5, 6, None
+    elif branch == 2:
+        _require(s in (2, 4, 5), "s must be in {2, 4, 5}")
+        power = 7 ** (2 * alpha + 1) * p ** (2 * beta)
+        yield 14 * power, 0, (5 + 12 * s) * power - 5, 6, None
+    else:
+        power = 49**alpha * p ** (2 * beta + 1)
+        yield 2 * power, 0, 11 * power * p - 5, 6, p
+
+
+def _thm14_claims(alpha: int, r: int | None = None, s: int | None = None):
+    _require((r is None) != (s is None), "give exactly one of r, s")
+    yield from _final_claims(1, alpha, 0, 1 if s is None else 2, r, s)  # final's branches at p^(2b) = 1
 
 
 _FAMILIES: dict[str, Callable[..., list[ProgressionSpec]]] = {
-    "thm2": _thm2, "ramanujan": _ramanujan, "thm5": _thm5, "thm11": _thm11, "thm6": _thm6,
-    "cor1": _cor1, "thm12": _thm12, "thm13": _thm13, "thm14": _thm14, "final": _final,
+    "thm2": _thm2, "ramanujan": _ramanujan,
+    # parity rows: t, the least p and the condition on p, the claims
+    "thm5": _ParityFamily(1, 5, ("p != 1 (mod 12)", lambda p: p % 12 != 1), _thm5_claims),
+    # p = 3 meets the paper's hypothesis, but 3^2 != 1 (mod 24) leaves its offset non-integral
+    "thm11": _ParityFamily(2, 7, ("p == 3 (mod 4)", lambda p: p % 4 == 3), _thm11_claims),
+    "thm6": _ParityFamily(3, None, None, lambda: ((16, offset, 0, 1, None) for offset in (11, 15))),
+    "cor1": _ParityFamily(3, 5, {
+        1: ("p == 3 (mod 4) on branch 1", lambda p: p % 4 == 3),
+        2: ("(-2/p) = -1 on branch 2", lambda p: jacobi_symbol(-2, p) == -1),
+    }, _cor1_claims),
+    "thm12": _ParityFamily(5, None, None, _thm12_claims),
+    "thm13": _ParityFamily(5, 5, ("(-10/p) = -1", lambda p: jacobi_symbol(-10, p) == -1), _thm13_claims),
+    "thm14": _ParityFamily(7, None, None, _thm14_claims),
+    "final": _ParityFamily(7, 5, ("(-21/p) = -1", lambda p: jacobi_symbol(-21, p) == -1), _final_claims),
 }
 
 FAMILY_IDS = tuple(sorted(_FAMILIES))

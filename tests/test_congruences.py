@@ -196,6 +196,14 @@ class TestPredicates:
         assert is_pent_plus_4pent(5)
         assert is_2pent_plus_3tri(3)
 
+    @pytest.mark.parametrize("predicate, bound", [(is_pent_plus_4pent, 16_000_003), (is_2pent_plus_3tri, 8_000_001)])
+    def test_refuses_n_past_its_own_bound(self, predicate, bound):
+        # each reads Euler's support to n // 4 or n // 2, which stops at
+        # SUPPORT_BOUND; the refusal names n, not that quotient
+        predicate(bound)
+        with pytest.raises(ValueError, match=rf"checked for n <= {bound} \(got {bound + 1}\)$"):
+            predicate(bound + 1)
+
 
 class TestProgressionSpec:
     def test_validation(self):
@@ -563,8 +571,11 @@ _INVALID_FAMILY_PARAMS = [
     ("final", dict(p=13, alpha=1, beta=0, branch=2, r=3), _INVALID, r"\bs\b.* in \{2, 4, 5\}"),
     ("final", dict(p=13, alpha=0, beta=0, branch=4), _INVALID, r"branch must be 1, 2 or 3"),
     ("final", dict(p=13, alpha=0, beta=0, branch=0, r=3), _INVALID, r"branch must be 1, 2 or 3"),
-    # a missing parameter, and an unknown id
+    # a missing or unknown parameter is named before any check runs
     ("thm5", dict(p=5), TypeError, r"missing 1 required positional argument: 'k'"),
+    ("thm5", dict(k=0), TypeError, r"missing 1 required positional argument: 'p'"),
+    ("thm13", dict(p=17, alpha=0, j=1, beta=0), TypeError, r"unexpected keyword argument 'beta'"),
+    # an unknown id
     ("nope", {}, _INVALID, r"unknown family 'nope'"),
 ]
 
@@ -640,6 +651,65 @@ class TestFamilyCatalog:
 
         with pytest.raises(ValueError, match=r"^guard: 7/3 is not integral$"):
             _exact_div(7, 3, "guard")
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("thm5", dict(p=5, k=301), "k"),
+        ("thm5", dict(p=5, k=3100), "k"),  # once a 4 700-digit offset that describe() could not print
+        ("thm12", dict(alpha=10**6, row=1), "alpha"),  # refused before 5^(2*10^6) is taken
+        ("final", dict(p=13, alpha=0, beta=301, branch=3), "beta"),
+    ])
+    def test_exponents_are_bounded(self, family, params, name):
+        got = params[name]
+        with pytest.raises(ValueError, match=rf"^{family}: {name} must be at most 300 \(got {got}\)$"):
+            family_catalog(family, **params)
+
+    def test_widest_member_at_the_exponent_bound_sweeps(self):
+        # final's branch 3 at the largest admissible prime under the primality
+        # envelope and alpha = beta = 300: the widest offset the catalog builds
+        assert jacobi_symbol(-21, 999_983) == -1
+        (spec,) = family_catalog("final", p=999_983, alpha=300, beta=300, branch=3)
+        assert len(str(spec.offset)) == 4120
+        report = check_progression(spec, 0)
+        assert report.passed and report.checked == 0
+        assert report.metadata["n_max_effective"] == -1
+
+    def test_every_offset_is_integral_over_one_period(self):
+        # Each row's claims, called directly, past its prime rule.  Every prime
+        # p >= 5 lies in one of the 8 classes mod 24 prime to 6, and p^2 == 1
+        # (mod 24); 5^2 == 1 (mod 12) and 7 == 49 == 1 (mod 6).  So p over
+        # those classes and alpha, beta over {0, 1} take every numerator
+        # through a full period modulo its denominator (3, 6, 12 or 24): the
+        # offsets are integers for every parameter.  Each class is taken at
+        # its representative in [25, 48], so every row's least p (7 for thm11)
+        # holds and j runs through its whole range.
+        from itertools import product
+
+        from mexparts.suites import P77_BRANCHES, P77_ROWS
+
+        primes = [r for r in range(25, 49) if r % 2 and r % 3]
+        assert sorted(p % 24 for p in primes) == [1, 5, 7, 11, 13, 17, 19, 23]
+        exponents = (0, 1)
+        grids = {
+            "thm5": [dict(p=p, k=k) for p, k in product(primes, exponents)],
+            "thm11": [dict(p=p, alpha=a, j=j) for p, a in product(primes, exponents) for j in range(1, p)],
+            "thm6": [{}],
+            "cor1": [dict(p=p, alpha=a, branch=b) for p, a, b in product(primes, exponents, (1, 2))],
+            "thm12": [dict(alpha=a, row=row) for a, row in product(exponents, (1, 2, 3, 4))],
+            "thm13": [dict(p=p, alpha=a, j=j) for p, a in product(primes, exponents) for j in range(1, p)],
+            "thm14": [dict(alpha=a, **rs) for a, rs in product(exponents, P77_ROWS)],
+            "final": [
+                dict(p=p, alpha=a, beta=b, **branch)
+                for p, a, b, branch in product(primes, exponents, exponents, P77_BRANCHES)
+            ],
+        }
+        rows = {family: row for family, row in congruences._FAMILIES.items()
+                if isinstance(row, congruences._ParityFamily)}
+        assert set(grids) == set(rows)
+        for family, grid in grids.items():
+            for params in grid:
+                for _step, _base, numerator, denominator, _prime in rows[family].claims(**params):
+                    assert denominator in (1, 3, 6, 12, 24)
+                    assert numerator % denominator == 0, (family, params)
 
 
 class TestTransfer:
