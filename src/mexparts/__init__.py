@@ -32,8 +32,8 @@ _EXPORTS = {
     ),
     "partitions": (
         "partition_count", "enumerate_partitions", "restricted_count", "restricted_counts",
-        "partition_generating_series", "partition_convolution", "partition_convolution_rows",
-        "partition_residue_table", "partition_parity_convolution",
+        "partition_generating_series", "partition_convolution_rows", "table_rows", "partition_residue_table",
+        "partition_parity_convolution",
     ),
     "mex": (
         "MexParams", "mex_count_oracle", "mex_counts_oracle", "genfun_p_tt", "genfun_p_2tt",

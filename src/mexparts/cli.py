@@ -33,8 +33,7 @@ from importlib import import_module
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterable
 
-from . import partitions
-from .partitions import enumerate_partitions, partition_convolution_rows, partition_count
+from .partitions import enumerate_partitions, table_rows
 from .series import FUNCTIONS, _require_size
 
 if TYPE_CHECKING:
@@ -75,16 +74,10 @@ def _params(args) -> dict:
 
 def _compute_rows(args) -> tuple[str, dict, Iterable[int]]:
     n_max, name, params = args.n_max, args.function, _params(args)
-    # one growth of the p(n) table to n_max first, refused past the table's
-    # bound before any support is built; rows stream from the table itself,
-    # p as its first n_max + 1 entries and the others block by block, so no
-    # per-n list is made
+    # rows stream from the p(n) table, grown once to n_max, so no per-n
+    # list is made
     if name in FUNCTIONS:
-        partition_count(n_max)
-        if name == "p":
-            return "p", {}, islice(partitions._p_table, n_max + 1)
-        support = FUNCTIONS[name][1](*params.values(), n_max)
-        return name, params, partition_convolution_rows(support, n_max)
+        return name, params, table_rows(name, params.values(), n_max)
     if name == "p_Aa_oracle":
         from .mex import MexParams, mex_count_oracle
         return name, params, mex_count_oracle(n_max, MexParams(**params))

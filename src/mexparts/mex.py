@@ -29,8 +29,8 @@ list the two alternating sums as (exponent, +-1) terms.  ``genfun_p_*``
 multiply each support's series by 1/(q;q)_inf built by product inversion,
 never from the p(n) table; ``identity_p_*`` take the sum above as written,
 one ``partition_count`` per term; thm1 and ``compute p_tt|p_2tt`` read every
-n <= n_max from one list, the support convolved with the table
-(``partitions.partition_convolution``).  Every route that answers for each
+n <= n_max from the support convolved with the table
+(``partitions.table_rows``).  Every route that answers for each
 n <= n_max returns a list whose item n is the value at n.  The routes agree
 with each other and with the enumeration oracle; the test suite pins it.
 """

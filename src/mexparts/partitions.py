@@ -9,7 +9,7 @@ the few shorter lags run per n.  The exact big-integer table to n = 5*10^4
 costs about 1.1 * n^1.5 additions, mostly in those slice passes.
 ``partition_convolution_rows`` reads the same table to divide any sparse
 theta support by (q;q)_inf, streaming coefficient n of (sum c q^e) / (q;q)_inf,
-sum c * p(n - e), in blocks; ``partition_convolution`` is their list.
+sum c * p(n - e), in blocks; ``table_rows`` streams any ``FUNCTIONS`` id so.
 ``partition_residue_table(m, limit)`` runs the same blocks modulo m on one
 array('I') per modulus, each long lag one addition of 32-bit fields, so the
 sweeps need no big p(n); a modulus too wide for those fields reduces the
@@ -44,14 +44,13 @@ from __future__ import annotations
 import sys
 import threading
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, MutableSequence, Sequence
 
 from . import _EXPORTS
-from .series import (
-    SUPPORT_BOUND, TruncatedSeries, _require_ints, _require_size, pochhammer_inf, support_p_tt, theta_support,
-)
+from .series import (FUNCTIONS, SUPPORT_BOUND, TruncatedSeries, _require_ints, _require_size, pochhammer_inf,
+                     support_p_tt, theta_support)
 
 __all__ = list(_EXPORTS["partitions"])
 
@@ -145,11 +144,19 @@ def partition_generating_series(order: int) -> TruncatedSeries:
     return pochhammer_inf(1, 1, order).invert()
 
 
-def partition_convolution(support: Iterable[tuple[int, int]], order: int) -> list[int]:
-    """Coefficients 0 .. ``order`` of (sum c q^e) / (q;q)_inf, for a sparse
-    support of (exponent, coefficient) pairs: item n is sum c * p(n - e).
-    The list of ``partition_convolution_rows``; no series is built."""
-    return list(partition_convolution_rows(support, order))
+def table_rows(function: str, values: Iterable[int], order: int) -> Iterator[int]:
+    """Values 0 .. ``order`` of ``series.FUNCTIONS[function]`` at its
+    parameter ``values``: for p the p(n) table's own entries, else the
+    support's ``partition_convolution_rows``.  An unknown id, an order past
+    ``P_TABLE_BOUND``, then bad values raise, in that order, before any growth."""
+    if function not in FUNCTIONS:
+        raise ValueError(f"unknown function id {function!r}")
+    _require_size("truncation order", order, P_TABLE_BOUND, _P_TABLE_LIMITED)
+    support = FUNCTIONS[function][1](*values, order)
+    if function != "p":
+        return partition_convolution_rows(support, order)
+    _grow_p_table(order)
+    return islice(_p_table, order + 1)
 
 
 def partition_convolution_rows(support: Iterable[tuple[int, int]], order: int) -> Iterator[int]:

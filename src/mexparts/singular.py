@@ -7,8 +7,8 @@ part divisible by k in which only parts == +-i (mod k) may be overlined
     (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf / (q; q)_inf,
 
 which ``genfun_singular`` evaluates through the Jacobi triple product as a
-sparse theta sum over the p(n) table (see its docstring), as the list of
-C(k, i; n) for n = 0 .. order.
+sparse theta sum over the p(n) table (``partitions.table_rows``, see its
+docstring), as the list of C(k, i; n) for n = 0 .. order.
 
 The enumeration oracle mirrors the product factor by factor.  Each of the
 two (-q^.; q^k) factors offers an independent "one overlined copy of this
@@ -37,8 +37,8 @@ from itertools import accumulate
 from math import prod
 
 from . import _EXPORTS
-from .partitions import _stride2_prefix, _walk_multiplicities, partition_convolution, partition_count
-from .series import _require_ints, _require_size, theta_support
+from .partitions import _stride2_prefix, _walk_multiplicities, table_rows
+from .series import _require_ints, _require_size
 
 __all__ = list(_EXPORTS["singular"])
 
@@ -102,10 +102,9 @@ def genfun_singular(params: SingularParams, order: int) -> list[int]:
         (q^k; q^k)_inf (-q^i; q^k)_inf (-q^(k-i); q^k)_inf
             = sum_{m in Z} q^(k m(m-1)/2 + i m),
 
-    so C(k, i; n) = sum_m p(n - k m(m-1)/2 - i m), read from the p(n) table.
+    so C(k, i; n) = sum_m p(n - k m(m-1)/2 - i m), read by ``table_rows``.
     In the self-paired case k = 2i the terms m and -m share the exponent
     i m^2, which then carries multiplicity 2.  The three-product form is kept
     in the test suite as an independent reference route.
     """
-    partition_count(order)  # grown first: past the table's bound, no support is built
-    return partition_convolution(theta_support(params.k, params.i, order), order)
+    return list(table_rows("singular", params, order))

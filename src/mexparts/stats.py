@@ -20,7 +20,7 @@ counts of (d) and (e) take the part sizes in the listed classes):
 where po(n) is the number of partitions of n with an odd number of parts.
 n = 0 is excluded: rank and crank are undefined for the empty partition.
 Every n <= n_max is read from one convolution with the p(n) table per left
-side (``partition_convolution``, which builds no series),
+side (``partitions.table_rows``, which builds no series),
 one restricted-count table per residue set and one walk of n_max.  A node
 of that walk has parts above 1 with total s, count c and largest part b;
 with j ones it is one partition of n = s + j, and for j >= 1 (j >= 0 when
@@ -39,9 +39,9 @@ from __future__ import annotations
 from itertools import accumulate
 
 from . import _EXPORTS
-from .partitions import _stride2_prefix, enumerate_partitions, partition_convolution, restricted_counts
+from .partitions import _stride2_prefix, enumerate_partitions, restricted_counts, table_rows
 from .reports import VerificationReport
-from .series import _require_size, support_p_2tt, support_p_tt
+from .series import _require_size
 
 __all__ = list(_EXPORTS["stats"])
 
@@ -94,11 +94,8 @@ def verify_section1_identities(n_max: int) -> VerificationReport:
         metadata={"n_max": n_max, "identities": ["crank", "rank", "even-length", "mod32", "mod24"]},
     )
     crank_nonneg, rank_ge_minus1, even_length, odd_length = _section1_counts(n_max)
-    p11, p33, p21, p42, p63 = (
-        partition_convolution(support(t, n_max), n_max)
-        for support, t in ((support_p_tt, 1), (support_p_tt, 3), (support_p_2tt, 1),
-                           (support_p_2tt, 2), (support_p_2tt, 3))
-    )
+    left = (("p_tt", 1), ("p_tt", 3), ("p_2tt", 1), ("p_2tt", 2), ("p_2tt", 3))
+    p11, p33, p21, p42, p63 = (list(table_rows(function, (t,), n_max)) for function, t in left)
     mod32, mod24 = _restricted(n_max, 32, (4, 6, 8, 10)), _restricted(n_max, 24, (2, 4, 5, 6, 7, 8))
     for n in range(1, n_max + 1):
         checks = (

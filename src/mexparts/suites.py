@@ -30,9 +30,9 @@ from .congruences import (
     smallest_prime_with_symbol,
 )
 from .mex import MexParams, genfun_p_2tt, genfun_p_tt, mex_count_oracle, mex_counts_oracle
-from .partitions import partition_convolution, partition_generating_series
+from .partitions import partition_generating_series, table_rows
 from .reports import VerificationReport
-from .series import _require_ints, support_p_2tt, support_p_tt
+from .series import _require_ints
 from .singular import SingularParams, genfun_singular, singular_overpartition_oracle
 from .stats import verify_section1_identities
 
@@ -64,8 +64,8 @@ def _progressions(family: str, grid, *, n_max: int = 100) -> list[VerificationRe
 
 def suite_thm1(*, t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     """Three-way agreement for both closed identities: enumeration oracle,
-    partition-number identity (one convolution of the support with the p(n)
-    table per function and t), and series coefficients."""
+    partition-number identity (``table_rows``: one convolution of the support
+    with the p(n) table per function and t), and series coefficients."""
     partition_generating_series(n_max)  # first: refuses a bad n_max before any walk or growth
     reports = []
     oracle_n = min(ORACLE_N_MAX, n_max)
@@ -75,10 +75,8 @@ def suite_thm1(*, t_max: int = 7, n_max: int = 500) -> list[VerificationReport]:
     oracle = mex_counts_oracle(oracle_n, params)
     for t in range(1, t_max + 1):
         families = [
-            (family, partition_convolution(support(t, n_max), n_max), genfun(t, n_max))
-            for family, support, genfun in (
-                ("p_tt", support_p_tt, genfun_p_tt), ("p_2tt", support_p_2tt, genfun_p_2tt)
-            )
+            (family, list(table_rows(family, (t,), n_max)), genfun(t, n_max))
+            for family, genfun in (("p_tt", genfun_p_tt), ("p_2tt", genfun_p_2tt))
         ]
         report = VerificationReport(
             label=f"identity-equivalence-t={t}",

@@ -370,7 +370,7 @@ class TestVerify:
         length = len(table)
         monkeypatch.setattr(partitions, "_grow_p_table", fail)
         for module in (suites, singular):
-            monkeypatch.setattr(module, "partition_convolution", fail)
+            monkeypatch.setattr(module, "table_rows", fail)
         monkeypatch.setattr(suites, "mex_counts_oracle", fail)
         code, out, err = run_cli(capsys, "verify", suite, "--n-max", str(SERIES_ORDER_BOUND + 1))
         assert code == 2 and out == ""

@@ -13,7 +13,6 @@ from mexparts.partitions import (
     ENUMERATION_BOUND,
     P_TABLE_BOUND,
     enumerate_partitions,
-    partition_convolution,
     partition_convolution_rows,
     partition_count,
     partition_generating_series,
@@ -21,6 +20,7 @@ from mexparts.partitions import (
     partition_residue_table,
     restricted_count,
     restricted_counts,
+    table_rows,
 )
 from mexparts.congruences import (
     ARG_CAP,
@@ -38,7 +38,7 @@ from mexparts.congruences import (
 )
 from mexparts.cli import main
 from mexparts.mex import MexParams, genfun_p_2tt, genfun_p_tt, identity_p_2tt, identity_p_tt, mex_counts_oracle
-from mexparts.series import TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
+from mexparts.series import FUNCTIONS, TruncatedSeries, pochhammer_inf, support_p_2tt, support_p_tt, theta_support
 from mexparts.singular import SingularParams, singular_overpartition_oracle
 from mexparts.stats import verify_section1_identities
 from mexparts.suites import suite_bounds
@@ -117,7 +117,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("order", sorted({BLOCK - 1, BLOCK, BLOCK + 1, 2047, 2048, 2049}))
     def test_table_matches_series_inversion_at_the_block_edge(self, fresh_table, order):
-        assert partition_convolution([(0, 1)], order) == list(partition_generating_series(order).coeffs)
+        assert list(partition_convolution_rows([(0, 1)], order)) == list(partition_generating_series(order).coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,7 +162,7 @@ class TestBlockKernel:
         assert [(e, c) for e, c in lags if e <= 2000] == [(e, c) for e, c in enumerate(product) if c][1:]
 
     def test_exact_request_from_a_fresh_table(self, fresh_table):
-        partition_convolution([(0, 1)], 5000)
+        list(partition_convolution_rows([(0, 1)], 5000))
         assert len(fresh_table) == 5001
 
     def test_small_first_request_builds_no_block(self, fresh_table):
@@ -184,16 +184,16 @@ class TestBlockKernel:
 
 class TestPartitionConvolution:
     def test_unit_support_is_the_table(self):
-        assert partition_convolution([(0, 1)], 300) == list(partition_generating_series(300).coeffs)
+        assert list(partition_convolution_rows([(0, 1)], 300)) == list(partition_generating_series(300).coeffs)
 
     def test_euler_support_gives_one(self):
         support = [(0, 1), (1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)]
-        assert partition_convolution(support, 20) == [1] + [0] * 20
+        assert list(partition_convolution_rows(support, 20)) == [1] + [0] * 20
 
     def test_repeated_exponents_add_and_far_exponents_drop(self):
         order = 30
-        merged = partition_convolution([(3, 5), (10, -2)], order)
-        split = partition_convolution([(3, 2), (10, -1), (3, 3), (10, -1), (31, 7)], order)
+        merged = list(partition_convolution_rows([(3, 5), (10, -2)], order))
+        split = list(partition_convolution_rows([(3, 2), (10, -1), (3, 3), (10, -1), (31, 7)], order))
         assert split == merged
         assert len(merged) == order + 1
         assert merged[12] == 5 * partition_count(9) - 2 * partition_count(2)
@@ -211,14 +211,14 @@ class TestPartitionConvolution:
         monkeypatch.setattr(TruncatedSeries, "__init__", forbidden)
         assert main(["compute", *argv, "--n-max", "60"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 61
-        coeffs = partition_convolution(theta_support(5, 2, 60), 60)
+        coeffs = list(partition_convolution_rows(theta_support(5, 2, 60), 60))
         assert type(coeffs) is list and all(type(c) is int for c in coeffs)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            partition_convolution([(0, 1)], -1)
+            list(partition_convolution_rows([(0, 1)], -1))
         with pytest.raises(ValueError):
-            partition_convolution([(-1, 1)], 5)
+            list(partition_convolution_rows([(-1, 1)], 5))
 
     def test_rows_refuse_at_the_call_before_the_table_grows(self, monkeypatch):
         # the rows are a generator, but its refusals come at the call, not at
@@ -250,9 +250,39 @@ class TestPartitionConvolution:
         support = terms + terms[:repeats]
         expected = [sum(c * SCALAR_REFERENCE[n - e] for e, c in support if e <= n) for n in range(order + 1)]
         assert list(partition_convolution_rows(support, order)) == expected
-        coeffs = partition_convolution(support, order)
+        coeffs = list(partition_convolution_rows(support, order))
         assert type(coeffs) is list and all(type(c) is int for c in coeffs)
         assert coeffs == expected
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("function, values", [("p", ()), ("p_tt", (3,)), ("p_2tt", (2,)), ("singular", (7, 3))])
+    def test_each_function_is_its_support_over_the_table(self, function, values):
+        # against the scalar recurrence, which shares no code with the blocks
+        order = 2 * BLOCK + 5
+        support = FUNCTIONS[function][1](*values, order)
+        expected = [sum(c * SCALAR_REFERENCE[n - e] for e, c in support if e <= n) for n in range(order + 1)]
+        assert list(table_rows(function, values, order)) == expected
+
+    def test_refuses_in_order_before_any_growth(self, fresh_table, monkeypatch):
+        # an unknown id first, then the table bound before the support is
+        # built, then the values as the support is built; no table grows
+        params, build, name = FUNCTIONS["p_tt"]
+        built = []
+        monkeypatch.setitem(FUNCTIONS, "p_tt", (params, lambda *a: built.append(a) or build(*a), name))
+        with pytest.raises(ValueError, match="unknown function id 'q'"):
+            table_rows("q", (), P_TABLE_BOUND + 1)
+        with pytest.raises(ValueError, match=rf"limited to n <= {P_TABLE_BOUND} \(got {10**12}\)"):
+            table_rows("p_tt", (0,), 10**12)
+        assert built == []
+        with pytest.raises(ValueError, match="t must be positive"):
+            table_rows("p_tt", (0,), 10)
+        assert built == [(0, 10)] and fresh_table == [1]
+
+    def test_rows_are_streamed(self, fresh_table):
+        rows = table_rows("p_2tt", (1,), 3 * BLOCK)
+        assert not isinstance(rows, list) and len(fresh_table) == 3 * BLOCK + 1
+        assert list(table_rows("p", (), 10)) == SCALAR_REFERENCE[:11]
 
 
 @pytest.fixture
@@ -268,8 +298,8 @@ class TestTableBound:
         message = f"limited to n <= {P_TABLE_BOUND} \\(got {too_far}\\)"
         asks = [
             partition_count,
-            lambda n: partition_convolution([(0, 1)], n),
             lambda n: partition_convolution_rows([(0, 1)], n),
+            lambda n: table_rows("p", (), n),
             lambda n: partition_residue_table(7, n),
         ]
         for ask in asks:
@@ -514,7 +544,7 @@ class TestParityBitset:
     )
     def test_is_the_convolution_mod_2(self, support, limit):
         # even coefficients and exponents past the limit drop out
-        coeffs = partition_convolution(support, limit)
+        coeffs = list(partition_convolution_rows(support, limit))
         parity = partition_parity_convolution(support, limit)
         assert len(coeffs) == limit + 1
         assert parity == sum((c % 2) << n for n, c in enumerate(coeffs))
@@ -708,7 +738,8 @@ class TestRestrictedCount:
 # order or n takes a large one, so a check made after the work shows
 GUARDED = {
     "partition_count": lambda x: partition_count(x),
-    "partition_convolution": lambda x: partition_convolution([(0, 1)], x),
+    "table_rows order": lambda x: table_rows("p_tt", (1,), x),
+    "table_rows t": lambda x: table_rows("p_tt", (x,), 90_000),
     "partition_convolution_rows": lambda x: partition_convolution_rows([(0, 1)], x),
     "partition_parity_convolution": lambda x: partition_parity_convolution([(0, 1)], x),
     "partition_residue_table modulus": lambda x: partition_residue_table(x, 10),

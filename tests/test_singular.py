@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mexparts import partitions, singular
 from mexparts.partitions import partition_generating_series, restricted_count
-from mexparts.series import TruncatedSeries, pochhammer_inf
+from mexparts.series import FUNCTIONS, TruncatedSeries, pochhammer_inf
 from mexparts.singular import (
     SingularParams,
     genfun_singular,
@@ -219,13 +219,13 @@ def test_triple_product_matches_product_form_to_600(k, i):
 
 
 def test_table_bound_is_refused_before_the_support_is_built(monkeypatch):
-    build = singular.theta_support
+    params, build, name = FUNCTIONS["singular"]
 
     def spy(k, i, limit):
         assert limit <= partitions.P_TABLE_BOUND, "support built past the table bound"
         return build(k, i, limit)
 
-    monkeypatch.setattr(singular, "theta_support", spy)
+    monkeypatch.setitem(FUNCTIONS, "singular", (params, spy, name))
     with pytest.raises(ValueError, match=rf"limited to n <= {partitions.P_TABLE_BOUND} \(got {10**12}\)"):
         genfun_singular(SingularParams(3, 1), 10**12)
     assert genfun_singular(SingularParams(3, 1), 4) == singular_overpartition_oracle(4, SingularParams(3, 1))

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from mexparts import partitions, suites
-from mexparts.series import TruncatedSeries, support_p_tt
+from mexparts.series import TruncatedSeries
 from mexparts.suites import K_MAX_BOUND, SUITE_NAMES, T_MAX_BOUND, run_suite, suite_bounds
 
 
@@ -137,15 +137,15 @@ def test_thm6_conditional_sweeps_stop_at_the_argument_cap():
 
 def test_thm1_records_failures_ascending_in_n(monkeypatch):
     # one too many in p_{1,1}(5) and p_{1,1}(30) on the table route only
-    convolution = suites.partition_convolution
+    rows = suites.table_rows
 
-    def bumped(support, order):
-        coeffs = convolution(support, order)
-        if support != support_p_tt(1, order):
+    def bumped(function, values, order):
+        coeffs = rows(function, values, order)
+        if (function, tuple(values)) != ("p_tt", (1,)):
             return coeffs
-        return [c + (n in (5, 30)) for n, c in enumerate(coeffs)]
+        return (c + (n in (5, 30)) for n, c in enumerate(coeffs))
 
-    monkeypatch.setattr(suites, "partition_convolution", bumped)
+    monkeypatch.setattr(suites, "table_rows", bumped)
     (report,) = run_suite("thm1", t_max=1, n_max=40)
     found = [failure["n"] for failure in report.failures]
     assert found == sorted(found) == [5, 5, 30, 30]
