@@ -68,12 +68,16 @@ def jacobi_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+_EXPONENT_BOUND = 300  # on k, alpha and beta: final's widest offset, at p = 999 983, has 4 120 digits
+
+
 def delta(p: int, k: int) -> int:
-    """24^{-1} mod p^k for p in {5, 7, 11}: the classical progression offsets."""
+    """24^{-1} mod p^k for p in {5, 7, 11}: the classical progression offsets;
+    k is refused past ``_EXPONENT_BOUND`` before p^k is taken."""
     _require_ints(p=p)  # 5.0 would pass the membership test and fail in pow
     if p not in (5, 7, 11):
         raise ValueError("delta is defined for p in {5, 7, 11}")
-    _require_size("k", k, least=1)
+    _require_size("k", k, _EXPONENT_BOUND, "k must be at most", least=1)
     return pow(24, -1, p**k)
 
 
@@ -168,6 +172,8 @@ def is_2pent_plus_3tri(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 ARG_CAP = 50_000  # keep progression arguments at desk scale
+_DIGITS_BOUND = 4_300  # on step, offset and modulus: Python prints no longer int by default
+_UNPRINTABLE = 10**_DIGITS_BOUND  # the least int past the bound; final's widest offset has 4 120 digits
 
 class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulus t k i exclude_prime")):
     """One claim: function(step*n + offset) == 0 (mod modulus) for all swept n.
@@ -196,6 +202,9 @@ class ProgressionSpec(namedtuple("ProgressionSpec", "function step offset modulu
         _require_size("progression step", self.step, least=1)
         _require_size("progression offset", self.offset)
         _require_size("progression modulus", self.modulus, least=2)
+        for key in ("step", "offset", "modulus"):  # describe() prints them
+            if getattr(self, key) >= _UNPRINTABLE:
+                raise ValueError(f"progression {key} is limited to {_DIGITS_BOUND} digits")
         if self.t is not None:
             _require_size("progression t", self.t, least=1)
         if self.function == "singular":
@@ -304,9 +313,6 @@ def _ramanujan(p: int, k: int, t: int) -> list[ProgressionSpec]:
     24^{-1} mod p^k, modulus p^k (5, 11) or 7^(floor(k/2)+1) (7)."""
     offset = delta(p, k)  # refuses p and k before p^k is taken
     return _thm2(p**k, offset, 7 ** (k // 2 + 1) if p == 7 else p**k, t)
-
-
-_EXPONENT_BOUND = 300  # on k, alpha and beta: final's widest offset, at p = 999 983, has 4 120 digits
 
 
 class _ParityFamily(namedtuple("_ParityFamily", "t least condition claims")):

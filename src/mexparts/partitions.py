@@ -356,9 +356,10 @@ def restricted_counts(n_max: int, sizes: Iterable[int]) -> list[int]:
     """Item n, for n <= n_max, is the number of partitions of n whose parts
     all lie in ``sizes``: coefficient n of prod_{v in sizes} 1/(1 - q^v),
     from one table that takes one geometric factor per size; a repeated size
-    counts once, and sizes above n_max add nothing.
+    counts once, and sizes above n_max add nothing.  An n_max past
+    ``P_TABLE_BOUND`` raises before the sizes are read.
     """
-    _require_size("n", n_max)
+    _require_size("n", n_max, P_TABLE_BOUND, "restricted counts are limited to n <=")
     sizes = list(sizes)
     for v in sizes:  # True would count as the part 1
         _require_size("part sizes", v, least=1)

@@ -62,7 +62,11 @@ def _require_size(name: str, value: int, bound: int | None = None, limited: str 
     if value < least:
         raise ValueError(f"{name} must be " + {0: "non-negative", 1: "positive"}.get(least, f"at least {least}"))
     if bound is not None and value > bound:
-        raise ValueError(f"{limited} {bound} (got {value})")
+        try:
+            got = f"{value}"
+        except ValueError:  # past sys.get_int_max_str_digits(), 4 300 by default
+            got = "an int too long to print"
+        raise ValueError(f"{limited} {bound} (got {got})")
 
 
 class TruncatedSeries:

@@ -90,6 +90,14 @@ class TestDelta:
         with pytest.raises(ValueError):
             delta(13, 1)
 
+    @pytest.mark.parametrize("k", [301, 10**6, 10**5000], ids=["301", "10^6", "10^5000"])
+    def test_refuses_k_past_the_exponent_bound_before_the_power(self, k):
+        # 5^(10^6) alone has 700 000 digits; a k too long to print is named so
+        assert 24 * delta(5, 300) % 5**300 == 1
+        got = "an int too long to print" if k == 10**5000 else k
+        with pytest.raises(ValueError, match=rf"^k must be at most 300 \(got {got}\)$"):
+            delta(5, k)
+
 
 class TestPrimes:
     def test_is_prime(self):
@@ -268,6 +276,18 @@ class TestProgressionSpec:
         spec = ProgressionSpec("p_tt", 5, 4, 5, t=5, exclude_prime=5)
         text = spec.describe()
         assert "5n+4" in text and "mod 5" in text
+
+    @pytest.mark.parametrize("key", ["step", "offset", "modulus"])
+    def test_fields_too_long_to_print_are_refused(self, key):
+        # describe() labels every report with them, and Python prints no int
+        # of more than 4 300 digits; 4 300 digits still sweep and print
+        fields = dict(step=1, offset=0, modulus=2)
+        widest = ProgressionSpec("p", **{**fields, key: 10**4300 - 1})
+        assert check_progression(widest, 0).label == widest.describe()
+        with pytest.raises(ValueError, match=rf"^progression {key} is limited to 4300 digits$"):
+            ProgressionSpec("p", **{**fields, key: 10**4300})
+        with pytest.raises(ValueError, match=rf"^progression {key} is limited to 4300 digits$"):
+            check_progression(ProgressionSpec("p", **{**fields, key: 10**5000}), 0)
 
     @pytest.mark.parametrize("exclude_prime", [None, 5], ids=["all-n", "exclude-5"])
     @pytest.mark.parametrize(
@@ -511,6 +531,7 @@ _INVALID_FAMILY_PARAMS = [
     # ramanujan: p and k refused by delta, t by ProgressionSpec
     ("ramanujan", dict(p=13, k=1, t=1), _INVALID, r"p in \{5, 7, 11\}"),
     ("ramanujan", dict(p=5, k=0, t=1), _INVALID, r"k must be positive"),
+    ("ramanujan", dict(p=5, k=301, t=1), _INVALID, r"k must be at most 300 \(got 301\)"),
     ("ramanujan", dict(p=7, k=1, t=0), _INVALID, r"progression t must be positive"),
     # thm5
     ("thm5", dict(p=9, k=0), _INVALID, r"\b9 is not prime"),

@@ -279,11 +279,6 @@ class TestTableRows:
             table_rows("p_tt", (0,), 10)
         assert built == [(0, 10)] and fresh_table == [1]
 
-    def test_rows_are_streamed(self, fresh_table):
-        rows = table_rows("p_2tt", (1,), 3 * BLOCK)
-        assert not isinstance(rows, list) and len(fresh_table) == 3 * BLOCK + 1
-        assert list(table_rows("p", (), 10)) == SCALAR_REFERENCE[:11]
-
 
 @pytest.fixture
 def fresh_residues(monkeypatch):
@@ -293,6 +288,14 @@ def fresh_residues(monkeypatch):
 
 
 class TestTableBound:
+    def test_an_int_too_long_to_print_is_refused_by_name(self, fresh_table):
+        # Python prints no int of more than 4 300 digits by default, so the
+        # refusal names it instead of failing on the conversion
+        with pytest.raises(ValueError, match=rf"^p\(n\) tables are limited to n <= {P_TABLE_BOUND} "
+                                             r"\(got an int too long to print\)$"):
+            partition_count(10**5000)
+        assert fresh_table == [1]
+
     def test_every_table_refuses_past_the_bound_at_the_call(self, fresh_table, fresh_residues):
         too_far = P_TABLE_BOUND + 1
         message = f"limited to n <= {P_TABLE_BOUND} \\(got {too_far}\\)"
@@ -726,6 +729,17 @@ class TestRestrictedCount:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="n must be non-negative"):
             restricted_count(-1, range(2, 5, 2))
+
+    def test_refuses_past_the_table_bound_before_reading_the_sizes(self):
+        # 3 * 10^6 once allocated its table of counts before any check
+        def sizes():
+            raise AssertionError("the sizes were read before n_max was checked")
+            yield 1
+
+        for n_max in (P_TABLE_BOUND + 1, 3 * 10**6):
+            with pytest.raises(ValueError, match=rf"^restricted counts are limited to n <= {P_TABLE_BOUND} \(got"):
+                restricted_counts(n_max, sizes())
+        assert restricted_counts(P_TABLE_BOUND, [P_TABLE_BOUND])[-1] == 1
 
     @pytest.mark.parametrize("sizes", [[0], [3, -1], range(0, 5)])
     def test_rejects_sizes_below_one(self, sizes):
